@@ -49,6 +49,7 @@ from .errors import (
     EmptyLogError,
     EmptyMatrixError,
     FuzzOracleError,
+    InapplicableBugError,
     InvalidActionError,
     InvalidDeltaError,
     InvalidEnvSpecError,

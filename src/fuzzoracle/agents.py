@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AlgorithmEnvMismatchError,
+    InapplicableBugError,
     NumericalDivergenceError,
     UnknownBugError,
 )
@@ -66,14 +67,19 @@ class AgentConfig:
 
 @dataclass(frozen=True)
 class BugDescriptor:
+    """One registry entry; ``algorithms`` names the learners it can affect."""
+
     id: str
     category: str
     description: str
     overrides: tuple = ()
+    algorithms: tuple = ALGORITHMS
 
     def __post_init__(self):
         if self.category not in BUG_CATEGORIES:
             raise ValueError(f"unknown bug category {self.category!r}")
+        if not set(self.algorithms) <= set(ALGORITHMS):
+            raise ValueError(f"unknown algorithms in {self.algorithms!r}")
 
 
 BUG_REGISTRY = {
@@ -119,11 +125,13 @@ BUG_REGISTRY = {
             "EPSILON_FROZEN_ONE", "exploration",
             "exploration never anneals, behavior stays uniformly random",
             (("epsilon_start", 1.0), ("epsilon_end", 1.0)),
+            ("tabular_q",),
         ),
         BugDescriptor(
             "EPSILON_ZERO_START", "exploration",
             "no exploration from the first step onward",
             (("epsilon_start", 0.0), ("epsilon_end", 0.0)),
+            ("tabular_q",),
         ),
         BugDescriptor(
             "ACTION_CLAMP_WRONG", "exploration",
@@ -137,11 +145,18 @@ def inject_bug(config: AgentConfig, bug_id: str) -> AgentConfig:
     """Config for the buggy variant of ``config``.
 
     Applies the registry's parameter overrides and records the bug id so
-    behavior switches engage inside the learner.
+    behavior switches engage inside the learner. A bug that cannot affect
+    ``config.algorithm`` is refused, since the variant would behave exactly
+    like the clean program while labelled buggy.
     """
     bug = BUG_REGISTRY.get(bug_id)
     if bug is None:
         raise UnknownBugError(f"no bug named {bug_id!r} in the registry")
+    if config.algorithm not in bug.algorithms:
+        raise InapplicableBugError(
+            f"bug {bug_id!r} cannot affect {config.algorithm!r}; it applies to "
+            f"{', '.join(bug.algorithms)}"
+        )
     return replace(config, bug=bug_id, **dict(bug.overrides))
 
 
@@ -232,14 +247,22 @@ class LinearActorCriticAgent:
         self.spec = env_spec
         k = config.feature_grid
         centers = np.linspace(0.0, 1.0, k)
-        self._centers = np.array(
-            [(cx, cy) for cx in centers for cy in centers], dtype=float
-        )
-        self._bandwidth = 1.0 / max(k - 1, 1)
+        self._center_x = np.repeat(centers, k)
+        self._center_y = np.tile(centers, k)
+        bandwidth = 1.0 / max(k - 1, 1)
+        self._two_bandwidth_sq = 2.0 * bandwidth**2
+        self._pos_span = env_spec.max_position - env_spec.min_position
+        self._vel_span = 2.0 * env_spec.max_speed
         self.n_features = k * k + 1
+        # One-entry memo: the successor whose features ``update`` needs for
+        # its bootstrap is the state the next ``act`` and ``update`` see.
+        self._phi_state = None
+        self._phi = None
         init = float(config.init_value)
-        self.w_mean = np.full(self.n_features, init)
-        self.w_value = np.full(self.n_features, init)
+        # Critic and actor weights are rows of one array, updated in place,
+        # so one finiteness check covers both.
+        self._weights = np.full((2, self.n_features), init)
+        self.w_value, self.w_mean = self._weights
         self.rng = np.random.default_rng(config.seed if rng is None else rng)
         self._updates_seen = 0
         if config.bug == "WRONG_FEATURE_MAP":
@@ -249,15 +272,22 @@ class LinearActorCriticAgent:
             self._write_perm = None
 
     def features(self, state) -> np.ndarray:
-        pos = (state[0] - self.spec.min_position) / (
-            self.spec.max_position - self.spec.min_position
-        )
-        vel = (state[1] + self.spec.max_speed) / (2.0 * self.spec.max_speed)
-        diff = self._centers - (pos, vel)
-        sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
+        """Radial basis features of ``state`` plus a constant bias.
+
+        The features of the last state asked for are kept, so each state of
+        a trajectory is mapped once; the returned array is read-only.
+        """
+        if state == self._phi_state:
+            return self._phi
+        spec = self.spec
+        pos = (state[0] - spec.min_position) / self._pos_span
+        vel = (state[1] + spec.max_speed) / self._vel_span
+        sq = (self._center_x - pos) ** 2 + (self._center_y - vel) ** 2
         phi = np.empty(self.n_features)
-        phi[:-1] = np.exp(-sq / (2.0 * self._bandwidth**2))
+        phi[:-1] = np.exp(-sq / self._two_bandwidth_sq)
         phi[-1] = 1.0
+        phi.flags.writeable = False
+        self._phi_state, self._phi = state, phi
         return phi
 
     def act(self, state, progress: float) -> tuple:
@@ -290,16 +320,14 @@ class LinearActorCriticAgent:
         mean = float(self.w_mean @ phi)
         act_value = transition.action[0]
         write_phi = phi[self._write_perm] if self._write_perm is not None else phi
-        self.w_value = self.w_value + config.critic_learning_rate * td_error * write_phi
-        self.w_mean = self.w_mean + (
+        self.w_value += config.critic_learning_rate * td_error * write_phi
+        self.w_mean += (
             config.learning_rate
             * td_error
             * (act_value - mean)
             / (config.action_noise**2)
         ) * write_phi
-        if not (
-            np.isfinite(self.w_value).all() and np.isfinite(self.w_mean).all()
-        ):
+        if not np.isfinite(self._weights).all():
             raise NumericalDivergenceError("actor-critic weights diverged")
 
 

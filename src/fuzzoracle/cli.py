@@ -312,6 +312,8 @@ def cmd_evaluate(args) -> int:
     variants = config.get("variants")
     if not variants:
         raise TraceFormatError("corpus config needs a non-empty 'variants' list")
+    # Every variant is checked, and its bug injected, before any training.
+    agent_configs = []
     for v in variants:
         if not isinstance(v, dict) or "name" not in v or "buggy" not in v:
             raise TraceFormatError(
@@ -320,6 +322,7 @@ def cmd_evaluate(args) -> int:
         bug = v.get("bug")
         if bug is not None and bug not in BUG_REGISTRY:
             raise TraceFormatError(f"variant {v['name']!r} references unknown bug {bug!r}")
+        agent_configs.append(inject_bug(config["agent"], bug) if bug else config["agent"])
 
     env_spec = config["env"]
     oracle_config = config["oracle"]
@@ -330,10 +333,7 @@ def cmd_evaluate(args) -> int:
     started = time.monotonic()
     records = []
     programs = []
-    for v in variants:
-        agent_config = config["agent"]
-        if v.get("bug"):
-            agent_config = inject_bug(agent_config, v["bug"])
+    for v, agent_config in zip(variants, agent_configs):
         verdict = oracle_main(agent_config, env_spec, oracle_config, workers=workers)
         records.append(
             ProgramRecord(

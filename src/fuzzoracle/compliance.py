@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import EmptyLogError, InvalidDeltaError, InvalidMembershipError
 from .membership import MembershipShape
 from .policy import IntendedPolicy, closest_reference
+from .spaces import GridSpace
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def state_compliance(distance: float, delta: float, shape: MembershipShape) -> f
     half = delta / 2.0
     if distance > half:
         return 0.0
-    return shape(distance, width=half)
+    return shape(distance, width=shape.width or half)
 
 
 def action_compliance(action, ideal_action, metric, shape: MembershipShape) -> float:
@@ -103,12 +105,20 @@ def step_compliance(mu_state: float, mu_action: float) -> float:
     return mu_state * mu_action
 
 
+def _state_degree(policy: IntendedPolicy, state) -> tuple:
+    """(state compliance, ideal action of the nearest reference) of ``state``."""
+    index, distance = closest_reference(state, policy)
+    return (
+        state_compliance(distance, policy.min_ref_distance, policy.state_shape),
+        policy.entries[index][1],
+    )
+
+
 def step_compliance_at(policy: IntendedPolicy, state, action) -> tuple[float, float, float]:
     """(mu_state, mu_action, mu_step) of one step under ``policy``."""
-    index, distance = closest_reference(state, policy)
-    mu_state = state_compliance(distance, policy.min_ref_distance, policy.state_shape)
+    mu_state, ideal = _state_degree(policy, state)
     mu_action = action_compliance(
-        action, policy.ideal_action(index), policy.action_distance, policy.action_shape
+        action, ideal, policy.action_distance, policy.action_shape
     )
     return mu_state, mu_action, mu_state * mu_action
 
@@ -121,26 +131,43 @@ def fuzzy_reward(state, action, policy: IntendedPolicy, reward_scale: float = 1.
     return reward_scale * mu_step
 
 
-def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
-    """Reward callable (state, action) -> float with per-state caching.
+class _GridMemo(dict):
+    """state -> _state_degree(policy, state), filled on first use."""
 
-    The nearest-reference lookup depends only on the state, so its result
-    is memoized; the arithmetic is identical to :func:`fuzzy_reward`.
+    def __init__(self, policy: IntendedPolicy):
+        super().__init__()
+        self._policy = policy
+
+    def __missing__(self, state):
+        hit = self[state] = _state_degree(self._policy, state)
+        return hit
+
+
+def _reference_lookup(policy: IntendedPolicy):
+    """:func:`_state_degree` under ``policy`` as a callable of the state.
+
+    Grid states recur, so lookups on a grid are memoised per state.
+    Continuous states practically never recur, so there a memo would only
+    grow by one entry per step and is not kept.
+    """
+    if isinstance(policy.state_space, GridSpace):
+        return _GridMemo(policy).__getitem__
+    return partial(_state_degree, policy)
+
+
+def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
+    """Reward callable (state, action) -> float.
+
+    The nearest-reference lookup depends only on the state; on a grid its
+    result is memoised per state, continuous states are looked up afresh.
+    The arithmetic is identical to :func:`fuzzy_reward`.
     """
     if not reward_scale > 0:
         raise ValueError("reward_scale must be positive")
-    cache: dict = {}
+    lookup = _reference_lookup(policy)
 
     def reward(state, action) -> float:
-        hit = cache.get(state)
-        if hit is None:
-            index, distance = closest_reference(state, policy)
-            mu_state = state_compliance(
-                distance, policy.min_ref_distance, policy.state_shape
-            )
-            hit = (mu_state, policy.ideal_action(index))
-            cache[state] = hit
-        mu_state, ideal = hit
+        mu_state, ideal = lookup(state)
         if mu_state == 0.0:
             return 0.0
         mu_action = action_compliance(
@@ -161,12 +188,15 @@ def policy_compliance_series(
 
     For each epoch, steps whose filtered degree reaches ``theta_step``
     contribute their step compliance to the epoch average; an epoch with no
-    qualifying step scores 0. ``filter_mode`` selects which degree gates a
+    qualifying step scores 0. An epoch without steps is an error unless the
+    log lists it as aborted (it aborted on its first action), in which case
+    it also scores 0. ``filter_mode`` selects which degree gates a
     step: ``"state"`` gates on state compliance (the default), ``"step"``
     gates on the product instead.
 
     Epoch sums use exactly rounded summation so the result is independent
-    of step order within an epoch.
+    of step order within an epoch. Nearest-reference lookups are memoised
+    per state for grid states only, as in :func:`make_reward_fn`.
     """
     if not 0.0 <= theta_step <= 1.0:
         raise InvalidMembershipError(f"theta_step {theta_step} outside [0, 1]")
@@ -176,22 +206,14 @@ def policy_compliance_series(
         raise EmptyLogError("run log has no epochs")
 
     gate_on_state = filter_mode == "state"
-    cache: dict = {}
+    lookup = _reference_lookup(policy)
     values = []
     for epoch in log.epochs:
-        if len(epoch.steps) == 0:
+        if len(epoch.steps) == 0 and epoch.epoch_index not in log.aborted_epochs:
             raise EmptyLogError(f"epoch {epoch.epoch_index} has no steps")
         qualifying = []
         for step in epoch.steps:
-            hit = cache.get(step.state)
-            if hit is None:
-                index, distance = closest_reference(step.state, policy)
-                mu_state = state_compliance(
-                    distance, policy.min_ref_distance, policy.state_shape
-                )
-                hit = (mu_state, policy.ideal_action(index))
-                cache[step.state] = hit
-            mu_state, ideal = hit
+            mu_state, ideal = lookup(step.state)
             mu_action = action_compliance(
                 step.action, ideal, policy.action_distance, policy.action_shape
             )

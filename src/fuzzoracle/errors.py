@@ -69,6 +69,10 @@ class UnknownBugError(FuzzOracleError):
     """Bug id not present in the registry."""
 
 
+class InapplicableBugError(FuzzOracleError):
+    """Bug cannot affect the algorithm it was injected into."""
+
+
 class EmptyMatrixError(FuzzOracleError):
     """Confusion matrix has no entries."""
 

@@ -28,6 +28,7 @@ from .compliance import (
 )
 from .envs import EnvSpec, env_reset, env_step, native_reward
 from .errors import (
+    InvalidActionError,
     NumericalDivergenceError,
     PolicyTooLargeError,
     PolicyTooSmallError,
@@ -202,7 +203,9 @@ def run_training_phase(
     Each epoch resets the environment and rolls out until a terminal state
     or the step budget; the budget-truncated final step is marked done so
     the learner treats the epoch as finished. An epoch whose update
-    diverges is logged as far as it got and training moves on.
+    diverges, or whose learner emits an action the environment rejects
+    (such as NaN), is logged as far as it got and training moves on; an
+    epoch that aborts on its first action has no steps.
     """
     seed_path = seed if isinstance(seed, (list, tuple)) else (seed,)
     agent = make_agent(
@@ -222,22 +225,22 @@ def run_training_phase(
         state = env_reset(env_spec, env_rng)
         steps = []
         for t in range(max_steps):
-            action = agent.act(state, progress)
-            tr = env_step(env_spec, state, action, reward_fn, env_rng)
-            if add_native:
-                tr = replace(
-                    tr,
-                    reward=tr.reward
-                    + native_reward(env_spec, state, action, tr.next_state, tr.done),
-                )
-            if tr.clamped:
-                clamped += 1
-            if not tr.done and t == max_steps - 1:
-                tr = replace(tr, done=True)
-            steps.append(TraceStep(state, action, tr.reward))
             try:
+                action = agent.act(state, progress)
+                tr = env_step(env_spec, state, action, reward_fn, env_rng)
+                if add_native:
+                    tr = replace(
+                        tr,
+                        reward=tr.reward
+                        + native_reward(env_spec, state, action, tr.next_state, tr.done),
+                    )
+                if tr.clamped:
+                    clamped += 1
+                if not tr.done and t == max_steps - 1:
+                    tr = replace(tr, done=True)
+                steps.append(TraceStep(state, action, tr.reward))
                 agent.update(tr)
-            except NumericalDivergenceError:
+            except (NumericalDivergenceError, InvalidActionError):
                 aborted.append(e)
                 break
             if tr.done:

@@ -96,16 +96,10 @@ class IntendedPolicy:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def state_distance(self, a, b) -> float:
-        return self.state_space.distance(a, b)
-
     def action_distance(self, a, b) -> float:
         if isinstance(self.action_space, DiscreteSpace):
             return self.action_space.distance(a, b)
         return continuous_action_distance(a, b)
-
-    def ideal_action(self, entry_index: int):
-        return self.entries[entry_index][1]
 
 
 def closest_reference(state, policy: IntendedPolicy) -> tuple[int, float]:
@@ -114,10 +108,12 @@ def closest_reference(state, policy: IntendedPolicy) -> tuple[int, float]:
     Ties break toward the lowest entry index so repeated runs stay
     reproducible; distance comparison is exact.
     """
+    distance = policy.state_space.distance
+    entries = policy.entries
     best_index = 0
-    best_distance = policy.state_distance(state, policy.entries[0][0])
-    for i in range(1, len(policy.entries)):
-        d = policy.state_distance(state, policy.entries[i][0])
+    best_distance = distance(state, entries[0][0])
+    for i in range(1, len(entries)):
+        d = distance(state, entries[i][0])
         if d < best_distance:
             best_index = i
             best_distance = d

@@ -62,6 +62,11 @@ class BoxSpace:
         for lo, hi in zip(self.lows, self.highs):
             if not lo < hi:
                 raise ValueError(f"bounds must satisfy low < high, got [{lo}, {hi}]")
+        # Per-dimension widths for the normalized metric, which runs once
+        # per reference state on every scored step.
+        object.__setattr__(
+            self, "_spans", tuple(hi - lo for lo, hi in zip(self.lows, self.highs))
+        )
 
     @property
     def dim(self) -> int:
@@ -78,8 +83,8 @@ class BoxSpace:
     def distance(self, a: Coords, b: Coords) -> float:
         """Euclidean distance after scaling each dimension to [0, 1]."""
         total = 0.0
-        for x, y, lo, hi in zip(a, b, self.lows, self.highs):
-            d = (x - y) / (hi - lo)
+        for x, y, span in zip(a, b, self._spans):
+            d = (x - y) / span
             total += d * d
         return math.sqrt(total)
 

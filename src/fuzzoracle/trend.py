@@ -7,6 +7,7 @@ verdict for one intended policy is the conjunction of those two checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidWindowError, SeriesTooShortError
@@ -51,7 +52,13 @@ def _values(series):
 
 
 def linreg_slope(series) -> float:
-    """Ordinary-least-squares slope of the series against epoch indices."""
+    """Ordinary-least-squares slope of the series against epoch indices.
+
+    The sign is exact: the verdict turns on it, and a series whose true
+    slope is zero can round to a tiny negative value. Where the rounded
+    slope's sign is wrong, the exact slope rounded once is returned
+    instead (0.0 for an exact zero).
+    """
     y = _values(series)
     n = len(y)
     if n < 2:
@@ -64,7 +71,22 @@ def linreg_slope(series) -> float:
         dx = i - x_mean
         sxy += dx * (v - y_mean)
         sxx += dx * dx
-    return sxy / sxx
+    slope = sxy / sxx
+    if not math.isfinite(slope):
+        return slope
+    # slope = 6 * sum((2i - (n-1)) * y_i) / (n (n^2 - 1)). Every float is
+    # an integer over a power of two, so scaling all values to the largest
+    # denominator 2**shift makes the weighted sum an exact integer.
+    ratios = [float(v).as_integer_ratio() for v in y]
+    shift = max(q for _, q in ratios).bit_length() - 1
+    numerator = 6 * sum(
+        (2 * i - (n - 1)) * (p << (shift - q.bit_length() + 1))
+        for i, (p, q) in enumerate(ratios)
+    )
+    if (slope > 0) - (slope < 0) == (numerator > 0) - (numerator < 0):
+        return slope
+    # Integer true division rounds correctly.
+    return numerator / ((n * (n * n - 1)) << shift) if numerator else 0.0
 
 
 def convergence_start(series, window: int, epsilon: float) -> int | None:

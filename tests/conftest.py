@@ -55,6 +55,8 @@ def brute_force_series(policy, log, theta_step, filter_mode="state"):
                     best_i, best_d = i, d
             if best_d > delta / 2.0:
                 mu_state = 0.0
+            elif policy.state_shape.width is not None:
+                mu_state = policy.state_shape(best_d)
             else:
                 mu_state = policy.state_shape(best_d, width=delta / 2.0)
             ideal = policy.entries[best_i][1]

@@ -8,11 +8,15 @@ from fuzzoracle import (
     BUG_REGISTRY,
     HillCarSpec,
     Transition,
+    env_reset,
+    env_step,
     inject_bug,
     make_agent,
 )
 from fuzzoracle.errors import (
     AlgorithmEnvMismatchError,
+    FuzzOracleError,
+    InapplicableBugError,
     NumericalDivergenceError,
     UnknownBugError,
 )
@@ -127,6 +131,23 @@ class TestBugRegistry:
         with pytest.raises(UnknownBugError):
             inject_bug(AgentConfig(), "UNKNOWN_XYZ")
 
+    @pytest.mark.parametrize("bug_id", ["EPSILON_FROZEN_ONE", "EPSILON_ZERO_START"])
+    def test_epsilon_bugs_refused_on_actor_critic(self, bug_id):
+        # The actor-critic never reads epsilon, so the variant would be the
+        # clean program labelled buggy.
+        assert BUG_REGISTRY[bug_id].algorithms == ("tabular_q",)
+        with pytest.raises(InapplicableBugError) as info:
+            inject_bug(AgentConfig(algorithm="linear_actor_critic"), bug_id)
+        assert isinstance(info.value, FuzzOracleError)
+        assert inject_bug(AgentConfig(), bug_id).bug == bug_id
+
+    def test_other_bugs_apply_to_both_learners(self):
+        for bug in BUG_REGISTRY.values():
+            if bug.id.startswith("EPSILON_"):
+                continue
+            for algorithm in ("tabular_q", "linear_actor_critic"):
+                assert inject_bug(AgentConfig(algorithm=algorithm), bug.id).bug == bug.id
+
     def test_update_skipped_freezes_table(self, grid_spec):
         agent = make_agent(inject_bug(AgentConfig(), "UPDATE_SKIPPED"), grid_spec)
         rng = np.random.default_rng(0)
@@ -240,3 +261,86 @@ class TestActorCritic:
         )
         with pytest.raises(NumericalDivergenceError):
             agent.update(Transition((-0.5, 0.0), (0.2,), math.inf, (-0.49, 0.0), True))
+
+
+def reference_features(spec, feature_grid, state):
+    """The radial basis features computed from scratch with the (k*k, 2)
+    centre matrix, independently of the learner's precomputed columns."""
+    centers = np.linspace(0.0, 1.0, feature_grid)
+    grid = np.array([(cx, cy) for cx in centers for cy in centers], dtype=float)
+    bandwidth = 1.0 / max(feature_grid - 1, 1)
+    pos = (state[0] - spec.min_position) / (spec.max_position - spec.min_position)
+    vel = (state[1] + spec.max_speed) / (2.0 * spec.max_speed)
+    diff = grid - (pos, vel)
+    sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
+    phi = np.empty(feature_grid * feature_grid + 1)
+    phi[:-1] = np.exp(-sq / (2.0 * bandwidth**2))
+    phi[-1] = 1.0
+    return phi
+
+
+class TestFeatureMemo:
+    """The actor-critic keeps the features of the last state it mapped;
+    training must be bit for bit what it is when every state is mapped
+    afresh."""
+
+    spec = HillCarSpec(max_steps_per_epoch=50)
+
+    def rollout(self, agent, epochs, on_step=None):
+        env_rng = np.random.default_rng(4)
+        for e in range(epochs):
+            state = env_reset(self.spec, env_rng)
+            for t in range(self.spec.max_steps_per_epoch):
+                action = agent.act(state, e / epochs)
+                tr = env_step(self.spec, state, action, lambda s, a: -abs(a[0]))
+                if t == self.spec.max_steps_per_epoch - 1:
+                    tr = Transition(tr.state, tr.action, tr.reward, tr.next_state, True)
+                if on_step is not None:
+                    on_step(agent, tr)
+                agent.update(tr)
+                if on_step is not None:
+                    on_step(agent, tr)
+                if tr.done:
+                    break
+                state = tr.next_state
+
+    @pytest.mark.parametrize("bug", [None, "STALE_STATE", "WRONG_FEATURE_MAP"])
+    def test_memo_matches_fresh_features(self, bug):
+        config = AgentConfig(algorithm="linear_actor_critic", learning_rate=0.05, seed=3)
+        if bug is not None:
+            config = inject_bug(config, bug)
+        fresh = make_agent(config, self.spec)
+        checked = []
+
+        def compare(agent, tr):
+            for state in (tr.state, tr.next_state):
+                got = agent.features(state)
+                assert got.tobytes() == fresh.features(state).tobytes()
+                assert got.tobytes() == reference_features(self.spec, 5, state).tobytes()
+            checked.append(agent._phi_state)
+
+        self.rollout(make_agent(config, self.spec), 4, compare)
+        assert len(checked) > 100
+
+    @pytest.mark.parametrize("bug", [None, "STALE_STATE", "WRONG_FEATURE_MAP"])
+    def test_training_identical_without_memo(self, bug):
+        config = AgentConfig(algorithm="linear_actor_critic", learning_rate=0.05, seed=3)
+        if bug is not None:
+            config = inject_bug(config, bug)
+        memo = make_agent(config, self.spec)
+        self.rollout(memo, 6)
+
+        def forget(agent, tr):
+            agent._phi_state = agent._phi = None
+
+        plain = make_agent(config, self.spec)
+        self.rollout(plain, 6, forget)
+        assert memo.w_value.tobytes() == plain.w_value.tobytes()
+        assert memo.w_mean.tobytes() == plain.w_mean.tobytes()
+        assert memo.w_value.any()
+
+    def test_features_are_read_only(self):
+        agent = make_agent(AgentConfig(algorithm="linear_actor_critic"), self.spec)
+        phi = agent.features((-0.5, 0.0))
+        with pytest.raises(ValueError):
+            phi[0] = 2.0

@@ -159,12 +159,18 @@ class TestTestCommand:
         assert (plain / "series.jsonl").read_bytes() == (emitting / "series.jsonl").read_bytes()
 
     def test_console_script_entry_point(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import fuzzoracle
+
+        # The child imports the package under test, installed or not.
+        src = os.path.dirname(os.path.dirname(fuzzoracle.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "fuzzoracle.cli", "bugs", "list"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert result.returncode == 0
         assert "LR_ZERO" in result.stdout
@@ -234,6 +240,24 @@ class TestEvaluate:
         }))
         assert main(["evaluate", "--config", str(path)]) == 2
         assert "BOGUS" in capsys.readouterr().err
+
+    def test_inapplicable_bug_rejected_before_training(self, tmp_path, capsys):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({
+            "env": {"kind": "hillcar"},
+            "agent": {"algorithm": "linear_actor_critic"},
+            "oracle": {"policies": 3, "epochs": 25},
+            "variants": [
+                {"name": "clean", "bug": None, "buggy": False},
+                {"name": "greedy", "bug": "EPSILON_ZERO_START", "buggy": True},
+            ],
+        }))
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(path), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "EPSILON_ZERO_START" in captured.err
+        assert "clean:" not in captured.out
+        assert not out.exists()
 
 
 class TestWorkersEnvVar:

@@ -1,15 +1,21 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzoracle import (
+    AgentConfig,
     ComplianceSeries,
     EpochTrace,
+    HillCarSpec,
     IntendedPolicy,
     RunLog,
     TraceStep,
     action_compliance,
     fuzzy_reward,
+    generate_policies,
     policy_compliance_series,
+    run_training_phase,
     state_compliance,
     step_compliance,
     step_compliance_at,
@@ -45,6 +51,16 @@ class TestStateCompliance:
             state_compliance(0.5, 0.0, LINEAR)
         with pytest.raises(InvalidDeltaError):
             state_compliance(0.5, -1.0, LINEAR)
+
+    def test_shape_width_is_honoured(self):
+        # delta 4, half-gap 2: the shape's own width 1 sets the ramp, and
+        # the hard zero still sits at the half-gap.
+        shape = MembershipShape("linear", width=1.0)
+        assert state_compliance(0.5, 4.0, shape) == 0.5
+        assert state_compliance(1.0, 4.0, shape) == 0.0
+        wide = MembershipShape("linear", width=8.0)
+        assert state_compliance(1.0, 4.0, wide) == 0.875
+        assert state_compliance(2.5, 4.0, wide) == 0.0
 
     @given(
         distance=st.floats(0.0, 100.0),
@@ -172,6 +188,14 @@ class TestComplianceSeries:
         series = policy_compliance_series(two_ref_policy, log, 0.3)
         assert series.values == (1.0, 1.0, 1.0)
 
+    def test_empty_aborted_epoch_scores_zero(self, two_ref_policy):
+        # An epoch that aborted on its first action logged no steps.
+        steps = (TraceStep((0, 0), 2),)
+        log = RunLog(1, (EpochTrace(steps, 1), EpochTrace((), 2)), aborted_epochs=(2,))
+        assert policy_compliance_series(two_ref_policy, log, 0.3).values == (1.0, 0.0)
+        with pytest.raises(EmptyLogError):
+            policy_compliance_series(two_ref_policy, RunLog(1, log.epochs), 0.3)
+
     def test_empty_log_rejected(self, two_ref_policy):
         with pytest.raises(EmptyLogError):
             policy_compliance_series(two_ref_policy, RunLog(1, ()), 0.3)
@@ -246,6 +270,27 @@ class TestSeriesAgainstBruteForce:
         a = policy_compliance_series(policy, log, theta)
         b = policy_compliance_series(policy, shuffled, theta)
         assert a.values == b.values
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=random_policy_and_log(), width=st.floats(0.25, 6.0))
+    def test_bit_exact_with_state_shape_width(self, case, width):
+        policy, log, theta = case
+        policy = replace(policy, state_shape=MembershipShape("linear", width=width))
+        got = policy_compliance_series(policy, log, theta)
+        assert list(got.values) == brute_force_series(policy, log, theta)
+
+    @pytest.mark.parametrize("mode", ["state", "step"])
+    def test_bit_exact_on_hillcar_training_log(self, mode):
+        # Continuous states never repeat, so every step is scored afresh.
+        spec = HillCarSpec(max_steps_per_epoch=80)
+        config = AgentConfig(algorithm="linear_actor_critic", learning_rate=0.05)
+        scored = []
+        for policy in generate_policies(spec, 3, 3, 7):
+            log = run_training_phase(config, spec, policy, 6, 2)
+            got = policy_compliance_series(policy, log, 0.3, filter_mode=mode)
+            assert list(got.values) == brute_force_series(policy, log, 0.3, filter_mode=mode)
+            scored.extend(got.values)
+        assert sum(v > 0 for v in scored) >= 3
 
     @settings(max_examples=100, deadline=None)
     @given(case=random_policy_and_log())

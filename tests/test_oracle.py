@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from fuzzoracle import (
@@ -153,6 +154,21 @@ class TestRunTrainingPhase:
         add = [s.reward for s in add_log.epochs[0].steps]
         assert add[:-1] == rep[:-1]
         assert add[-1] == rep[-1] + 1.0
+
+    def test_nan_action_aborts_epoch(self):
+        # The smallest oracle run found whose learner diverges: its weights
+        # go non-finite in epoch 7, after which every action is NaN.
+        program = AgentConfig(algorithm="linear_actor_critic")
+        config = OracleConfig(policies=1, epochs=9, master_seed=36)
+        with np.errstate(all="ignore"):
+            verdict = oracle_main(program, HillCarSpec(), config)
+            policy = oracle_policies(HillCarSpec(), config)[0]
+            log = run_training_phase(program, HillCarSpec(), policy, 9, (36, 1))
+        outcome = verdict.per_policy[0]
+        assert outcome.aborted_epochs == log.aborted_epochs == (7, 8, 9)
+        assert [len(e) for e in log.epochs][-3:] == [32, 1, 0]
+        assert outcome.series.values[-1] == 0.0
+        assert verdict.label == "Buggy"
 
     def test_hillcar_training_runs(self):
         spec = HillCarSpec(max_steps_per_epoch=40)

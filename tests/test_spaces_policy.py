@@ -121,6 +121,26 @@ class TestClosestReference:
             assert idx == distances.index(min(distances))
 
 
+    def test_box_matches_linear_scan_with_exact_ties(self):
+        space = BoxSpace((-1.0, -0.5), (1.0, 0.5))
+        # Dyadic coordinates: states on the axis x = 0 are exactly as far
+        # from the mirrored references 1 and 2.
+        refs = [(0.75, 0.375), (0.5, 0.0), (-0.5, 0.0), (-0.75, -0.375)]
+        policy = IntendedPolicy.build(
+            [(r, (0.0,)) for r in refs], space, BoxSpace((-1.0,), (1.0,))
+        )
+        rng = np.random.default_rng(8)
+        ties = [(0.0, v) for v in (0.0, 0.125, -0.125, 0.25, -0.25)]
+        states = ties + [(float(x), float(v)) for x, v in rng.uniform(-1, 1, size=(200, 2)) / 2]
+        for state in states:
+            distances = [space.distance(state, r) for r in refs]
+            best = min(distances)
+            assert closest_reference(state, policy) == (distances.index(best), best)
+        for state in ties:
+            assert space.distance(state, refs[1]) == space.distance(state, refs[2])
+            assert closest_reference(state, policy)[0] == 1
+
+
 class TestPolicyBuild:
     def test_rejects_out_of_space_entries(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,35 @@ class TestSlope:
         assert linreg_slope(values) == pytest.approx(
             brute_force_slope(values), abs=1e-12
         )
+
+    def test_symmetric_series_has_exact_zero_slope(self):
+        # Rounding alone made this slope about -2e-18 and the series Buggy.
+        probes = (
+            [0, 0, 0, 1, 0, 0, 0],
+            [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.25, 0.25, 0.25, 0.265625, 0.25, 0.25, 0.25],
+        )
+        for values in probes:
+            assert linreg_slope(values) == 0.0
+            assert trend_analysis(values, TrendParams(window=5)).verdict is True
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(0, 64).map(lambda v: v / 64),
+                st.floats(0.0, 1.0),
+                st.sampled_from([0.1, 0.2, 0.3, 0.7]),
+            ),
+            min_size=2,
+            max_size=60,
+        )
+    )
+    def test_sign_is_exact(self, values):
+        n = len(values)
+        exact = sum((2 * i - (n - 1)) * Fraction(v) for i, v in enumerate(values))
+        slope = linreg_slope(values)
+        assert (slope > 0) - (slope < 0) == (exact > 0) - (exact < 0)
 
 
 class TestConvergenceStart:
