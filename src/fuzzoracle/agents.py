@@ -181,7 +181,15 @@ class TabularQAgent:
         self.q = [[init] * self.n_actions for _ in range(self.n_states)]
         self.rng = np.random.default_rng(config.seed if rng is None else rng)
         self._updates_seen = 0
-        if config.bug == "WRONG_FEATURE_MAP":
+        # The config is frozen, so the bug switches are resolved once
+        # rather than on every step.
+        bug = config.bug
+        self._clamp_wrong = bug == "ACTION_CLAMP_WRONG"
+        self._skip_updates = bug == "UPDATE_SKIPPED"
+        self._every_other = bug == "UPDATE_EVERY_OTHER"
+        self._negate_reward = bug == "REWARD_NEGATED"
+        self._stale_state = bug == "STALE_STATE"
+        if bug == "WRONG_FEATURE_MAP":
             perm_rng = np.random.default_rng([max(config.seed, 0), 97])
             self._write_index = [int(i) for i in perm_rng.permutation(self.n_states)]
         else:
@@ -195,30 +203,30 @@ class TabularQAgent:
         if eps > 0.0 and self.rng.random() < eps:
             action = int(self.rng.integers(self.n_actions))
         else:
-            row = self.q[self.state_index(state)]
-            action = 0
-            best = row[0]
-            for i in range(1, self.n_actions):
-                if row[i] > best:
-                    action, best = i, row[i]
-        if self.config.bug == "ACTION_CLAMP_WRONG":
+            # max keeps the first of equal values, so ties go to the lowest id.
+            row = self.q[state[0] * self.cols + state[1]]
+            action = row.index(max(row))
+        if self._clamp_wrong:
             action = min(action, self.n_actions // 2 - 1)
         return action
 
     def update(self, transition) -> None:
-        config = self.config
-        bug = config.bug
-        if bug == "UPDATE_SKIPPED":
+        if self._skip_updates:
             return
-        if bug == "UPDATE_EVERY_OTHER":
+        if self._every_other:
             self._updates_seen += 1
             if self._updates_seen % 2 == 0:
                 return
+        config = self.config
         reward = transition.reward
-        if bug == "REWARD_NEGATED":
+        if self._negate_reward:
             reward = -reward
-        s = self.state_index(transition.state)
-        s2 = s if bug == "STALE_STATE" else self.state_index(transition.next_state)
+        state, cols = transition.state, self.cols
+        s = state[0] * cols + state[1]
+        if self._stale_state:
+            s2 = s
+        else:
+            s2 = transition.next_state[0] * cols + transition.next_state[1]
         bootstrap = 0.0 if transition.done else config.discount * max(self.q[s2])
         old = self.q[s][transition.action]
         value = old + config.learning_rate * (reward + bootstrap - old)

@@ -17,15 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import EmptyLogError, InvalidDeltaError, InvalidMembershipError
 from .membership import MembershipShape
 from .policy import IntendedPolicy, closest_reference
-from .spaces import GridSpace
+from .spaces import DiscreteSpace, GridSpace, continuous_action_distance
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One executed step. The reward is kept for diagnostics only."""
 
     state: tuple
@@ -114,12 +114,39 @@ def _state_degree(policy: IntendedPolicy, state) -> tuple:
     )
 
 
+def _action_degree(policy: IntendedPolicy):
+    """:func:`action_compliance` under ``policy`` as a callable of
+    (action, ideal action).
+
+    On a discrete action space with int ideal actions, a plain int action
+    scores 1 when it equals the ideal and 0 otherwise. That is exact: the
+    discrete metric gives 0 or inf, and the shape is checked to give 1 at 0
+    and 0 at inf. Any other action goes through the checked metric, which
+    rejects it as before.
+    """
+    shape = policy.action_shape
+    if not isinstance(policy.action_space, DiscreteSpace):
+        return lambda action, ideal: shape(continuous_action_distance(action, ideal))
+    checked = partial(action_compliance, metric=policy.action_distance, shape=shape)
+    try:
+        exact = shape(0.0) == 1.0 and shape(math.inf) == 0.0
+    except ValueError:  # a scaled shape without a width
+        exact = False
+    if not (exact and all(type(ideal) is int for _, ideal in policy.entries)):
+        return checked
+
+    def degree(action, ideal) -> float:
+        if type(action) is int:
+            return 1.0 if action == ideal else 0.0
+        return checked(action, ideal)
+
+    return degree
+
+
 def step_compliance_at(policy: IntendedPolicy, state, action) -> tuple[float, float, float]:
     """(mu_state, mu_action, mu_step) of one step under ``policy``."""
     mu_state, ideal = _state_degree(policy, state)
-    mu_action = action_compliance(
-        action, ideal, policy.action_distance, policy.action_shape
-    )
+    mu_action = _action_degree(policy)(action, ideal)
     return mu_state, mu_action, mu_state * mu_action
 
 
@@ -165,15 +192,13 @@ def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
     if not reward_scale > 0:
         raise ValueError("reward_scale must be positive")
     lookup = _reference_lookup(policy)
+    action_degree = _action_degree(policy)
 
     def reward(state, action) -> float:
         mu_state, ideal = lookup(state)
         if mu_state == 0.0:
             return 0.0
-        mu_action = action_compliance(
-            action, ideal, policy.action_distance, policy.action_shape
-        )
-        return reward_scale * mu_state * mu_action
+        return reward_scale * mu_state * action_degree(action, ideal)
 
     return reward
 
@@ -207,6 +232,7 @@ def policy_compliance_series(
 
     gate_on_state = filter_mode == "state"
     lookup = _reference_lookup(policy)
+    action_degree = _action_degree(policy)
     values = []
     for epoch in log.epochs:
         if len(epoch.steps) == 0 and epoch.epoch_index not in log.aborted_epochs:
@@ -214,10 +240,7 @@ def policy_compliance_series(
         qualifying = []
         for step in epoch.steps:
             mu_state, ideal = lookup(step.state)
-            mu_action = action_compliance(
-                step.action, ideal, policy.action_distance, policy.action_shape
-            )
-            mu_step = mu_state * mu_action
+            mu_step = mu_state * action_degree(step.action, ideal)
             gate = mu_state if gate_on_state else mu_step
             if gate >= theta_step:
                 qualifying.append(mu_step)

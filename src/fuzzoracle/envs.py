@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,8 @@ class GridSpec:
             raise InvalidEnvSpecError("goal cell cannot also be a hole")
         if (0, 0) in self.holes or (0, 0) == self.goal:
             raise InvalidEnvSpecError("start cell (0, 0) must be non-terminal")
+        # Every grid step asks whether its successor is terminal.
+        object.__setattr__(self, "_terminal", frozenset(self.holes) | {self.goal})
 
     def state_space(self) -> GridSpace:
         return GridSpace(self.rows, self.cols)
@@ -66,7 +69,7 @@ class GridSpec:
         return DiscreteSpace(4)
 
     def is_terminal(self, cell) -> bool:
-        return cell == self.goal or cell in self.holes
+        return cell in self._terminal
 
     def non_terminal_cells(self) -> list:
         return [c for c in self.state_space().all_cells() if not self.is_terminal(c)]
@@ -110,8 +113,7 @@ class HillCarSpec:
 EnvSpec = GridSpec | HillCarSpec
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     state: tuple
     action: object
     reward: float
@@ -155,7 +157,13 @@ def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transiti
 
 
 def _grid_step(spec: GridSpec, state, action, reward_fn, rng) -> Transition:
-    if not isinstance(action, int) or isinstance(action, bool) or action not in GRID_MOVES:
+    # A plain int skips the isinstance checks; int subclasses other than
+    # bool are accepted as before.
+    if (
+        type(action) is not int
+        and (not isinstance(action, int) or isinstance(action, bool))
+        or action not in GRID_MOVES
+    ):
         raise InvalidActionError(f"grid action must be an int in 0..3, got {action!r}")
     effective = action
     if spec.slip_prob > 0.0:
@@ -165,10 +173,19 @@ def _grid_step(spec: GridSpec, state, action, reward_fn, rng) -> Transition:
             sideways = (action + 1, action + 3)
             effective = int(sideways[gen.integers(0, 2)]) % 4
     dr, dc = GRID_MOVES[effective]
-    nr = min(max(state[0] + dr, 0), spec.rows - 1)
-    nc = min(max(state[1] + dc, 0), spec.cols - 1)
+    # Clamp to the grid; comparisons are several times cheaper than min/max.
+    nr = state[0] + dr
+    if nr < 0:
+        nr = 0
+    elif nr > spec.rows - 1:
+        nr = spec.rows - 1
+    nc = state[1] + dc
+    if nc < 0:
+        nc = 0
+    elif nc > spec.cols - 1:
+        nc = spec.cols - 1
     next_state = (nr, nc)
-    done = spec.is_terminal(next_state)
+    done = next_state in spec._terminal
     reward = (
         reward_fn(state, action)
         if reward_fn is not None

@@ -288,18 +288,23 @@ def load_policy(path) -> IntendedPolicy:
 
 
 def write_trace(path, log: RunLog, env_spec) -> None:
+    """Write ``log`` as a trace file.
+
+    An epoch that aborted on its first action has no steps and so no
+    records; the header lists the aborted epochs (only when there are any)
+    so the reader can tell such an epoch from a missing one.
+    """
+    header = {
+        "format": TRACE_FORMAT,
+        "version": FORMAT_VERSION,
+        "env": env_spec_to_dict(env_spec),
+        "policy_id": log.policy_id,
+        "epochs": len(log.epochs),
+    }
+    if log.aborted_epochs:
+        header["aborted_epochs"] = list(log.aborted_epochs)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            canonical_json(
-                {
-                    "format": TRACE_FORMAT,
-                    "version": FORMAT_VERSION,
-                    "env": env_spec_to_dict(env_spec),
-                    "policy_id": log.policy_id,
-                    "epochs": len(log.epochs),
-                }
-            )
-        )
+        fh.write(canonical_json(header))
         state_space = env_spec.state_space()
         action_space = env_spec.action_space()
         for epoch in log.epochs:
@@ -321,7 +326,9 @@ def read_trace(path):
     """Parse a trace file into (RunLog, env spec).
 
     Epochs must be contiguous from 1 and steps contiguous from 1 within
-    each epoch; violations report the offending record index.
+    each epoch; violations report the offending record index. An epoch
+    without records is accepted only when the header lists it among the
+    aborted epochs; it is read back as an epoch with no steps.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -339,11 +346,10 @@ def read_trace(path):
         )
     env_spec = env_spec_from_dict(header["env"])
     declared_epochs = header.get("epochs")
+    aborted = _aborted_epochs(header)
+    aborted_set = frozenset(aborted)
     state_space = env_spec.state_space()
     action_space = env_spec.action_space()
-
-    if len(lines) == 1:
-        raise TraceFormatError("trace contains no steps", record_index=1)
 
     epochs = []
     current: list = []
@@ -357,6 +363,14 @@ def read_trace(path):
                 record_index=index,
             )
         e, j = rec["epoch"], rec["step"]
+        skipped = range(current_epoch + 1, e) if type(e) is int and j == 1 else ()
+        if skipped and all(k in aborted_set for k in skipped):
+            # The epochs before this one aborted on their first action.
+            if current:
+                epochs.append(EpochTrace(tuple(current), current_epoch))
+                current = []
+            epochs.extend(EpochTrace((), k) for k in skipped)
+            current_epoch = e - 1
         if e == current_epoch + 1 and j == 1:
             if current:
                 epochs.append(EpochTrace(tuple(current), current_epoch))
@@ -387,14 +401,39 @@ def read_trace(path):
                 f"record {index}: reward must be a number", record_index=index
             )
         current.append(TraceStep(state, action, float(reward)))
-    epochs.append(EpochTrace(tuple(current), current_epoch))
+    if current:
+        epochs.append(EpochTrace(tuple(current), current_epoch))
+    while len(epochs) + 1 in aborted_set:
+        epochs.append(EpochTrace((), len(epochs) + 1))
 
+    if not epochs:
+        raise TraceFormatError("trace contains no steps", record_index=1)
     if declared_epochs is not None and declared_epochs != len(epochs):
         raise TraceFormatError(
             f"header declares {declared_epochs} epochs, file has {len(epochs)}",
             record_index=1,
         )
-    return RunLog(header.get("policy_id", 1), tuple(epochs)), env_spec
+    if aborted and aborted[-1] > len(epochs):
+        raise TraceFormatError(
+            f"header lists aborted epoch {aborted[-1]}, file has {len(epochs)}",
+            record_index=1,
+        )
+    return RunLog(header.get("policy_id", 1), tuple(epochs), aborted), env_spec
+
+
+def _aborted_epochs(header: dict) -> tuple:
+    """The header's aborted epochs: increasing epoch numbers from 1."""
+    value = header.get("aborted_epochs", [])
+    if not (
+        isinstance(value, list)
+        and all(type(e) is int and e >= 1 for e in value)
+        and all(a < b for a, b in zip(value, value[1:]))
+    ):
+        raise TraceFormatError(
+            "aborted_epochs must be a list of increasing epoch numbers from 1",
+            record_index=1,
+        )
+    return tuple(value)
 
 
 def _parse_record(line: str, index: int) -> dict:

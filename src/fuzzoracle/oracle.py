@@ -229,15 +229,14 @@ def run_training_phase(
                 action = agent.act(state, progress)
                 tr = env_step(env_spec, state, action, reward_fn, env_rng)
                 if add_native:
-                    tr = replace(
-                        tr,
+                    tr = tr._replace(
                         reward=tr.reward
                         + native_reward(env_spec, state, action, tr.next_state, tr.done),
                     )
                 if tr.clamped:
                     clamped += 1
                 if not tr.done and t == max_steps - 1:
-                    tr = replace(tr, done=True)
+                    tr = tr._replace(done=True)
                 steps.append(TraceStep(state, action, tr.reward))
                 agent.update(tr)
             except (NumericalDivergenceError, InvalidActionError):

@@ -1,6 +1,8 @@
 import json
 import os
 
+import numpy as np
+
 from fuzzoracle.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -146,6 +148,29 @@ class TestTestCommand:
         assert code in (0, 1)
         analysis = json.loads(analysis_path.read_text())
         assert analysis["series"] == emitted[0]["values"]
+
+    def test_emit_traces_with_aborted_epochs_reproducible_by_analyze(self, tmp_path):
+        # The learner diverges in epoch 7; epoch 9 aborts on its first
+        # action, so its trace has no records for that epoch.
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            env={"kind": "hillcar"},
+            agent={"algorithm": "linear_actor_critic"},
+            oracle={"policies": 1, "epochs": 9, "master_seed": 36},
+        )
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["test", "--config", cfg, "--emit-traces",
+                         "--output", str(out)]) == 1
+        trace = out / "policy_001.trace.jsonl"
+        header = json.loads(trace.read_text().splitlines()[0])
+        assert header["aborted_epochs"] == [7, 8, 9]
+        analysis_path = tmp_path / "re.json"
+        assert main(["analyze", "--trace", str(trace),
+                     "--policy", str(out / "policy_001.json"),
+                     "--output", str(analysis_path)]) == 1
+        emitted = json.loads((out / "series.jsonl").read_text())
+        assert json.loads(analysis_path.read_text())["series"] == emitted["values"]
 
     def test_emit_traces_mode_matches_plain_mode(self, tmp_path):
         # Writing traces must not perturb the verdict: both modes derive

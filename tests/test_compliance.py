@@ -1,3 +1,4 @@
+import enum
 from dataclasses import replace
 
 import pytest
@@ -14,6 +15,7 @@ from fuzzoracle import (
     action_compliance,
     fuzzy_reward,
     generate_policies,
+    make_reward_fn,
     policy_compliance_series,
     run_training_phase,
     state_compliance,
@@ -93,6 +95,52 @@ class TestActionCompliance:
         metric = DiscreteSpace(4).distance
         with pytest.raises(ActionKindMismatchError):
             action_compliance((0.4,), 2, metric, INDICATOR)
+
+
+class TestActionKindChecks:
+    """Plain int grid actions are scored without the metric's checks; every
+    other action still goes through them."""
+
+    @pytest.mark.parametrize("action", [True, 1.0, "1"])
+    def test_grid_policy_rejects_non_int_actions(self, two_ref_policy, action):
+        log = RunLog(1, (EpochTrace((TraceStep((0, 0), action),), 1),))
+        with pytest.raises(ActionKindMismatchError):
+            make_reward_fn(two_ref_policy)((0, 0), action)
+        with pytest.raises(ActionKindMismatchError):
+            fuzzy_reward((0, 0), action, two_ref_policy)
+        with pytest.raises(ActionKindMismatchError):
+            policy_compliance_series(two_ref_policy, log, 0.3)
+
+    def test_grid_policy_scores_int_subclass_actions(self, two_ref_policy):
+        class Move(enum.IntEnum):
+            DOWN = 1
+            RIGHT = 2
+
+        reward = make_reward_fn(two_ref_policy)
+        assert reward((0, 0), Move.RIGHT) == 1.0
+        assert reward((0, 0), Move.DOWN) == 0.0
+
+    def test_action_shape_without_width_still_raises(self):
+        policy = IntendedPolicy.build(
+            [((0, 0), 2), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4),
+            action_shape=MembershipShape("linear"),
+        )
+        with pytest.raises(ValueError):
+            make_reward_fn(policy)((0, 0), 2)
+
+    def test_non_int_ideal_action_still_rejected(self, two_ref_policy):
+        policy = replace(two_ref_policy, entries=(((0, 0), 2.0), ((2, 2), 1)))
+        with pytest.raises(ActionKindMismatchError):
+            make_reward_fn(policy)((0, 0), 2)
+
+    def test_hillcar_policy_rejects_int_action(self):
+        policy = generate_policies(HillCarSpec(), 1, 3, 0)[0]
+        state = policy.entries[0][0]
+        log = RunLog(1, (EpochTrace((TraceStep(state, 1),), 1),))
+        with pytest.raises(ActionKindMismatchError):
+            make_reward_fn(policy)(state, 1)
+        with pytest.raises(ActionKindMismatchError):
+            policy_compliance_series(policy, log, 0.3)
 
 
 class TestStepCompliance:

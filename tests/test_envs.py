@@ -1,3 +1,4 @@
+import enum
 import math
 
 import numpy as np
@@ -70,10 +71,15 @@ class TestGridStep:
         assert env_step(grid_spec, (3, 2), RIGHT).done is True
 
     def test_invalid_action(self, grid_spec):
-        with pytest.raises(InvalidActionError):
-            env_step(grid_spec, (0, 0), 7)
-        with pytest.raises(InvalidActionError):
-            env_step(grid_spec, (0, 0), (0.5,))
+        for action in (7, (0.5,), True, 1.0, 4, -1):
+            with pytest.raises(InvalidActionError):
+                env_step(grid_spec, (0, 0), action)
+
+    def test_int_subclass_action_accepted(self, grid_spec):
+        class Move(enum.IntEnum):
+            RIGHT = 2
+
+        assert env_step(grid_spec, (0, 0), Move.RIGHT).next_state == (0, 1)
 
     def test_injected_reward_fn(self, grid_spec):
         tr = env_step(grid_spec, (2, 1), UP, reward_fn=lambda s, a: 42.0)

@@ -1,0 +1,137 @@
+"""The grid training and scoring hot path against a straight-line reference.
+
+``reference_run`` replays a tabular Q-learning run step by step with no
+precomputed tables, no resolved switches and no fast paths: the learner
+reads ``config.bug`` at every step, the grid move is clamped with min/max,
+terminal cells are looked up in the spec's fields, and every reward is
+scored by the brute-force scorer of ``conftest``, through the checked
+action metric. The program's run logs, rewards and compliance series must
+equal it bit for bit on every corpus variant, and its rewards must equal
+:func:`fuzzy_reward`.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+
+from fuzzoracle import (
+    AgentConfig,
+    EpochTrace,
+    GridSpec,
+    OracleConfig,
+    RunLog,
+    TraceStep,
+    fuzzy_reward,
+    inject_bug,
+    oracle_policies,
+    policy_compliance_series,
+    run_training_phase,
+)
+
+from conftest import brute_force_series
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "configs", "corpus_grid12.json")
+with open(CORPUS, encoding="utf-8") as _fh:
+    VARIANT_BUGS = [v["bug"] for v in json.load(_fh)["variants"]]
+
+EPOCHS = 20
+ORACLE = OracleConfig(policies=2, epochs=EPOCHS)
+MOVES = {0: (0, -1), 1: (1, 0), 2: (0, 1), 3: (-1, 0)}
+
+
+def brute_force_reward(policy, state, action) -> float:
+    """Step compliance of one step: the series of a one-step log, ungated."""
+    log = RunLog(1, (EpochTrace((TraceStep(state, action),), 1),))
+    return brute_force_series(policy, log, 0.0)[0]
+
+
+def reference_run(config, spec, policy, epochs, seed_path, policy_id) -> RunLog:
+    """Straight-line tabular Q-learning run with the oracle's seeding."""
+    rng = np.random.default_rng([*seed_path, 2, config.seed])
+    env_rng = np.random.default_rng([*seed_path, 3])
+    n_states = spec.rows * spec.cols
+    q = [[float(config.init_value)] * 4 for _ in range(n_states)]
+    write = list(range(n_states))
+    if config.bug == "WRONG_FEATURE_MAP":
+        perm = np.random.default_rng([max(config.seed, 0), 97]).permutation(n_states)
+        write = [int(i) for i in perm]
+    updates = 0
+    traces, aborted = [], []
+    for e in range(1, epochs + 1):
+        progress = (e - 1) / max(epochs - 1, 1)
+        eps = config.epsilon_start + (config.epsilon_end - config.epsilon_start) * progress
+        state = (0, 0)
+        steps = []
+        for t in range(spec.max_steps_per_epoch):
+            if eps > 0.0 and rng.random() < eps:
+                action = int(rng.integers(4))
+            else:
+                row = q[state[0] * spec.cols + state[1]]
+                action = 0
+                for i in range(1, 4):
+                    if row[i] > row[action]:
+                        action = i
+            if config.bug == "ACTION_CLAMP_WRONG":
+                action = min(action, 1)
+            effective = action
+            if spec.slip_prob > 0.0 and env_rng.random() < spec.slip_prob:
+                effective = int((action + 1, action + 3)[env_rng.integers(0, 2)]) % 4
+            dr, dc = MOVES[effective]
+            next_state = (
+                min(max(state[0] + dr, 0), spec.rows - 1),
+                min(max(state[1] + dc, 0), spec.cols - 1),
+            )
+            terminal = next_state == spec.goal or next_state in spec.holes
+            done = terminal or t == spec.max_steps_per_epoch - 1
+            reward = brute_force_reward(policy, state, action)
+            steps.append(TraceStep(state, action, reward))
+
+            learn = config.bug != "UPDATE_SKIPPED"
+            if learn and config.bug == "UPDATE_EVERY_OTHER":
+                updates += 1
+                learn = updates % 2 == 1
+            if learn:
+                r = -reward if config.bug == "REWARD_NEGATED" else reward
+                s = state[0] * spec.cols + state[1]
+                s2 = s if config.bug == "STALE_STATE" else next_state[0] * spec.cols + next_state[1]
+                bootstrap = 0.0 if done else config.discount * max(q[s2])
+                old = q[s][action]
+                value = old + config.learning_rate * (r + bootstrap - old)
+                if not math.isfinite(value):
+                    aborted.append(e)
+                    break
+                q[write[s]][action] = value
+            if terminal:
+                break
+            state = next_state
+        traces.append(EpochTrace(tuple(steps), e))
+    return RunLog(policy_id, tuple(traces), tuple(aborted))
+
+
+CASES = [(bug, 0.0) for bug in VARIANT_BUGS] + [(None, 0.2)]
+
+
+@pytest.mark.parametrize(
+    "bug, slip", CASES, ids=[f"{bug or 'clean'}-slip{slip}" for bug, slip in CASES]
+)
+def test_run_logs_rewards_and_series_match_reference(bug, slip):
+    spec = GridSpec(slip_prob=slip)
+    config = inject_bug(AgentConfig(), bug) if bug else AgentConfig()
+    for pid, policy in enumerate(oracle_policies(spec, ORACLE), start=1):
+        seed_path = (ORACLE.master_seed, pid)
+        log = run_training_phase(config, spec, policy, EPOCHS, seed_path, policy_id=pid)
+        expected = reference_run(config, spec, policy, EPOCHS, seed_path, pid)
+        assert log == expected
+        for epoch in log.epochs:
+            for step in epoch.steps:
+                assert step.reward == fuzzy_reward(step.state, step.action, policy)
+        for mode in ("state", "step"):
+            series = policy_compliance_series(policy, log, ORACLE.theta_step, mode)
+            assert list(series.values) == brute_force_series(
+                policy, log, ORACLE.theta_step, mode
+            )

@@ -59,6 +59,38 @@ class TestTraceRoundTrip:
         assert log.epochs == original.epochs
         assert env == grid_spec
 
+    def test_header_lists_aborted_epochs_only_when_there_are_any(self, tmp_path, grid_spec):
+        path = tmp_path / "run.trace.jsonl"
+        write_trace(path, sample_log(), grid_spec)
+        assert "aborted_epochs" not in json.loads(path.read_text().splitlines()[0])
+
+    def test_epochs_aborted_on_their_first_action_roundtrip(self, tmp_path, grid_spec):
+        # Leading, middle and trailing epochs without steps; epoch 3
+        # aborted after a step.
+        step = TraceStep((0, 0), 2, 1.0)
+        epochs = (
+            EpochTrace((), 1),
+            EpochTrace((step,), 2),
+            EpochTrace((), 3),
+            EpochTrace((), 4),
+            EpochTrace((step,), 5),
+            EpochTrace((), 6),
+        )
+        original = RunLog(2, epochs, (1, 3, 4, 6))
+        path = tmp_path / "run.trace.jsonl"
+        write_trace(path, original, grid_spec)
+        log, _ = read_trace(path)
+        assert log == original
+        again = tmp_path / "again.trace.jsonl"
+        write_trace(again, log, grid_spec)
+        assert path.read_bytes() == again.read_bytes()
+
+    def test_all_epochs_aborted_on_their_first_action(self, tmp_path, grid_spec):
+        original = RunLog(1, (EpochTrace((), 1), EpochTrace((), 2)), (1, 2))
+        path = tmp_path / "run.trace.jsonl"
+        write_trace(path, original, grid_spec)
+        assert read_trace(path)[0] == original
+
     def test_hillcar_floats_roundtrip_exactly(self, tmp_path):
         spec = HillCarSpec()
         state = (-0.5123456789012345, 0.0123456789012345)
@@ -76,7 +108,7 @@ class TestTraceValidation:
         path.write_text("".join(l + "\n" for l in lines))
         return path
 
-    def header(self, epochs=1):
+    def header(self, epochs=1, **extra):
         return json.dumps(
             {
                 "format": "fuzzoracle-trace",
@@ -84,6 +116,7 @@ class TestTraceValidation:
                 "env": env_spec_to_dict(GridSpec()),
                 "policy_id": 1,
                 "epochs": epochs,
+                **extra,
             }
         )
 
@@ -128,6 +161,27 @@ class TestTraceValidation:
         path = self.write_lines(tmp_path, [self.header(), self.step(2, 1)])
         with pytest.raises(TraceFormatError):
             read_trace(path)
+
+    def test_missing_epoch_needs_the_header_to_list_it(self, tmp_path):
+        steps = [self.step(1, 1), self.step(3, 1)]
+        path = self.write_lines(tmp_path, [self.header(3, aborted_epochs=[1])] + steps)
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.record_index == 3
+        path = self.write_lines(tmp_path, [self.header(3, aborted_epochs=[2])] + steps)
+        assert len(read_trace(path)[0].epochs[1]) == 0
+
+    @pytest.mark.parametrize(
+        "aborted", [[0], [2, 1], [1, 1], [True], [1.0], "1", 1, [4]], ids=repr
+    )
+    def test_bad_aborted_epochs(self, tmp_path, aborted):
+        path = self.write_lines(
+            tmp_path, [self.header(3, aborted_epochs=aborted)]
+            + [self.step(e, 1) for e in (1, 2, 3)],
+        )
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.record_index == 1
 
     def test_state_out_of_bounds(self, tmp_path):
         path = self.write_lines(
