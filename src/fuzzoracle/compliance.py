@@ -10,6 +10,11 @@ The chain of degrees, every value in [0, 1]:
 * epoch compliance: average step compliance over the qualifying steps of
   one training epoch, which strung over epochs forms the compliance
   series the trend analyzer consumes.
+
+Training scores one step at a time through :func:`make_reward_fn`, which
+memoises grid states. A run log is scored in array passes over batches of
+whole epochs (:func:`policy_compliance_series`) that reproduce the scalar
+values bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EmptyLogError, InvalidDeltaError, InvalidMembershipError
 from .membership import MembershipShape
@@ -31,6 +40,9 @@ class TraceStep(NamedTuple):
     state: tuple
     action: object
     reward: float = 0.0
+
+
+_action = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -120,19 +132,15 @@ def _action_degree(policy: IntendedPolicy):
 
     On a discrete action space with int ideal actions, a plain int action
     scores 1 when it equals the ideal and 0 otherwise. That is exact: the
-    discrete metric gives 0 or inf, and the shape is checked to give 1 at 0
-    and 0 at inf. Any other action goes through the checked metric, which
-    rejects it as before.
+    discrete metric gives 0 or inf, and every action shape gives 1 at 0 and
+    0 at inf (a policy's scaled action shape always has a width). Any other
+    action goes through the checked metric, which rejects it as before.
     """
     shape = policy.action_shape
     if not isinstance(policy.action_space, DiscreteSpace):
         return lambda action, ideal: shape(continuous_action_distance(action, ideal))
     checked = partial(action_compliance, metric=policy.action_distance, shape=shape)
-    try:
-        exact = shape(0.0) == 1.0 and shape(math.inf) == 0.0
-    except ValueError:  # a scaled shape without a width
-        exact = False
-    if not (exact and all(type(ideal) is int for _, ideal in policy.entries)):
+    if not all(type(ideal) is int for _, ideal in policy.entries):
         return checked
 
     def degree(action, ideal) -> float:
@@ -170,28 +178,21 @@ class _GridMemo(dict):
         return hit
 
 
-def _reference_lookup(policy: IntendedPolicy):
-    """:func:`_state_degree` under ``policy`` as a callable of the state.
-
-    Grid states recur, so lookups on a grid are memoised per state.
-    Continuous states practically never recur, so there a memo would only
-    grow by one entry per step and is not kept.
-    """
-    if isinstance(policy.state_space, GridSpace):
-        return _GridMemo(policy).__getitem__
-    return partial(_state_degree, policy)
-
-
 def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
     """Reward callable (state, action) -> float.
 
-    The nearest-reference lookup depends only on the state; on a grid its
-    result is memoised per state, continuous states are looked up afresh.
-    The arithmetic is identical to :func:`fuzzy_reward`.
+    The nearest-reference lookup depends only on the state. Grid states
+    recur, so on a grid its result is memoised per state; continuous states
+    practically never recur, so there a memo would only grow by one entry
+    per step, and they are looked up afresh. The arithmetic is identical to
+    :func:`fuzzy_reward`.
     """
     if not reward_scale > 0:
         raise ValueError("reward_scale must be positive")
-    lookup = _reference_lookup(policy)
+    if isinstance(policy.state_space, GridSpace):
+        lookup = _GridMemo(policy).__getitem__
+    else:
+        lookup = partial(_state_degree, policy)
     action_degree = _action_degree(policy)
 
     def reward(state, action) -> float:
@@ -219,9 +220,10 @@ def policy_compliance_series(
     step: ``"state"`` gates on state compliance (the default), ``"step"``
     gates on the product instead.
 
-    Epoch sums use exactly rounded summation so the result is independent
-    of step order within an epoch. Nearest-reference lookups are memoised
-    per state for grid states only, as in :func:`make_reward_fn`.
+    Steps are scored in array passes over batches of whole epochs (see
+    :func:`_step_degrees`) whose values match the scalar chain of
+    :func:`step_compliance_at` bit for bit. Epoch sums use exactly rounded
+    summation so the result is independent of step order within an epoch.
     """
     if not 0.0 <= theta_step <= 1.0:
         raise InvalidMembershipError(f"theta_step {theta_step} outside [0, 1]")
@@ -230,22 +232,112 @@ def policy_compliance_series(
     if len(log.epochs) == 0:
         raise EmptyLogError("run log has no epochs")
 
-    gate_on_state = filter_mode == "state"
-    lookup = _reference_lookup(policy)
-    action_degree = _action_degree(policy)
-    values = []
+    # Whole epochs are scored in batches of about _BATCH steps, which
+    # bounds the memory a long log needs to a batch's worth.
+    values: list = []
+    steps: list = []
+    offsets = [0]
     for epoch in log.epochs:
         if len(epoch.steps) == 0 and epoch.epoch_index not in log.aborted_epochs:
+            # The steps before it are scored first, so a bad step there is
+            # reported first, as a step-by-step scan would.
+            _epoch_values(policy, steps, offsets, theta_step, filter_mode)
             raise EmptyLogError(f"epoch {epoch.epoch_index} has no steps")
-        qualifying = []
-        for step in epoch.steps:
-            mu_state, ideal = lookup(step.state)
-            mu_step = mu_state * action_degree(step.action, ideal)
-            gate = mu_state if gate_on_state else mu_step
-            if gate >= theta_step:
-                qualifying.append(mu_step)
-        if qualifying:
-            values.append(math.fsum(qualifying) / len(qualifying))
-        else:
-            values.append(0.0)
+        steps.extend(epoch.steps)
+        offsets.append(len(steps))
+        if len(steps) >= _BATCH:
+            values.extend(_epoch_values(policy, steps, offsets, theta_step, filter_mode))
+            steps, offsets = [], [0]
+    values.extend(_epoch_values(policy, steps, offsets, theta_step, filter_mode))
     return ComplianceSeries(tuple(values))
+
+
+# Steps scored per array pass by :func:`policy_compliance_series`.
+_BATCH = 4096
+
+
+def _epoch_values(policy: IntendedPolicy, steps: list, offsets: list, theta_step, filter_mode) -> list:
+    """Compliance of each epoch ``steps[offsets[i]:offsets[i + 1]]``."""
+    if not steps:
+        return [0.0] * (len(offsets) - 1)
+    mu_state, mu_step = _step_degrees(policy, steps)
+    gate = (mu_state if filter_mode == "state" else mu_step) >= theta_step
+    qualifying = mu_step[gate].tolist()
+    ends = np.concatenate(([0], np.cumsum(gate)))[offsets].tolist()
+    return [
+        math.fsum(qualifying[lo:hi]) / (hi - lo) if hi > lo else 0.0
+        for lo, hi in zip(ends, ends[1:])
+    ]
+
+
+def _step_degrees(policy: IntendedPolicy, steps: list) -> tuple:
+    """(state compliance, step compliance) arrays of ``steps``.
+
+    Grid steps recur, so on a grid each distinct step is scored once and
+    its degrees are spread back to every step equal to it. Steps that
+    compare equal score equally once every action is a plain int (an action
+    ``True`` or ``1.0`` equals ``1`` but is rejected), so a log with any
+    other action has all its steps scored in the array pass.
+    """
+    if isinstance(policy.state_space, GridSpace) and set(map(type, map(_action, steps))) <= {int}:
+        first = {}  # distinct step -> index of its first occurrence
+        firsts = np.fromiter(map(first.setdefault, steps, count()), np.intp, len(steps))
+        mu_state, mu_step = _array_degrees(policy, list(first))
+        row = np.empty(len(steps), np.intp)  # first occurrence -> row of its degrees
+        row[list(first.values())] = np.arange(len(first))
+        rows = row[firsts]
+        return mu_state[rows], mu_step[rows]
+    return _array_degrees(policy, steps)
+
+
+def _array_degrees(policy: IntendedPolicy, steps) -> tuple:
+    """(state compliance, step compliance) arrays of ``steps``.
+
+    The array form of :func:`step_compliance_at`: distances from every
+    state to every reference, the nearest by ``argmin`` (the first minimum,
+    so ties go to the lowest index as in :func:`closest_reference`), then the
+    state degree, the ideal action and the action degree. Only ``+ - * /``,
+    ``abs`` and ``sqrt`` are used, accumulated per dimension in the metrics'
+    order, so every value matches the scalar chain bit for bit. Actions are
+    checked as the scalar metrics check them, with the same exceptions.
+    """
+    delta = policy.min_ref_distance
+    if not delta > 0:
+        raise InvalidDeltaError(f"delta must be positive, got {delta}")
+    states, actions, _ = zip(*steps)
+    distances = policy.state_space.distances(states, [s for s, _ in policy.entries])
+    nearest = distances.argmin(axis=1)
+    distance = distances.min(axis=1)
+    half = delta / 2.0
+    shape = policy.state_shape
+    mu_state = np.where(distance > half, 0.0, shape.degrees(distance, shape.width or half))
+
+    ideals = [a for _, a in policy.entries]
+    if isinstance(policy.action_space, DiscreteSpace):
+        if not set(map(type, actions)) <= {int} or not all(type(a) is int for a in ideals):
+            _check_actions(policy, actions, nearest, ideals)
+        # The discrete metric gives 0 or inf, and every action shape gives 1
+        # at 0 and 0 at inf (a scaled one always has a width).
+        mu_action = np.where(np.array(actions) == np.array(ideals)[nearest], 1.0, 0.0)
+    else:
+        dim = len(ideals[0])
+        if (
+            set(map(type, actions)) != {tuple}
+            or set(map(len, actions)) != {dim}
+            or any(type(a) is not tuple or len(a) != dim for a in ideals)
+        ):
+            _check_actions(policy, actions, nearest, ideals)
+        taken = np.array(actions, dtype=float)
+        wanted = np.array(ideals, dtype=float)[nearest]
+        total = 0.0
+        for k in range(dim):
+            d = taken[:, k] - wanted[:, k]
+            total = total + d * d
+        mu_action = policy.action_shape.degrees(np.sqrt(total))
+    return mu_state, mu_state * mu_action
+
+
+def _check_actions(policy: IntendedPolicy, actions, nearest, ideals) -> None:
+    """Raises what the scalar metric raises for the first step it rejects."""
+    for action, k in zip(actions, nearest.tolist()):
+        policy.action_distance(action, ideals[k])

@@ -292,7 +292,10 @@ def write_trace(path, log: RunLog, env_spec) -> None:
 
     An epoch that aborted on its first action has no steps and so no
     records; the header lists the aborted epochs (only when there are any)
-    so the reader can tell such an epoch from a missing one.
+    so the reader can tell such an epoch from a missing one. Each record is
+    formatted directly in canonical key order; a record holding a value that
+    path cannot render as :func:`canonical_json` does (anything but a finite
+    float or a plain int) is written by :func:`canonical_json` itself.
     """
     header = {
         "format": TRACE_FORMAT,
@@ -303,23 +306,79 @@ def write_trace(path, log: RunLog, env_spec) -> None:
     }
     if log.aborted_epochs:
         header["aborted_epochs"] = list(log.aborted_epochs)
+    state_space = env_spec.state_space()
+    action_space = env_spec.action_space()
+    state_text = _json_text(state_space)
+    action_text = _json_text(action_space)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(header))
-        state_space = env_spec.state_space()
-        action_space = env_spec.action_space()
         for epoch in log.epochs:
-            for j, step in enumerate(epoch.steps, start=1):
-                fh.write(
-                    canonical_json(
+            e = epoch.epoch_index
+            lines = []
+            for j, (state, action, reward) in enumerate(epoch.steps, start=1):
+                try:
+                    if type(e) is not int:
+                        raise TypeError
+                    line = (
+                        f'{{"action":{action_text(action)},"epoch":{e},'
+                        f'"reward":{_float_text(reward)},'
+                        f'"state":{state_text(state)},"step":{j}}}\n'
+                    )
+                except (TypeError, ValueError):
+                    line = canonical_json(
                         {
-                            "epoch": epoch.epoch_index,
+                            "epoch": e,
                             "step": j,
-                            "state": _point_to_json(step.state, state_space),
-                            "action": _point_to_json(step.action, action_space),
-                            "reward": step.reward,
+                            "state": _point_to_json(state, state_space),
+                            "action": _point_to_json(action, action_space),
+                            "reward": reward,
                         }
                     )
-                )
+                lines.append(line)
+            fh.write("".join(lines))
+
+
+def _float_text(x) -> str:
+    """JSON text of a finite float, as ``json`` writes it (``float.__repr__``,
+    which numpy floats share); TypeError or ValueError for anything else."""
+    text = float.__repr__(x)
+    if "n" in text:  # nan, inf
+        raise ValueError(text)
+    return text
+
+
+def _floats_text(point) -> str:
+    """JSON text of a sequence of finite floats, as :func:`_float_text`."""
+    text = ",".join(map(float.__repr__, point))
+    if "n" in text:
+        raise ValueError(text)
+    return f"[{text}]"
+
+
+def _ints_text(point) -> str:
+    """JSON text of a sequence of ints that are no bools, as ``json``
+    writes it; TypeError for anything else."""
+    if bool in map(type, point):
+        raise TypeError("bool")
+    return f"[{','.join(map(int.__repr__, point))}]"
+
+
+def _int_text(x) -> str:
+    """JSON text of an int of exactly type int; TypeError for anything else."""
+    if type(x) is not int:
+        raise TypeError(type(x).__name__)
+    return int.__repr__(x)
+
+
+def _json_text(space):
+    """Formatter of the points of ``space`` for :func:`write_trace`."""
+    if isinstance(space, DiscreteSpace):
+        return _int_text
+    return _ints_text if isinstance(space, GridSpace) else _floats_text
+
+
+# Records parsed per ``json.loads`` call by :func:`read_trace`.
+_CHUNK = 1000
 
 
 def read_trace(path):
@@ -329,6 +388,12 @@ def read_trace(path):
     each epoch; violations report the offending record index. An epoch
     without records is accepted only when the header lists it among the
     aborted epochs; it is read back as an epoch with no steps.
+
+    Records are parsed in chunks of :data:`_CHUNK` lines, one JSON array
+    per chunk (see :func:`_parse_chunk`). A chunk holding any record the
+    fast checks do not accept is read again record by record
+    (:func:`_read_record`), which gives every record the same value or the
+    same error, at the same record index, as reading it alone.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -347,64 +412,23 @@ def read_trace(path):
     env_spec = env_spec_from_dict(header["env"])
     declared_epochs = header.get("epochs")
     aborted = _aborted_epochs(header)
-    aborted_set = frozenset(aborted)
     state_space = env_spec.state_space()
     action_space = env_spec.action_space()
 
-    epochs = []
-    current: list = []
-    current_epoch = 0
-    for index, line in enumerate(lines[1:], start=2):
-        rec = _parse_record(line, index)
-        missing = {"epoch", "step", "state", "action", "reward"} - set(rec)
-        if missing:
-            raise TraceFormatError(
-                f"record {index} missing fields: {', '.join(sorted(missing))}",
-                record_index=index,
-            )
-        e, j = rec["epoch"], rec["step"]
-        skipped = range(current_epoch + 1, e) if type(e) is int and j == 1 else ()
-        if skipped and all(k in aborted_set for k in skipped):
-            # The epochs before this one aborted on their first action.
-            if current:
-                epochs.append(EpochTrace(tuple(current), current_epoch))
-                current = []
-            epochs.extend(EpochTrace((), k) for k in skipped)
-            current_epoch = e - 1
-        if e == current_epoch + 1 and j == 1:
-            if current:
-                epochs.append(EpochTrace(tuple(current), current_epoch))
-            current_epoch = e
-            current = []
-        elif e != current_epoch or j != len(current) + 1:
-            raise TraceFormatError(
-                f"record {index}: expected epoch {current_epoch} step "
-                f"{len(current) + 1} or epoch {current_epoch + 1} step 1, "
-                f"got epoch {e} step {j}",
-                record_index=index,
-            )
-        state = _point_from_json(rec["state"], state_space)
-        action = _point_from_json(rec["action"], action_space)
-        if not state_space.contains(state):
-            raise TraceFormatError(
-                f"record {index}: state {state!r} outside the environment",
-                record_index=index,
-            )
-        if not action_space.contains(action):
-            raise TraceFormatError(
-                f"record {index}: action {action!r} outside the action space",
-                record_index=index,
-            )
-        reward = rec["reward"]
-        if not isinstance(reward, (int, float)) or isinstance(reward, bool):
-            raise TraceFormatError(
-                f"record {index}: reward must be a number", record_index=index
-            )
-        current.append(TraceStep(state, action, float(reward)))
-    if current:
-        epochs.append(EpochTrace(tuple(current), current_epoch))
-    while len(epochs) + 1 in aborted_set:
-        epochs.append(EpochTrace((), len(epochs) + 1))
+    grouped = _Epochs(frozenset(aborted))
+    fast_step = _fast_step(state_space, action_space)
+    for first in range(1, len(lines), _CHUNK):
+        chunk = lines[first:first + _CHUNK]
+        parsed = _parse_chunk(chunk, fast_step)
+        if parsed is None:
+            for index, line in enumerate(chunk, start=first + 1):
+                _read_record(line, index, grouped, state_space, action_space)
+            continue
+        for index, (e, j, step) in enumerate(parsed, start=first + 1):
+            if e != grouped.number or j != len(grouped.current) + 1:
+                grouped.open(e, j, index)
+            grouped.current.append(step)
+    epochs = grouped.close()
 
     if not epochs:
         raise TraceFormatError("trace contains no steps", record_index=1)
@@ -419,6 +443,167 @@ def read_trace(path):
             record_index=1,
         )
     return RunLog(header.get("policy_id", 1), tuple(epochs), aborted), env_spec
+
+
+class _Epochs:
+    """Trace records grouped into epochs, checked to be contiguous."""
+
+    def __init__(self, aborted: frozenset):
+        self.aborted = aborted
+        self.done: list = []
+        self.current: list = []  # steps of epoch ``number``
+        self.number = 0
+
+    def open(self, e, j, index: int) -> None:
+        """Check that record ``index``, step ``j`` of epoch ``e``, may come
+        next, and start its epoch when it is the epoch's first step."""
+        skipped = range(self.number + 1, e) if type(e) is int and j == 1 else ()
+        if skipped and all(k in self.aborted for k in skipped):
+            # The epochs before this one aborted on their first action.
+            self._finish()
+            self.done.extend(EpochTrace((), k) for k in skipped)
+            self.number = e - 1
+        if e == self.number + 1 and j == 1:
+            self._finish()
+            self.number = e
+        elif e != self.number or j != len(self.current) + 1:
+            raise TraceFormatError(
+                f"record {index}: expected epoch {self.number} step "
+                f"{len(self.current) + 1} or epoch {self.number + 1} step 1, "
+                f"got epoch {e} step {j}",
+                record_index=index,
+            )
+
+    def _finish(self) -> None:
+        if self.current:
+            self.done.append(EpochTrace(tuple(self.current), self.number))
+            self.current = []
+
+    def close(self) -> list:
+        """All epochs, with trailing aborted epochs that wrote no record."""
+        self._finish()
+        while len(self.done) + 1 in self.aborted:
+            self.done.append(EpochTrace((), len(self.done) + 1))
+        return self.done
+
+
+def _read_record(line: str, index: int, epochs: _Epochs, state_space, action_space) -> None:
+    """Parse and check one record on its own and add its step to ``epochs``."""
+    rec = _parse_record(line, index)
+    missing = {"epoch", "step", "state", "action", "reward"} - set(rec)
+    if missing:
+        raise TraceFormatError(
+            f"record {index} missing fields: {', '.join(sorted(missing))}",
+            record_index=index,
+        )
+    epochs.open(rec["epoch"], rec["step"], index)
+    state = _point_from_json(rec["state"], state_space)
+    action = _point_from_json(rec["action"], action_space)
+    if not state_space.contains(state):
+        raise TraceFormatError(
+            f"record {index}: state {state!r} outside the environment",
+            record_index=index,
+        )
+    if not action_space.contains(action):
+        raise TraceFormatError(
+            f"record {index}: action {action!r} outside the action space",
+            record_index=index,
+        )
+    reward = rec["reward"]
+    if not isinstance(reward, (int, float)) or isinstance(reward, bool):
+        raise TraceFormatError(
+            f"record {index}: reward must be a number", record_index=index
+        )
+    epochs.current.append(TraceStep(state, action, float(reward)))
+
+
+def _parse_chunk(lines: list, fast_step) -> list | None:
+    """``fast_step`` of every line, parsed as one JSON array, or None when
+    some line has to be read on its own.
+
+    The lines are joined with a newline and a comma; a newline appears
+    nowhere else. The array is taken only when every line starts with
+    ``{`` and ends with ``}``, it has one element per line, ``fast_step``
+    accepts every element, and the chunk holds 10 quote characters per
+    line. ``fast_step`` accepts records with the five fields, each a number
+    or a list of numbers, so each element holds at least its 10 quotes, and
+    with 10 per line no element holds any other string: no duplicate key
+    hides anything and no field holds an object. An element spanning lines
+    would hold a separator between ``}`` and ``{``: at its top level a key
+    would have to start with ``{``, and inside a field the field would hold
+    an object. So every element is exactly its own line.
+    """
+    text = "[" + "\n,".join(lines) + "]"
+    if (
+        text[1] != "{" or text[-2] != "}"
+        or text.count("}\n,{") != len(lines) - 1
+        or text.count('"') != 10 * len(lines)
+    ):
+        return None
+    try:
+        records = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if len(records) != len(lines):
+        return None
+    steps = []
+    for rec in records:
+        step = fast_step(rec)
+        if step is None:
+            return None
+        steps.append(step)
+    return steps
+
+
+def _fast_step(state_space, action_space):
+    """Callable of a parsed record giving (epoch, step, TraceStep) when the
+    record has the five fields with int epoch and step numbers, a float
+    reward and points of plain values inside their spaces, which
+    :func:`_read_record` takes unchanged; None for any other record."""
+    state_of = _fast_point(state_space)
+    action_of = _fast_point(action_space)
+
+    def fast_step(rec):
+        if type(rec) is not dict:
+            return None
+        try:
+            e, j, reward = rec["epoch"], rec["step"], rec["reward"]
+            state, action = state_of(rec["state"]), action_of(rec["action"])
+        except KeyError:
+            return None
+        if (
+            type(e) is not int or type(j) is not int or type(reward) is not float
+            or state is None or action is None
+        ):
+            return None
+        return e, j, TraceStep(state, action, reward)
+
+    return fast_step
+
+
+def _fast_point(space):
+    """Callable of a parsed point giving the point when it is inside
+    ``space`` as plain values (ints on a grid or a discrete space, floats in
+    a box), None otherwise."""
+    if isinstance(space, DiscreteSpace):
+        n = space.n
+        return lambda value: value if type(value) is int and 0 <= value < n else None
+    if isinstance(space, GridSpace):
+        kind, bounds = int, ((0, space.rows - 1), (0, space.cols - 1))
+    else:
+        kind, bounds = float, tuple(zip(space.lows, space.highs))
+    dim = len(bounds)
+
+    def point(value):
+        if type(value) is not list or len(value) != dim:
+            return None
+        for k, x in enumerate(value):
+            lo, hi = bounds[k]
+            if type(x) is not kind or not lo <= x <= hi:
+                return None
+        return tuple(value)
+
+    return point
 
 
 def _aborted_epochs(header: dict) -> tuple:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 SHAPE_KINDS = ("linear", "quadratic", "indicator")
 
 
@@ -50,6 +52,20 @@ class MembershipShape:
         if self.kind == "quadratic":
             return ramp * ramp
         return ramp
+
+    def degrees(self, distances: np.ndarray, width: float | None = None) -> np.ndarray:
+        """:meth:`__call__` over an array of non-negative distances, with the
+        same float operations, so each degree matches the scalar one bit for
+        bit."""
+        if self.kind == "indicator":
+            return np.where(distances == 0, 1.0, 0.0)
+        w = width if width is not None else self.width
+        if w is None or w <= 0:
+            raise ValueError(f"shape {self.kind!r} needs a positive width")
+        ramp = 1.0 - distances / w
+        if self.kind == "quadratic":
+            ramp = ramp * ramp
+        return np.where(distances >= w, 0.0, ramp)
 
 
 def make_shape(kind: str, width: float | None = None) -> MembershipShape:

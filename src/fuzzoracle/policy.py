@@ -55,6 +55,13 @@ class IntendedPolicy:
     action_shape: MembershipShape | None = None
     min_ref_distance: float = 0.0
 
+    def __post_init__(self):
+        # A scaled action shape gets no width at scoring time, unlike the
+        # state shape, which falls back to half the reference gap.
+        shape = self.action_shape
+        if shape is not None and shape.kind != "indicator" and shape.width is None:
+            raise ValueError(f"action shape {shape.kind!r} needs a width")
+
     @classmethod
     def build(
         cls,

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ActionKindMismatchError
 
 GridCell = tuple[int, int]
@@ -44,6 +46,14 @@ class GridSpace:
 
     def distance(self, a: GridCell, b: GridCell) -> float:
         return float(abs(a[0] - b[0]) + abs(a[1] - b[1]))
+
+    def distances(self, points, refs) -> np.ndarray:
+        """:meth:`distance` from every point (rows) to every reference
+        (columns), summed in integers as there."""
+        p = np.array(points)
+        r = np.array(refs)
+        total = np.abs(p[:, None, 0] - r[None, :, 0]) + np.abs(p[:, None, 1] - r[None, :, 1])
+        return total.astype(float)
 
     def all_cells(self) -> list[GridCell]:
         return [(r, c) for r in range(self.rows) for c in range(self.cols)]
@@ -87,6 +97,18 @@ class BoxSpace:
             d = (x - y) / span
             total += d * d
         return math.sqrt(total)
+
+    def distances(self, points, refs) -> np.ndarray:
+        """:meth:`distance` from every point (rows) to every reference
+        (columns), accumulated per dimension in the same order, so each
+        entry matches the scalar metric bit for bit."""
+        p = np.array(points, dtype=float)
+        r = np.array(refs, dtype=float)
+        total = 0.0
+        for k, span in enumerate(self._spans):
+            d = (p[:, None, k] - r[None, :, k]) / span
+            total = total + d * d
+        return np.sqrt(total)
 
     def raw_distance(self, a: Coords, b: Coords) -> float:
         """Plain Euclidean distance in original units."""

@@ -95,6 +95,17 @@ class TestAnalyze:
         assert main(["analyze", "--trace", str(path), "--policy", HAND_POLICY]) == 2
         assert "record" in capsys.readouterr().err
 
+    def test_action_shape_without_width_exits_2(self, tmp_path, capsys):
+        # A scaled action shape has no width to fall back on; the policy
+        # file is rejected when it is loaded, not with a traceback while
+        # scoring (which exited 1, the code for Buggy).
+        policy = json.loads(open(HAND_POLICY).read())
+        policy["action_shape"] = {"kind": "linear", "width": None}
+        path = tmp_path / "widthless.policy.json"
+        path.write_text(json.dumps(policy))
+        assert main(["analyze", "--trace", HAND_TRACE, "--policy", str(path)]) == 2
+        assert "action shape 'linear' needs a width" in capsys.readouterr().err
+
 
 class TestTestCommand:
     def test_clean_agent_small_run(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import enum
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from fuzzoracle import (
     step_compliance,
     step_compliance_at,
 )
+from fuzzoracle import compliance
 from fuzzoracle.errors import (
     ActionKindMismatchError,
     EmptyLogError,
@@ -103,7 +105,9 @@ class TestActionKindChecks:
 
     @pytest.mark.parametrize("action", [True, 1.0, "1"])
     def test_grid_policy_rejects_non_int_actions(self, two_ref_policy, action):
-        log = RunLog(1, (EpochTrace((TraceStep((0, 0), action),), 1),))
+        # The step before it equals it when the action is True or 1.0.
+        steps = (TraceStep((0, 0), 1), TraceStep((0, 0), action))
+        log = RunLog(1, (EpochTrace(steps, 1),))
         with pytest.raises(ActionKindMismatchError):
             make_reward_fn(two_ref_policy)((0, 0), action)
         with pytest.raises(ActionKindMismatchError):
@@ -120,13 +124,16 @@ class TestActionKindChecks:
         assert reward((0, 0), Move.RIGHT) == 1.0
         assert reward((0, 0), Move.DOWN) == 0.0
 
-    def test_action_shape_without_width_still_raises(self):
-        policy = IntendedPolicy.build(
-            [((0, 0), 2), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4),
-            action_shape=MembershipShape("linear"),
-        )
+    def test_action_shape_without_width_still_raises(self, two_ref_policy):
+        # A scaled action shape has nothing to fall back on, so the policy
+        # is rejected when it is built, before anything is scored.
         with pytest.raises(ValueError):
-            make_reward_fn(policy)((0, 0), 2)
+            IntendedPolicy.build(
+                [((0, 0), 2), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4),
+                action_shape=MembershipShape("linear"),
+            )
+        with pytest.raises(ValueError):
+            replace(two_ref_policy, action_shape=MembershipShape("quadratic"))
 
     def test_non_int_ideal_action_still_rejected(self, two_ref_policy):
         policy = replace(two_ref_policy, entries=(((0, 0), 2.0), ((2, 2), 1)))
@@ -346,3 +353,169 @@ class TestSeriesAgainstBruteForce:
         policy, log, theta = case
         series = policy_compliance_series(policy, log, theta)
         assert all(0.0 <= v <= 1.0 for v in series.values)
+
+
+# ---------------------------------------------------------------------------
+# The array scorer against the straight-line brute force
+
+
+SHAPE_KINDS = ["linear", "quadratic", "indicator"]
+
+
+class Compass(enum.IntEnum):
+    LEFT, DOWN, RIGHT, UP = range(4)
+
+HILLCAR = HillCarSpec()
+# Coarse dyadic lattices inside the grid and the hill-car box: every
+# coordinate difference on them is exact, so states equidistant from two
+# references are frequent and their distances tie exactly.
+GRID_CELLS = [(r, c) for r in range(5) for c in range(5)]
+BOX_LATTICE = [(p / 4, v / 64) for p in range(-4, 3) for v in range(-4, 5)]
+
+
+@st.composite
+def state_shapes(draw):
+    kind = draw(st.sampled_from(SHAPE_KINDS))
+    return MembershipShape(kind, draw(st.none() | st.floats(0.05, 4.0)))
+
+
+@st.composite
+def action_shapes(draw, width):
+    kind = draw(st.sampled_from(SHAPE_KINDS))
+    return MembershipShape(kind, None if kind == "indicator" else draw(width))
+
+
+@st.composite
+def grid_case(draw):
+    space = GridSpace(5, 5)
+    state_shape = draw(state_shapes())
+    if draw(st.booleans()):
+        refs = draw(st.lists(st.sampled_from(GRID_CELLS), min_size=2, max_size=5, unique=True))
+        ideals = draw(st.lists(st.integers(0, 3), min_size=len(refs), max_size=len(refs)))
+        # Steps recur more often over a few cells.
+        pool = draw(
+            st.just(GRID_CELLS)
+            | st.lists(st.sampled_from(GRID_CELLS), min_size=1, max_size=4, unique=True)
+        )
+    else:
+        # A state equidistant from two references sits at half their gap,
+        # which only a state shape wider than that scores above 0.
+        r, c = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+        refs = draw(st.permutations([(r, c - 1), (r, c + 1)]))
+        ideals = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+        state_shape = MembershipShape(state_shape.kind, draw(st.floats(1.5, 4.0)))
+        pool = [(r, c), (r, c - 1), (r, c + 1)]
+    policy = IntendedPolicy.build(
+        list(zip(refs, ideals)), space, DiscreteSpace(4),
+        state_shape, draw(action_shapes(st.floats(0.5, 3.0))),
+    )
+    # Plain int actions let recurring steps be scored once; IntEnum ones do
+    # not.
+    action = draw(st.sampled_from([st.integers(0, 3)] * 3 + [st.sampled_from(list(Compass))]))
+    return policy, st.tuples(st.sampled_from(pool), action)
+
+
+@st.composite
+def hillcar_case(draw):
+    if draw(st.booleans()):
+        policy = generate_policies(HILLCAR, 1, draw(st.integers(2, 5)), draw(st.integers(0, 999)))[0]
+        policy = replace(
+            policy, state_shape=draw(state_shapes()),
+            action_shape=draw(action_shapes(st.just(2.0) | st.floats(0.1, 3.0))),
+        )
+    else:
+        refs = draw(st.lists(st.sampled_from(BOX_LATTICE), min_size=2, max_size=5, unique=True))
+        ideals = [(draw(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0])),) for _ in refs]
+        policy = IntendedPolicy.build(
+            list(zip(refs, ideals)), HILLCAR.state_space(), HILLCAR.action_space(),
+            draw(state_shapes()), draw(action_shapes(st.floats(0.1, 3.0))),
+        )
+    lows, highs = HILLCAR.state_space().lows, HILLCAR.state_space().highs
+    anywhere = st.tuples(st.floats(lows[0], highs[0]), st.floats(lows[1], highs[1]))
+    state = st.sampled_from(BOX_LATTICE) | st.sampled_from([s for s, _ in policy.entries]) | anywhere
+    action = st.tuples(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]) | st.floats(-1.0, 1.0))
+    return policy, st.tuples(state, action)
+
+
+@st.composite
+def scoring_case(draw):
+    policy, step = draw(grid_case() | hillcar_case())
+    epochs = draw(st.lists(st.lists(step, max_size=12), min_size=1, max_size=6))
+    log = make_log(epochs)
+    empty = [e.epoch_index for e in log.epochs if not e.steps]
+    # Usually every empty epoch is listed as aborted; sometimes one is not.
+    listed = draw(st.sampled_from([empty, empty[1:]])) if empty else []
+    log = replace(log, aborted_epochs=tuple(listed))
+    theta = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return policy, log, theta, draw(st.sampled_from(["state", "step"]))
+
+
+def step_by_step(policy, log, theta, mode):
+    """The brute-force series, epoch by epoch, raising what a step-by-step
+    scan raises first."""
+    values = []
+    for epoch in log.epochs:
+        if not epoch.steps and epoch.epoch_index not in log.aborted_epochs:
+            raise EmptyLogError(f"epoch {epoch.epoch_index} has no steps")
+        values.extend(brute_force_series(policy, RunLog(1, (epoch,)), theta, mode))
+    return values
+
+
+class TestArrayScorerAgainstBruteForce:
+    """The one-pass scorer gives the straight-line values bit for bit, on
+    grid and hill-car policies, every shape, ties, aborted epochs and the
+    same exceptions."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=scoring_case(), batch=st.sampled_from([1, 7, compliance._BATCH]))
+    def test_bit_exact_or_same_exception(self, case, batch):
+        policy, log, theta, mode = case
+        with mock.patch.object(compliance, "_BATCH", batch):
+            try:
+                expected = step_by_step(policy, log, theta, mode)
+            except EmptyLogError:
+                with pytest.raises(EmptyLogError):
+                    policy_compliance_series(policy, log, theta, filter_mode=mode)
+                return
+            got = policy_compliance_series(policy, log, theta, filter_mode=mode)
+        assert list(got.values) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scoring_case(), data=st.data())
+    def test_bad_grid_action_raises_like_the_scalar_metric(self, case, data):
+        policy, log, theta, mode = case
+        steps = [(e, i) for e, epoch in enumerate(log.epochs) for i in range(len(epoch.steps))]
+        if not isinstance(policy.action_space, DiscreteSpace) or not steps:
+            return
+        e, i = data.draw(st.sampled_from(steps))
+        bad = data.draw(st.sampled_from([True, False, 1.0, 2.0]))
+        epoch = log.epochs[e]
+        broken = epoch.steps[:i] + (epoch.steps[i]._replace(action=bad),) + epoch.steps[i + 1:]
+        log = replace(log, epochs=log.epochs[:e] + (replace(epoch, steps=broken),) + log.epochs[e + 1:])
+        with pytest.raises(Exception) as expected:
+            step_by_step(policy, log, theta, mode)
+        with pytest.raises(expected.type):
+            policy_compliance_series(policy, log, theta, filter_mode=mode)
+
+    def test_bad_step_before_an_empty_epoch_is_reported_first(self, two_ref_policy):
+        steps = (TraceStep((0, 0), 2), TraceStep((0, 1), True))
+        log = RunLog(1, (EpochTrace(steps, 1), EpochTrace((), 2)))
+        with pytest.raises(ActionKindMismatchError):
+            policy_compliance_series(two_ref_policy, log, 0.3)
+
+    def test_equidistant_states_take_the_lowest_reference(self):
+        # (1, 1) is 2 cells from both references; the first one's ideal
+        # action 2 is the one that scores.
+        policy = IntendedPolicy.build(
+            [((0, 0), 2), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4),
+            MembershipShape("linear", width=4.0),
+        )
+        log = make_log([[((1, 1), 2)], [((1, 1), 1)]])
+        assert policy_compliance_series(policy, log, 0.0).values == (0.5, 0.0)
+        assert brute_force_series(policy, log, 0.0) == [0.5, 0.0]
+
+    def test_gate_admits_degree_equal_to_theta(self, two_ref_policy):
+        # (0, 1) has state degree exactly 0.5.
+        log = make_log([[((0, 1), 2)]])
+        assert policy_compliance_series(two_ref_policy, log, 0.5).values == (0.5,)
+        assert policy_compliance_series(two_ref_policy, log, 0.5, "step").values == (0.5,)

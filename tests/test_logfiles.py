@@ -1,7 +1,10 @@
+import enum
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzoracle import (
     AgentConfig,
@@ -14,9 +17,11 @@ from fuzzoracle import (
     TraceStep,
     TrendParams,
 )
+from fuzzoracle import logfiles
 from fuzzoracle.errors import TraceFormatError
 from fuzzoracle.logfiles import (
     agent_config_from_dict,
+    canonical_json,
     agent_config_to_dict,
     env_spec_from_dict,
     env_spec_to_dict,
@@ -205,6 +210,188 @@ class TestTraceValidation:
         with pytest.raises(TraceFormatError) as err:
             read_trace(path)
         assert err.value.record_index == 2
+
+
+class Move(enum.IntEnum):
+    UP = 0
+    DOWN = 1
+
+
+special_floats = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 0.1])
+floats = special_floats | st.floats()  # st.floats() also draws nan and inf
+plain_numbers = floats | st.builds(np.float64, floats) | st.integers(-3, 3) | st.booleans()
+grid_numbers = st.integers(0, 3) | st.sampled_from(list(Move)) | st.booleans() | floats
+
+
+@st.composite
+def traced_log(draw):
+    """A run log and env spec with the values a trace writer can meet."""
+    if draw(st.booleans()):
+        spec = GridSpec()
+        step = st.builds(
+            TraceStep, st.tuples(grid_numbers, grid_numbers), grid_numbers, plain_numbers
+        )
+    else:
+        spec = HillCarSpec()
+        step = st.builds(
+            TraceStep, st.tuples(plain_numbers, plain_numbers), st.tuples(plain_numbers),
+            plain_numbers,
+        )
+    epochs = draw(st.lists(st.lists(step, max_size=5), min_size=1, max_size=4))
+    log = RunLog(
+        draw(st.integers(1, 9)),
+        tuple(EpochTrace(tuple(steps), e) for e, steps in enumerate(epochs, start=1)),
+        tuple(e for e, steps in enumerate(epochs, start=1) if not steps),
+    )
+    return log, spec
+
+
+def canonical_trace(log, spec) -> str:
+    """The trace as one canonical_json call per line."""
+    header = {
+        "format": "fuzzoracle-trace",
+        "version": 1,
+        "env": env_spec_to_dict(spec),
+        "policy_id": log.policy_id,
+        "epochs": len(log.epochs),
+    }
+    if log.aborted_epochs:
+        header["aborted_epochs"] = list(log.aborted_epochs)
+    lines = [canonical_json(header)]
+    for epoch in log.epochs:
+        for j, step in enumerate(epoch.steps, start=1):
+            action = step.action if spec.kind == "grid" else list(step.action)
+            lines.append(canonical_json({
+                "epoch": epoch.epoch_index, "step": j, "state": list(step.state),
+                "action": action, "reward": step.reward,
+            }))
+    return "".join(lines)
+
+
+class TestTraceWriterBytes:
+    """Records formatted directly are the bytes canonical_json writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=traced_log())
+    def test_byte_identical_to_canonical_json(self, tmp_path_factory, case):
+        log, spec = case
+        path = tmp_path_factory.mktemp("w") / "t.trace.jsonl"
+        write_trace(path, log, spec)
+        assert path.read_text(encoding="utf-8") == canonical_trace(log, spec)
+
+    def test_special_values(self, tmp_path):
+        # -0.0, a subnormal, 1e16, an int coordinate in a box state, numpy
+        # floats, non-finite values, an IntEnum action and a bool reward.
+        steps = (
+            TraceStep((-0.0, 5e-324), (1e16,), np.float64(0.1)),
+            TraceStep((0, np.float64(-0.5)), (float("nan"),), float("-inf")),
+        )
+        hill = RunLog(1, (EpochTrace(steps, 1),))
+        grid = RunLog(1, (EpochTrace((TraceStep((0, 1), Move.DOWN, True),), 1),))
+        for log, spec in ((hill, HillCarSpec()), (grid, GridSpec())):
+            path = tmp_path / f"{spec.kind}.trace.jsonl"
+            write_trace(path, log, spec)
+            assert path.read_text(encoding="utf-8") == canonical_trace(log, spec)
+
+
+class TestTraceReaderChunks:
+    """A bad record anywhere in a parse chunk is reported at its own index."""
+
+    RECORDS = 11  # record indices 2..12: chunks 2-5, 6-9 and 10-12
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(logfiles, "_CHUNK", 4)
+
+    def lines(self):
+        header = TestTraceValidation().header()
+        rec = {"epoch": 1, "state": [0, 0], "action": 1, "reward": 0.5}
+        return [header] + [json.dumps({**rec, "step": j}, sort_keys=True)
+                           for j in range(1, self.RECORDS + 1)]
+
+    def test_canonical_records_skip_the_record_by_record_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "ok.trace.jsonl"
+        path.write_text("".join(l + "\n" for l in self.lines()))
+        expected, _ = read_trace(path)
+        monkeypatch.setattr(logfiles, "_read_record", None)
+        log, _ = read_trace(path)
+        assert log == expected
+        assert len(log.epochs[0].steps) == self.RECORDS
+
+    @pytest.mark.parametrize("index", [2, 3, 5, 6, 7, 9, 10, 11, 12])
+    @pytest.mark.parametrize("fault", ["invalid_json", "missing_field", "state_out_of_bounds",
+                                       "bool_reward", "step_gap"])
+    def test_exact_record_index(self, tmp_path, index, fault):
+        lines = self.lines()
+        rec = json.loads(lines[index - 1])
+        if fault == "invalid_json":
+            bad = lines[index - 1][:-1]
+        elif fault == "missing_field":
+            del rec["reward"]
+        elif fault == "state_out_of_bounds":
+            rec["state"] = [0, 9]
+        elif fault == "bool_reward":
+            rec["reward"] = True
+        else:
+            rec["step"] += 1
+        if fault != "invalid_json":
+            bad = json.dumps(rec, sort_keys=True)
+        lines[index - 1] = bad
+        path = tmp_path / "bad.trace.jsonl"
+        path.write_text("".join(l + "\n" for l in lines))
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.record_index == index
+        assert str(err.value).startswith(f"record {index}")
+
+    # Groups of lines from record 2 on, in the first chunk (records 2 to 5),
+    # whose record 2 is not JSON on its own. REST stands for a line with
+    # steps 2 and 3, which keeps the chunk's count of four and its steps in
+    # sequence where two lines make one record when joined.
+    REST = "rest"
+
+    @pytest.mark.parametrize("group", [
+        # A string that runs on into the next line.
+        ['{"action":1,"epoch":1,"reward":0.5,"state":[0,0],"step":1,"x":"}', '{","y":1}', REST],
+        # ... and hides behind a repeated key.
+        ['{"action":1,"epoch":1,"reward":"}', '{","reward":0.5,"state":[0,0],"step":1}', REST],
+        # An array that runs on into the next line behind a repeated key.
+        ['{"action":1,"epoch":1,"reward":0.5,"step":1,"state":[{}', '{}],"state":[0,0]}', REST],
+        # ... holding a whole record, so the two lines hold 20 quotes.
+        ['{"action":1,"epoch":1,"reward":0.5,"step":1,"state":[{}',
+         '{"action":1,"epoch":1,"reward":0.5,"step":1}],"state":[0,0]}'],
+        # An object split between two lines.
+        ['{"action":1,"epoch":1,"reward":0.5', '"state":[0,0],"step":1}', REST],
+        # Two records on one line and nothing to make up for it.
+        ['{"action":1,"epoch":1,"reward":0.5,"state":[0,0],"step":1},'
+         '{"action":1,"epoch":1,"reward":0.5,"state":[0,0],"step":2}'],
+    ], ids=["string", "string_repeated_key", "array_repeated_key", "record_repeated_key",
+            "split_object", "two_records"])
+    def test_lines_that_only_parse_joined_are_invalid(self, tmp_path, group):
+        lines = self.lines()
+        rest = lines[2] + "," + lines[3]
+        group = [rest if line == self.REST else line for line in group]
+        lines[1:1 + len(group)] = group
+        path = tmp_path / "joined.trace.jsonl"
+        path.write_text("".join(l + "\n" for l in lines))
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.record_index == 2
+        assert "invalid JSON" in str(err.value)
+
+    def test_records_the_fast_checks_pass_on_read_as_before(self, tmp_path):
+        # An int reward, float grid coordinates and an extra field are
+        # accepted by the record-by-record reader as before.
+        lines = self.lines()
+        lines[2] = '{"action":1,"epoch":1,"reward":1,"state":[0,0],"step":2}'
+        lines[6] = '{"action":1,"epoch":1,"reward":0.5,"state":[0.0,1.0],"step":6}'
+        lines[11] = '{"action":1,"epoch":1,"extra":[],"reward":0.5,"state":[0,0],"step":11}'
+        path = tmp_path / "odd.trace.jsonl"
+        path.write_text("".join(l + "\n" for l in lines))
+        steps = read_trace(path)[0].epochs[0].steps
+        assert steps[1] == TraceStep((0, 0), 1, 1.0) and type(steps[1].reward) is float
+        assert steps[5].state == (0, 1) and type(steps[5].state[0]) is int
+        assert len(steps) == self.RECORDS
 
 
 class TestPolicyFiles:
