@@ -160,6 +160,9 @@ def inject_bug(config: AgentConfig, bug_id: str) -> AgentConfig:
     return replace(config, bug=bug_id, **dict(bug.overrides))
 
 
+_TWO_TO_MINUS_53 = 2.0**-53
+
+
 def _epsilon(config: AgentConfig, progress: float) -> float:
     return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * progress
 
@@ -180,6 +183,16 @@ class TabularQAgent:
         init = float(config.init_value)
         self.q = [[init] * self.n_actions for _ in range(self.n_states)]
         self.rng = np.random.default_rng(config.seed if rng is None else rng)
+        bit_generator = self.rng.bit_generator
+        if type(bit_generator) is np.random.PCG64:
+            self._random_raw = bit_generator.random_raw
+            buffered = bit_generator.state
+            self._half = buffered["uinteger"] if buffered["has_uint32"] else None
+        else:
+            self._random_raw = None
+        # A uniform 32-bit draw shifted right by this is uniform over the
+        # actions; exact only while n_actions is a power of two.
+        self._action_shift = 32 - (self.n_actions - 1).bit_length()
         self._updates_seen = 0
         # The config is frozen, so the bug switches are resolved once
         # rather than on every step.
@@ -199,9 +212,46 @@ class TabularQAgent:
         return state[0] * self.cols + state[1]
 
     def act(self, state, progress: float) -> int:
+        """Epsilon-greedy action: with probability epsilon a uniform action,
+        else the first action of greatest value.
+
+        The draws are ``rng.random()`` and then, when exploring,
+        ``int(rng.integers(n_actions))``. On a PCG64 generator both are
+        taken from ``bit_generator.random_raw()`` with the same bits, which
+        costs a fraction of the ``Generator`` calls:
+
+        * ``random()`` is ``(raw >> 11) * 2**-53`` of the next 64-bit output.
+        * ``integers(n)`` is Lemire's method on the next 32-bit draw ``u``:
+          ``(u * n) >> 32``, rejected while ``(u * n) mod 2**32`` is below
+          ``(2**32 - n) mod n``. For a power of two ``n`` that bound is 0, so
+          no draw is rejected and the result is ``u >> (32 - log2 n)``.
+        * PCG64 makes a 32-bit draw from the low half of a 64-bit output and
+          keeps the high half for the next one; ``random()`` neither reads
+          nor clears that half. The agent keeps it in ``_half``, starting
+          from the generator's own buffered half, so a generator that was
+          used before it was handed over is followed exactly.
+
+        The agent owns its generator: once this path has run, the
+        generator's own buffered half is stale, so nothing else may draw
+        from it. Any other bit generator keeps the ``Generator`` calls.
+        """
         eps = _epsilon(self.config, progress)
-        if eps > 0.0 and self.rng.random() < eps:
-            action = int(self.rng.integers(self.n_actions))
+        raw = self._random_raw
+        if raw is None:
+            explore = eps > 0.0 and self.rng.random() < eps
+        else:
+            explore = eps > 0.0 and (raw() >> 11) * _TWO_TO_MINUS_53 < eps
+        if explore:
+            if raw is None:
+                action = int(self.rng.integers(self.n_actions))
+            else:
+                half = self._half
+                if half is None:
+                    bits = raw()
+                    half, self._half = bits & 0xFFFFFFFF, bits >> 32
+                else:
+                    self._half = None
+                action = half >> self._action_shift
         else:
             # max keeps the first of equal values, so ties go to the lowest id.
             row = self.q[state[0] * self.cols + state[1]]

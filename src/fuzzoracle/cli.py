@@ -55,6 +55,7 @@ from .oracle import (
     assemble_verdict,
     default_policy_size,
     generate_policies,
+    judge_programs,
     oracle_main,
     oracle_policies,
     run_training_phase,
@@ -331,10 +332,15 @@ def cmd_evaluate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.monotonic()
+    if workers and workers > 1:
+        # One pool trains every variant x policy run.
+        verdicts = judge_programs(agent_configs, env_spec, oracle_config, workers)
+    else:
+        # One oracle run per variant, each reported as soon as it is judged.
+        verdicts = (oracle_main(a, env_spec, oracle_config) for a in agent_configs)
     records = []
     programs = []
-    for v, agent_config in zip(variants, agent_configs):
-        verdict = oracle_main(agent_config, env_spec, oracle_config, workers=workers)
+    for v, verdict in zip(variants, verdicts):
         records.append(
             ProgramRecord(
                 verdict.true_count, len(verdict.per_policy), bool(v["buggy"]),

@@ -209,14 +209,31 @@ def _point_to_json(point, space):
     return list(point)
 
 
-def _point_from_json(value, space):
+def _point_from_json(value, space, index=None):
+    """The point of ``space`` that ``value`` holds: an int in a discrete
+    space, two ints on a grid, a list of numbers in a box. Bools are not
+    numbers here, and a float is never truncated to a grid coordinate;
+    anything else raises :class:`TraceFormatError` at record ``index``."""
     if isinstance(space, DiscreteSpace):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TraceFormatError(f"discrete action must be an int, got {value!r}")
-        return value
-    if isinstance(space, GridSpace):
-        return tuple(int(v) for v in value)
-    return tuple(float(v) for v in value)
+        if _is_int(value):
+            return value
+        problem = "discrete action must be an int"
+    elif not isinstance(value, (list, tuple)):
+        problem = "point must be a list"
+    elif isinstance(space, GridSpace):
+        if len(value) == 2 and all(_is_int(v) for v in value):
+            return tuple(value)
+        problem = "grid coordinates must be two ints"
+    else:
+        if all(_is_int(v) or isinstance(v, float) for v in value):
+            return tuple(float(v) for v in value)
+        problem = "box coordinates must be numbers"
+    prefix = "" if index is None else f"record {index}: "
+    raise TraceFormatError(f"{prefix}{problem}, got {value!r}", record_index=index)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def policy_to_dict(policy: IntendedPolicy) -> dict:
@@ -497,8 +514,8 @@ def _read_record(line: str, index: int, epochs: _Epochs, state_space, action_spa
             record_index=index,
         )
     epochs.open(rec["epoch"], rec["step"], index)
-    state = _point_from_json(rec["state"], state_space)
-    action = _point_from_json(rec["action"], action_space)
+    state = _point_from_json(rec["state"], state_space, index)
+    action = _point_from_json(rec["action"], action_space, index)
     if not state_space.contains(state):
         raise TraceFormatError(
             f"record {index}: state {state!r} outside the environment",

@@ -291,6 +291,36 @@ def assemble_verdict(outcomes, theta_oracle: float) -> Verdict:
     return Verdict(label, outcomes, true_count, ratio)
 
 
+def judge_programs(
+    programs,
+    env_spec: EnvSpec,
+    config: OracleConfig,
+    workers: int | None = None,
+) -> list[Verdict]:
+    """Judge several :class:`AgentConfig` programs, one verdict each.
+
+    Every (program, policy) training run is independent, so all of them are
+    one flat batch of tasks, in program-major order. ``workers`` > 1 trains
+    the whole batch on one process pool; results are identical either way.
+    """
+    policies = oracle_policies(env_spec, config)
+    tasks = [
+        (program, env_spec, policy, pid, config)
+        for program in programs
+        for pid, policy in enumerate(policies, start=1)
+    ]
+    if workers and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_judge_one_policy, tasks))
+    else:
+        outcomes = [_judge_one_policy(t) for t in tasks]
+    n = len(policies)
+    return [
+        assemble_verdict(outcomes[i:i + n], config.theta_oracle)
+        for i in range(0, len(outcomes), n)
+    ]
+
+
 def oracle_main(
     program,
     env_spec: EnvSpec,
@@ -301,27 +331,17 @@ def oracle_main(
 
     ``program`` is an :class:`AgentConfig` for the built-in learners, or a
     callable ``(env_spec, policy, epochs, seed) -> RunLog`` for programs
-    that produce their traces elsewhere. ``workers`` > 1 trains policies
-    on a process pool; results are identical either way.
+    that produce their traces elsewhere. ``workers`` > 1 trains an
+    :class:`AgentConfig`'s policies on a process pool (see
+    :func:`judge_programs`); results are identical either way.
     """
-    policies = oracle_policies(env_spec, config)
-
     if isinstance(program, AgentConfig):
-        tasks = [
-            (program, env_spec, policy, pid, config)
-            for pid, policy in enumerate(policies, start=1)
-        ]
-        if workers and workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_judge_one_policy, tasks))
-        else:
-            outcomes = [_judge_one_policy(t) for t in tasks]
-    else:
-        outcomes = []
-        for pid, policy in enumerate(policies, start=1):
-            log = program(env_spec, policy, config.epochs, (config.master_seed, pid))
-            if log.policy_id != pid:
-                log = replace(log, policy_id=pid)
-            outcomes.append(analyze_log(policy, log, config))
+        return judge_programs([program], env_spec, config, workers)[0]
 
+    outcomes = []
+    for pid, policy in enumerate(oracle_policies(env_spec, config), start=1):
+        log = program(env_spec, policy, config.epochs, (config.master_seed, pid))
+        if log.policy_id != pid:
+            log = replace(log, policy_id=pid)
+        outcomes.append(analyze_log(policy, log, config))
     return assemble_verdict(outcomes, config.theta_oracle)

@@ -224,6 +224,62 @@ class TestDeterminism:
         assert actions[0] == actions[1]
 
 
+class TestExplorationDraws:
+    """``TabularQAgent.act`` draws exactly what ``Generator.random()`` and
+    ``int(Generator.integers(4))`` would, draw for draw."""
+
+    STEPS = 400
+
+    def expected_actions(self, rng, eps, greedy, clamp):
+        actions = []
+        for _ in range(self.STEPS):
+            if eps > 0.0 and rng.random() < eps:
+                action = int(rng.integers(4))
+            else:
+                action = greedy
+            actions.append(min(action, 1) if clamp else action)
+        return actions
+
+    def check(self, grid_spec, make_rng, eps, bug=None):
+        config = AgentConfig(epsilon_start=eps, epsilon_end=eps)
+        if bug:
+            config = inject_bug(config, bug)
+        agent_rng, reference = make_rng(), make_rng()
+        agent = make_agent(config, grid_spec, agent_rng)
+        # Greedy action 3 at (1, 2), so no exploratory draw can pass for it.
+        agent.q[agent.state_index((1, 2))] = [0.0, 0.0, 0.0, 1.0]
+        actions = [agent.act((1, 2), 0.5) for _ in range(self.STEPS)]
+        assert actions == self.expected_actions(reference, eps, 3, bug is not None)
+        # Both streams stand at the same place.
+        assert [agent_rng.random() for _ in range(3)] == [reference.random() for _ in range(3)]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+    def test_many_seeds(self, grid_spec, eps):
+        for seed in range(60):
+            self.check(grid_spec, lambda: np.random.default_rng(seed), eps)
+
+    @pytest.mark.parametrize("eps", [0.3, 1.0])
+    def test_action_clamp_wrong(self, grid_spec, eps):
+        for seed in range(20):
+            self.check(grid_spec, lambda: np.random.default_rng(seed), eps, "ACTION_CLAMP_WRONG")
+
+    @pytest.mark.parametrize("eps", [0.3, 1.0])
+    def test_generator_holding_a_buffered_half(self, grid_spec, eps):
+        def used_rng(seed):
+            rng = np.random.default_rng(seed)
+            rng.integers(4)  # takes the low half and buffers the high half
+            assert rng.bit_generator.state["has_uint32"] == 1
+            return rng
+
+        for seed in range(20):
+            self.check(grid_spec, lambda: used_rng(seed), eps)
+
+    @pytest.mark.parametrize("eps", [0.3, 1.0])
+    def test_other_bit_generators_keep_generator_calls(self, grid_spec, eps):
+        for seed in range(10):
+            self.check(grid_spec, lambda: np.random.Generator(np.random.MT19937(seed)), eps)
+
+
 class TestActorCritic:
     def spec(self):
         return HillCarSpec(max_steps_per_epoch=60)

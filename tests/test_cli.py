@@ -2,7 +2,9 @@ import json
 import os
 
 import numpy as np
+import pytest
 
+from fuzzoracle import oracle
 from fuzzoracle.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -105,6 +107,20 @@ class TestAnalyze:
         path.write_text(json.dumps(policy))
         assert main(["analyze", "--trace", HAND_TRACE, "--policy", str(path)]) == 2
         assert "action shape 'linear' needs a width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("state", ["[1.7,0]", "5", '["a",0]', "[true,0]"])
+    def test_bad_grid_state_exits_2(self, tmp_path, capsys, state):
+        # Read as (1, 0), a float first state turned the fixture's Buggy
+        # (slope -0.125) into NonBuggy (slope 0); the others raised a
+        # TypeError or ValueError traceback, exiting 1 (Buggy).
+        lines = open(HAND_TRACE).read().splitlines()
+        lines[1] = lines[1].replace('"state":[0,0]', f'"state":{state}')
+        path = tmp_path / "bad.trace.jsonl"
+        path.write_text("".join(l + "\n" for l in lines))
+        code = main(["analyze", "--trace", str(path), "--policy", HAND_POLICY,
+                     "--theta-step", "0.5", "--window", "2"])
+        assert code == 2
+        assert "error: record 2: " in capsys.readouterr().err
 
 
 class TestTestCommand:
@@ -306,3 +322,50 @@ class TestWorkersEnvVar:
         monkeypatch.setenv("FUZZORACLE_WORKERS", "1")
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["test", "--config", cfg, "--output", str(tmp_path / "o")]) in (0, 1)
+
+
+class TestOnePool:
+    """A pooled command starts one process pool for all of its training."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+        original = oracle.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", counting)
+        return started
+
+    def test_evaluate_trains_every_variant_on_one_pool(self, tmp_path, capsys, pools):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({
+            "env": {"kind": "grid"},
+            "agent": {"algorithm": "tabular_q"},
+            "oracle": {"policies": 3, "epochs": 12, "master_seed": 4},
+            "variants": [
+                {"name": "clean", "bug": None, "buggy": False},
+                {"name": "lr_zero", "bug": "LR_ZERO", "buggy": True},
+                {"name": "reward_negated", "bug": "REWARD_NEGATED", "buggy": True},
+            ],
+        }))
+        out = tmp_path / "out"
+        outputs = {}
+        for workers in ("1", "2"):
+            capsys.readouterr()
+            assert main(["evaluate", "--config", str(path), "--workers", workers,
+                         "--output", str(out)]) == 0
+            outputs[workers] = (
+                (out / "evaluation.json").read_bytes(), capsys.readouterr().out
+            )
+        assert pools == [2]
+        assert outputs["2"] == outputs["1"]
+        assert len(outputs["2"][1].splitlines()) == 4
+
+    def test_test_command_trains_on_one_pool(self, tmp_path, pools):
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["test", "--config", cfg, "--workers", "2",
+                     "--output", str(tmp_path / "out")]) in (0, 1)
+        assert pools == [2]

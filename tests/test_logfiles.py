@@ -380,18 +380,46 @@ class TestTraceReaderChunks:
         assert "invalid JSON" in str(err.value)
 
     def test_records_the_fast_checks_pass_on_read_as_before(self, tmp_path):
-        # An int reward, float grid coordinates and an extra field are
-        # accepted by the record-by-record reader as before.
+        # An int reward and an extra field are accepted by the
+        # record-by-record reader as before.
         lines = self.lines()
         lines[2] = '{"action":1,"epoch":1,"reward":1,"state":[0,0],"step":2}'
-        lines[6] = '{"action":1,"epoch":1,"reward":0.5,"state":[0.0,1.0],"step":6}'
         lines[11] = '{"action":1,"epoch":1,"extra":[],"reward":0.5,"state":[0,0],"step":11}'
         path = tmp_path / "odd.trace.jsonl"
         path.write_text("".join(l + "\n" for l in lines))
         steps = read_trace(path)[0].epochs[0].steps
         assert steps[1] == TraceStep((0, 0), 1, 1.0) and type(steps[1].reward) is float
-        assert steps[5].state == (0, 1) and type(steps[5].state[0]) is int
         assert len(steps) == self.RECORDS
+
+    # Grid coordinates are two plain ints: a float is not truncated, and
+    # nothing escapes as a TypeError or ValueError.
+    BAD_GRID_STATES = [[1.7, 0], [0.0, 1.0], 5, ["a", 0], [True, 0], [0], [0, 0, 0], None]
+
+    @pytest.mark.parametrize("index", [2, 7, 12])
+    @pytest.mark.parametrize("state", BAD_GRID_STATES, ids=repr)
+    def test_bad_grid_state_rejected_at_its_index(self, tmp_path, index, state):
+        lines = self.lines()
+        rec = json.loads(lines[index - 1])
+        rec["state"] = state
+        lines[index - 1] = json.dumps(rec, sort_keys=True)
+        path = tmp_path / "bad.trace.jsonl"
+        path.write_text("".join(l + "\n" for l in lines))
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.record_index == index
+        assert str(err.value).startswith(f"record {index}: ")
+
+    @pytest.mark.parametrize("action", [1.0, True, "1", [1], None], ids=repr)
+    def test_bad_grid_action_rejected_at_its_index(self, tmp_path, action):
+        lines = self.lines()
+        rec = json.loads(lines[6])
+        rec["action"] = action
+        lines[6] = json.dumps(rec, sort_keys=True)
+        path = tmp_path / "bad.trace.jsonl"
+        path.write_text("".join(l + "\n" for l in lines))
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.record_index == 7
 
 
 class TestPolicyFiles:
@@ -420,6 +448,25 @@ class TestPolicyFiles:
         data = policy_to_dict(two_ref_policy)
         data["min_ref_distance"] = 1.23
         with pytest.raises(TraceFormatError):
+            policy_from_dict(data)
+
+    @pytest.mark.parametrize("state", TestTraceReaderChunks.BAD_GRID_STATES, ids=repr)
+    def test_bad_grid_state_rejected(self, two_ref_policy, state):
+        data = policy_to_dict(two_ref_policy)
+        data["entries"][0]["state"] = state
+        with pytest.raises(TraceFormatError, match="got"):
+            policy_from_dict(data)
+
+    @pytest.mark.parametrize("state", [5, ["a", 0.0], [True, 0.0], [None, 0.0]], ids=repr)
+    def test_bad_box_state_rejected(self, state):
+        space = HillCarSpec().state_space()
+        actions = HillCarSpec().action_space()
+        policy = IntendedPolicy.build(
+            [((-0.51, 0.013), (0.25,)), ((0.1, -0.06), (-0.8,))], space, actions
+        )
+        data = policy_to_dict(policy)
+        data["entries"][1]["state"] = state
+        with pytest.raises(TraceFormatError, match="got"):
             policy_from_dict(data)
 
     def test_wrong_format_rejected(self, two_ref_policy):
