@@ -36,13 +36,16 @@ from .compliance import policy_compliance_series
 from .logfiles import (
     EVALUATION_FORMAT,
     FORMAT_VERSION,
+    agent_config_from_dict,
     agent_config_to_dict,
     canonical_json,
+    config_from_dict,
     display,
     env_spec_from_dict,
     env_spec_to_dict,
     load_policy,
     load_run_config,
+    oracle_config_from_dict,
     oracle_config_to_dict,
     read_trace,
     save_policy,
@@ -51,14 +54,11 @@ from .logfiles import (
     write_trace,
 )
 from .oracle import (
-    analyze_log,
-    assemble_verdict,
+    OracleConfig,
     default_policy_size,
     generate_policies,
     judge_programs,
     oracle_main,
-    oracle_policies,
-    run_training_phase,
 )
 from .trend import TrendParams, trend_analysis
 
@@ -178,8 +178,6 @@ def _apply_overrides(config: dict, args) -> dict:
     if args.theta_oracle is not None:
         sections["oracle"]["theta_oracle"] = args.theta_oracle
 
-    from .logfiles import agent_config_from_dict, oracle_config_from_dict
-
     return {
         "env": env_spec_from_dict(sections["env"]),
         "agent": agent_config_from_dict(sections["agent"]),
@@ -222,24 +220,14 @@ def cmd_test(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     workers = _resolve_workers(args)
 
-    started = time.monotonic()
+    on_log = None
     if args.emit_traces:
-        policies = oracle_policies(env_spec, oracle_config)
-        outcomes = []
-        for pid, policy in enumerate(policies, start=1):
-            log = run_training_phase(
-                agent_config, env_spec, policy, oracle_config.epochs,
-                (oracle_config.master_seed, pid),
-                reward_scale=oracle_config.reward_scale,
-                reward_mode=oracle_config.reward_mode,
-                policy_id=pid,
-            )
+        def on_log(_, pid, policy, log):
             save_policy(os.path.join(out_dir, f"policy_{pid:03d}.json"), policy)
             write_trace(os.path.join(out_dir, f"policy_{pid:03d}.trace.jsonl"), log, env_spec)
-            outcomes.append(analyze_log(policy, log, oracle_config))
-        verdict = assemble_verdict(outcomes, oracle_config.theta_oracle)
-    else:
-        verdict = oracle_main(agent_config, env_spec, oracle_config, workers=workers)
+
+    started = time.monotonic()
+    verdict = oracle_main(agent_config, env_spec, oracle_config, workers, on_log)
     elapsed = time.monotonic() - started
 
     report = verdict_report(verdict, env_spec, agent_config, oracle_config, bug)
@@ -264,13 +252,12 @@ def cmd_analyze(args) -> int:
             f"policy state space {policy.state_space} does not match the "
             f"trace environment {env_spec.state_space()}"
         )
-    theta_step = 0.3 if args.theta_step is None else args.theta_step
-    filter_mode = args.filter_mode or "state"
-    defaults = TrendParams()
-    params = TrendParams(
-        window=defaults.window if args.window is None else args.window,
-        epsilon=defaults.epsilon if args.epsilon is None else args.epsilon,
-        delta=defaults.delta if args.delta is None else args.delta,
+    defaults = OracleConfig()
+    theta_step = defaults.theta_step if args.theta_step is None else args.theta_step
+    filter_mode = args.filter_mode or defaults.filter_mode
+    given = {name: getattr(args, name) for name in ("window", "epsilon", "delta")}
+    params = config_from_dict(
+        TrendParams, {k: v for k, v in given.items() if v is not None}, "trend"
     )
     series = policy_compliance_series(policy, log, theta_step, filter_mode=filter_mode)
     report = trend_analysis(series, params)

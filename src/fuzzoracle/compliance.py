@@ -11,10 +11,13 @@ The chain of degrees, every value in [0, 1]:
   one training epoch, which strung over epochs forms the compliance
   series the trend analyzer consumes.
 
-Training scores one step at a time through :func:`make_reward_fn`, which
-memoises grid states. A run log is scored in array passes over batches of
-whole epochs (:func:`policy_compliance_series`) that reproduce the scalar
-values bit for bit.
+:func:`step_compliance_at` and :func:`fuzzy_reward` are the scalar
+reference. Training scores one step at a time through
+:func:`make_reward_fn`, which memoises grid states, and a run log is scored
+in array passes over batches of whole epochs
+(:func:`policy_compliance_series`). Both reproduce the reference bit for
+bit; ``tests/test_grid_hot_path.py`` tests the reward callable and the
+array scorer against it.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ def step_compliance_at(policy: IntendedPolicy, state, action) -> tuple[float, fl
     """(mu_state, mu_action, mu_step) of one step under ``policy``."""
     mu_state, ideal = _state_degree(policy, state)
     mu_action = _action_degree(policy)(action, ideal)
-    return mu_state, mu_action, mu_state * mu_action
+    return mu_state, mu_action, step_compliance(mu_state, mu_action)
 
 
 def fuzzy_reward(state, action, policy: IntendedPolicy, reward_scale: float = 1.0) -> float:

@@ -12,17 +12,16 @@ Format versions are integers; readers reject versions they do not know.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 
 from .agents import AgentConfig
 from .compliance import EpochTrace, RunLog, TraceStep
 from .envs import GridSpec, HillCarSpec
-from .errors import TraceFormatError
+from .errors import FuzzOracleError, TraceFormatError
 from .membership import MembershipShape
 from .oracle import OracleConfig, Verdict
 from .policy import IntendedPolicy
 from .spaces import BoxSpace, DiscreteSpace, GridSpace
-from .trend import TrendParams
 
 TRACE_FORMAT = "fuzzoracle-trace"
 POLICY_FORMAT = "fuzzoracle-policy"
@@ -42,66 +41,65 @@ def display(x: float | None) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Environment specs
+# Configs: env specs, agent and oracle configs
 
 
-def env_spec_to_dict(spec) -> dict:
-    if spec.kind == "grid":
-        return {
-            "kind": "grid",
-            "rows": spec.rows,
-            "cols": spec.cols,
-            "holes": [list(h) for h in spec.holes],
-            "goal": list(spec.goal),
-            "slip_prob": spec.slip_prob,
-            "max_steps_per_epoch": spec.max_steps_per_epoch,
-        }
-    return {
-        "kind": "hillcar",
-        "min_position": spec.min_position,
-        "max_position": spec.max_position,
-        "max_speed": spec.max_speed,
-        "force": spec.force,
-        "gravity": spec.gravity,
-        "goal_position": spec.goal_position,
-        "max_steps_per_epoch": spec.max_steps_per_epoch,
+def config_to_dict(config) -> dict:
+    """The fields of a config dataclass as JSON values.
+
+    An env spec also gives its ``kind``. Tuples become lists, and the fields
+    of a nested config (the oracle's trend parameters) are flattened into
+    this one's.
+    """
+    data = {"kind": config.kind} if hasattr(config, "kind") else {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            data.update(config_to_dict(value))
+        else:
+            data[f.name] = _lists(value)
+    return data
+
+
+def config_from_dict(cls, data, where: str):
+    """The ``cls`` config that :func:`config_to_dict` wrote as ``data``.
+
+    Lists become tuples, and a missing field takes the dataclass's default.
+    An unknown field, or a value the constructor rejects with a TypeError,
+    ValueError or AttributeError, raises :class:`TraceFormatError` naming
+    the ``where`` section; the constructor's own library errors pass
+    through unchanged.
+    """
+    nested = {
+        f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)
     }
+    allowed = [f.name for f in fields(cls) if f.name not in nested]
+    allowed += [f.name for sub in nested.values() for f in fields(sub)]
+    if hasattr(cls, "kind"):
+        allowed.append("kind")
+    _take(_object(data, where), *allowed, where=where)
+    values = {k: _tuples(v) for k, v in data.items() if k != "kind"}
+    try:
+        for name, sub in nested.items():
+            own = [f.name for f in fields(sub) if f.name in values]
+            values[name] = sub(**{k: values.pop(k) for k in own})
+        return cls(**values)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise TraceFormatError(f"bad {where} config: {exc}") from exc
 
 
-def env_spec_from_dict(data: dict):
-    kind = data.get("kind")
-    if kind == "grid":
-        fields = _take(
-            data, "kind", "rows", "cols", "holes", "goal", "slip_prob",
-            "max_steps_per_epoch", where="env",
-        )
-        defaults = GridSpec()
-        return GridSpec(
-            rows=fields.get("rows", defaults.rows),
-            cols=fields.get("cols", defaults.cols),
-            holes=tuple(tuple(h) for h in fields.get("holes", defaults.holes)),
-            goal=tuple(fields.get("goal", defaults.goal)),
-            slip_prob=fields.get("slip_prob", defaults.slip_prob),
-            max_steps_per_epoch=fields.get(
-                "max_steps_per_epoch", defaults.max_steps_per_epoch
-            ),
-        )
-    if kind == "hillcar":
-        fields = _take(
-            data, "kind", "min_position", "max_position", "max_speed", "force",
-            "gravity", "goal_position", "max_steps_per_epoch", where="env",
-        )
-        defaults = HillCarSpec()
-        return HillCarSpec(
-            min_position=fields.get("min_position", defaults.min_position),
-            max_position=fields.get("max_position", defaults.max_position),
-            max_speed=fields.get("max_speed", defaults.max_speed),
-            force=fields.get("force", defaults.force),
-            gravity=fields.get("gravity", defaults.gravity),
-            goal_position=fields.get("goal_position", defaults.goal_position),
-            max_steps_per_epoch=fields.get("max_steps_per_epoch", defaults.max_steps_per_epoch),
-        )
-    raise TraceFormatError(f"env kind must be 'grid' or 'hillcar', got {kind!r}")
+def _lists(value):
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def _object(data, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise TraceFormatError(f"bad {where} config: expected an object, got {data!r}")
+    return data
 
 
 def _take(data: dict, *allowed, where: str) -> dict:
@@ -113,67 +111,23 @@ def _take(data: dict, *allowed, where: str) -> dict:
     return data
 
 
-# ---------------------------------------------------------------------------
-# Agent and oracle configs
+env_spec_to_dict = agent_config_to_dict = oracle_config_to_dict = config_to_dict
 
 
-def agent_config_to_dict(config: AgentConfig) -> dict:
-    return asdict(config)
+def env_spec_from_dict(data):
+    kind = _object(data, "env").get("kind")
+    for spec in (GridSpec, HillCarSpec):
+        if kind == spec.kind:
+            return config_from_dict(spec, data, "env")
+    raise TraceFormatError(f"env kind must be 'grid' or 'hillcar', got {kind!r}")
 
 
-def agent_config_from_dict(data: dict) -> AgentConfig:
-    defaults = AgentConfig()
-    fields = _take(data, *defaults.__dataclass_fields__, where="agent")
-    try:
-        return AgentConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise TraceFormatError(f"bad agent config: {exc}") from exc
+def agent_config_from_dict(data) -> AgentConfig:
+    return config_from_dict(AgentConfig, data, "agent")
 
 
-def oracle_config_to_dict(config: OracleConfig) -> dict:
-    return {
-        "policies": config.policies,
-        "epochs": config.epochs,
-        "theta_oracle": config.theta_oracle,
-        "window": config.trend.window,
-        "epsilon": config.trend.epsilon,
-        "delta": config.trend.delta,
-        "theta_step": config.theta_step,
-        "policy_size": config.policy_size,
-        "master_seed": config.master_seed,
-        "reward_scale": config.reward_scale,
-        "reward_mode": config.reward_mode,
-        "filter_mode": config.filter_mode,
-    }
-
-
-def oracle_config_from_dict(data: dict) -> OracleConfig:
-    defaults = OracleConfig()
-    fields = _take(
-        data, "policies", "epochs", "theta_oracle", "window", "epsilon", "delta",
-        "theta_step", "policy_size", "master_seed", "reward_scale", "reward_mode",
-        "filter_mode", where="oracle",
-    )
-    trend = TrendParams(
-        window=fields.get("window", defaults.trend.window),
-        epsilon=fields.get("epsilon", defaults.trend.epsilon),
-        delta=fields.get("delta", defaults.trend.delta),
-    )
-    try:
-        return OracleConfig(
-            policies=fields.get("policies", defaults.policies),
-            epochs=fields.get("epochs", defaults.epochs),
-            theta_oracle=fields.get("theta_oracle", defaults.theta_oracle),
-            trend=trend,
-            theta_step=fields.get("theta_step", defaults.theta_step),
-            policy_size=fields.get("policy_size", defaults.policy_size),
-            master_seed=fields.get("master_seed", defaults.master_seed),
-            reward_scale=fields.get("reward_scale", defaults.reward_scale),
-            reward_mode=fields.get("reward_mode", defaults.reward_mode),
-            filter_mode=fields.get("filter_mode", defaults.filter_mode),
-        )
-    except ValueError as exc:
-        raise TraceFormatError(f"bad oracle config: {exc}") from exc
+def oracle_config_from_dict(data) -> OracleConfig:
+    return config_from_dict(OracleConfig, data, "oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -209,31 +163,62 @@ def _point_to_json(point, space):
     return list(point)
 
 
-def _point_from_json(value, space, index=None):
-    """The point of ``space`` that ``value`` holds: an int in a discrete
-    space, two ints on a grid, a list of numbers in a box. Bools are not
-    numbers here, and a float is never truncated to a grid coordinate;
-    anything else raises :class:`TraceFormatError` at record ``index``."""
+def _point_reader(space):
+    """Callable ``(value, index=None)`` giving the point of ``space`` that
+    ``value`` holds, and whether ``space`` contains it. The point is an int
+    in a discrete space, two ints on a grid, a tuple of floats in a box.
+    Bools are not numbers here, and a float is never truncated to a grid
+    coordinate; anything else raises :class:`TraceFormatError` at record
+    ``index``."""
     if isinstance(space, DiscreteSpace):
-        if _is_int(value):
-            return value
-        problem = "discrete action must be an int"
-    elif not isinstance(value, (list, tuple)):
-        problem = "point must be a list"
+        n = space.n
+
+        def point(value, index=None):
+            if _is_int(value):
+                return value, 0 <= value < n
+            raise _bad_point("discrete action must be an int", value, index)
     elif isinstance(space, GridSpace):
-        if len(value) == 2 and all(_is_int(v) for v in value):
-            return tuple(value)
-        problem = "grid coordinates must be two ints"
+        rows, cols = space.rows, space.cols
+
+        def point(value, index=None):
+            if not isinstance(value, (list, tuple)):
+                raise _bad_point("point must be a list", value, index)
+            if len(value) == 2 and _is_int(value[0]) and _is_int(value[1]):
+                r, c = value
+                return (r, c), 0 <= r < rows and 0 <= c < cols
+            raise _bad_point("grid coordinates must be two ints", value, index)
     else:
-        if all(_is_int(v) or isinstance(v, float) for v in value):
-            return tuple(float(v) for v in value)
-        problem = "box coordinates must be numbers"
+        bounds = tuple(zip(space.lows, space.highs))
+        dim = len(bounds)
+
+        def point(value, index=None):
+            if type(value) is list and len(value) == dim:
+                # Plain floats, as a trace holds them, in one pass.
+                inside = True
+                for k, v in enumerate(value):
+                    lo, hi = bounds[k]
+                    if type(v) is not float:
+                        break
+                    if not lo <= v <= hi:
+                        inside = False
+                else:
+                    return tuple(value), inside
+            if not isinstance(value, (list, tuple)):
+                raise _bad_point("point must be a list", value, index)
+            if not all(_is_int(v) or isinstance(v, float) for v in value):
+                raise _bad_point("box coordinates must be numbers", value, index)
+            p = tuple(map(float, value))
+            return p, space.contains(p)
+    return point
+
+
+def _bad_point(problem: str, value, index) -> TraceFormatError:
     prefix = "" if index is None else f"record {index}: "
-    raise TraceFormatError(f"{prefix}{problem}, got {value!r}", record_index=index)
+    return TraceFormatError(f"{prefix}{problem}, got {value!r}", record_index=index)
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
 def policy_to_dict(policy: IntendedPolicy) -> dict:
@@ -260,22 +245,17 @@ def policy_from_dict(data: dict) -> IntendedPolicy:
         raise TraceFormatError(f"not a policy file: format {data.get('format')!r}")
     if data.get("version") != FORMAT_VERSION:
         raise TraceFormatError(f"unsupported policy version {data.get('version')!r}")
-    state_space = _space_from_dict(data["state_space"])
-    action_space = _space_from_dict(data["action_space"])
     try:
-        entries = [
-            (
-                _point_from_json(e["state"], state_space),
-                _point_from_json(e["action"], action_space),
-            )
-            for e in data["entries"]
-        ]
+        state_space = _space_from_dict(data["state_space"])
+        action_space = _space_from_dict(data["action_space"])
+        state_of, action_of = _point_reader(state_space), _point_reader(action_space)
+        entries = [(state_of(e["state"])[0], action_of(e["action"])[0]) for e in data["entries"]]
         state_shape = MembershipShape(**data["state_shape"])
         action_shape = MembershipShape(**data["action_shape"])
         policy = IntendedPolicy.build(
             entries, state_space, action_space, state_shape, action_shape
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise TraceFormatError(f"bad policy file: {exc}") from exc
     stored = data.get("min_ref_distance")
     if stored is not None and stored != policy.min_ref_distance:
@@ -407,10 +387,11 @@ def read_trace(path):
     aborted epochs; it is read back as an epoch with no steps.
 
     Records are parsed in chunks of :data:`_CHUNK` lines, one JSON array
-    per chunk (see :func:`_parse_chunk`). A chunk holding any record the
-    fast checks do not accept is read again record by record
-    (:func:`_read_record`), which gives every record the same value or the
-    same error, at the same record index, as reading it alone.
+    per chunk (see :func:`_parse_chunk`), and each is checked by the one
+    record reader (:func:`_record_reader`). A chunk that fails the parse
+    guards, or holds any record the reader rejects, is read again line by
+    line, so every record gets the value or the error, at the same record
+    index, that reading it alone gives.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -426,25 +407,28 @@ def read_trace(path):
         raise TraceFormatError(
             f"unsupported trace version {header.get('version')!r}", record_index=1
         )
-    env_spec = env_spec_from_dict(header["env"])
+    try:
+        env_spec = env_spec_from_dict(header.get("env"))
+    except FuzzOracleError as exc:
+        raise TraceFormatError(str(exc), record_index=1) from exc
     declared_epochs = header.get("epochs")
     aborted = _aborted_epochs(header)
-    state_space = env_spec.state_space()
-    action_space = env_spec.action_space()
 
     grouped = _Epochs(frozenset(aborted))
-    fast_step = _fast_step(state_space, action_space)
+    read = _record_reader(env_spec.state_space(), env_spec.action_space())
     for first in range(1, len(lines), _CHUNK):
         chunk = lines[first:first + _CHUNK]
-        parsed = _parse_chunk(chunk, fast_step)
-        if parsed is None:
-            for index, line in enumerate(chunk, start=first + 1):
-                _read_record(line, index, grouped, state_space, action_space)
-            continue
-        for index, (e, j, step) in enumerate(parsed, start=first + 1):
-            if e != grouped.number or j != len(grouped.current) + 1:
-                grouped.open(e, j, index)
-            grouped.current.append(step)
+        records = _parse_chunk(chunk)
+        if records is not None:
+            mark = grouped.mark()
+            try:
+                for index, rec in enumerate(records, start=first + 1):
+                    read(rec, index, grouped)
+                continue
+            except TraceFormatError:
+                grouped.restore(mark)
+        for index, line in enumerate(chunk, start=first + 1):
+            read(_parse_record(line, index), index, grouped)
     epochs = grouped.close()
 
     if not epochs:
@@ -496,6 +480,16 @@ class _Epochs:
             self.done.append(EpochTrace(tuple(self.current), self.number))
             self.current = []
 
+    def mark(self) -> tuple:
+        """The grouping so far, for :meth:`restore`."""
+        return len(self.done), self.current, len(self.current), self.number
+
+    def restore(self, mark: tuple) -> None:
+        """Drop every step added since :meth:`mark` gave ``mark``."""
+        done, self.current, steps, self.number = mark
+        del self.done[done:]
+        del self.current[steps:]
+
     def close(self) -> list:
         """All epochs, with trailing aborted epochs that wrote no record."""
         self._finish()
@@ -504,51 +498,78 @@ class _Epochs:
         return self.done
 
 
-def _read_record(line: str, index: int, epochs: _Epochs, state_space, action_space) -> None:
-    """Parse and check one record on its own and add its step to ``epochs``."""
-    rec = _parse_record(line, index)
-    missing = {"epoch", "step", "state", "action", "reward"} - set(rec)
-    if missing:
-        raise TraceFormatError(
-            f"record {index} missing fields: {', '.join(sorted(missing))}",
-            record_index=index,
-        )
-    epochs.open(rec["epoch"], rec["step"], index)
-    state = _point_from_json(rec["state"], state_space, index)
-    action = _point_from_json(rec["action"], action_space, index)
-    if not state_space.contains(state):
-        raise TraceFormatError(
-            f"record {index}: state {state!r} outside the environment",
-            record_index=index,
-        )
-    if not action_space.contains(action):
-        raise TraceFormatError(
-            f"record {index}: action {action!r} outside the action space",
-            record_index=index,
-        )
-    reward = rec["reward"]
-    if not isinstance(reward, (int, float)) or isinstance(reward, bool):
-        raise TraceFormatError(
-            f"record {index}: reward must be a number", record_index=index
-        )
-    epochs.current.append(TraceStep(state, action, float(reward)))
+_FIELDS = ("epoch", "step", "state", "action", "reward")
 
 
-def _parse_chunk(lines: list, fast_step) -> list | None:
-    """``fast_step`` of every line, parsed as one JSON array, or None when
-    some line has to be read on its own.
+def _record_reader(state_space, action_space):
+    """Callable ``(rec, index, epochs)`` that checks the parsed trace record
+    ``rec`` and adds its step to ``epochs``; any fault raises
+    :class:`TraceFormatError` at record ``index``.
+
+    The checks run in this order: the five fields are present, the record
+    may come next in its epoch, the state and then the action are points of
+    their spaces (:func:`_point_reader`), the state and then the action lie
+    inside them, and the reward is a number. An int reward becomes a float;
+    other fields are ignored.
+    """
+    state_of, action_of = _point_reader(state_space), _point_reader(action_space)
+
+    def read(rec, index: int, epochs: _Epochs) -> None:
+        try:
+            e, j, state, action, reward = (
+                rec["epoch"], rec["step"], rec["state"], rec["action"], rec["reward"]
+            )
+        except (KeyError, TypeError):
+            if not isinstance(rec, dict):
+                raise TraceFormatError(
+                    f"record {index}: expected an object", record_index=index
+                ) from None
+            missing = ", ".join(f for f in sorted(_FIELDS) if f not in rec)
+            raise TraceFormatError(
+                f"record {index} missing fields: {missing}", record_index=index
+            ) from None
+        if e != epochs.number or j != len(epochs.current) + 1:
+            epochs.open(e, j, index)
+        state, state_inside = state_of(state, index)
+        action, action_inside = action_of(action, index)
+        if not state_inside:
+            raise TraceFormatError(
+                f"record {index}: state {state!r} outside the environment",
+                record_index=index,
+            )
+        if not action_inside:
+            raise TraceFormatError(
+                f"record {index}: action {action!r} outside the action space",
+                record_index=index,
+            )
+        if type(reward) is not float:
+            if not (_is_int(reward) or isinstance(reward, float)):
+                raise TraceFormatError(
+                    f"record {index}: reward must be a number", record_index=index
+                )
+            reward = float(reward)
+        epochs.current.append(TraceStep(state, action, reward))
+
+    return read
+
+
+def _parse_chunk(lines: list) -> list | None:
+    """Every line parsed, as one JSON array, or None when the lines have to
+    be parsed one at a time.
 
     The lines are joined with a newline and a comma; a newline appears
     nowhere else. The array is taken only when every line starts with
-    ``{`` and ends with ``}``, it has one element per line, ``fast_step``
-    accepts every element, and the chunk holds 10 quote characters per
-    line. ``fast_step`` accepts records with the five fields, each a number
-    or a list of numbers, so each element holds at least its 10 quotes, and
-    with 10 per line no element holds any other string: no duplicate key
-    hides anything and no field holds an object. An element spanning lines
-    would hold a separator between ``}`` and ``{``: at its top level a key
-    would have to start with ``{``, and inside a field the field would hold
-    an object. So every element is exactly its own line.
+    ``{`` and ends with ``}``, it has one element per line, and the chunk
+    holds 10 quote characters per line; the caller then checks that the
+    record reader accepts every element. The reader accepts records with
+    the five fields, so each element holds at least its 10 quotes, and with
+    10 per line no element holds any other string: no duplicate key hides
+    anything and no field holds a string. The reader's state, action and
+    reward are numbers or lists of numbers, and its epoch and step numbers
+    compare equal to ints, so no field holds an object. An element spanning
+    lines would hold a separator between ``}`` and ``{``: at its top level
+    a key would have to start with ``{``, and inside a field the field
+    would hold an object. So every accepted element is exactly its own line.
     """
     text = "[" + "\n,".join(lines) + "]"
     if (
@@ -561,66 +582,7 @@ def _parse_chunk(lines: list, fast_step) -> list | None:
         records = json.loads(text)
     except (ValueError, RecursionError):
         return None
-    if len(records) != len(lines):
-        return None
-    steps = []
-    for rec in records:
-        step = fast_step(rec)
-        if step is None:
-            return None
-        steps.append(step)
-    return steps
-
-
-def _fast_step(state_space, action_space):
-    """Callable of a parsed record giving (epoch, step, TraceStep) when the
-    record has the five fields with int epoch and step numbers, a float
-    reward and points of plain values inside their spaces, which
-    :func:`_read_record` takes unchanged; None for any other record."""
-    state_of = _fast_point(state_space)
-    action_of = _fast_point(action_space)
-
-    def fast_step(rec):
-        if type(rec) is not dict:
-            return None
-        try:
-            e, j, reward = rec["epoch"], rec["step"], rec["reward"]
-            state, action = state_of(rec["state"]), action_of(rec["action"])
-        except KeyError:
-            return None
-        if (
-            type(e) is not int or type(j) is not int or type(reward) is not float
-            or state is None or action is None
-        ):
-            return None
-        return e, j, TraceStep(state, action, reward)
-
-    return fast_step
-
-
-def _fast_point(space):
-    """Callable of a parsed point giving the point when it is inside
-    ``space`` as plain values (ints on a grid or a discrete space, floats in
-    a box), None otherwise."""
-    if isinstance(space, DiscreteSpace):
-        n = space.n
-        return lambda value: value if type(value) is int and 0 <= value < n else None
-    if isinstance(space, GridSpace):
-        kind, bounds = int, ((0, space.rows - 1), (0, space.cols - 1))
-    else:
-        kind, bounds = float, tuple(zip(space.lows, space.highs))
-    dim = len(bounds)
-
-    def point(value):
-        if type(value) is not list or len(value) != dim:
-            return None
-        for k, x in enumerate(value):
-            lo, hi = bounds[k]
-            if type(x) is not kind or not lo <= x <= hi:
-                return None
-        return tuple(value)
-
-    return point
+    return records if len(records) == len(lines) else None
 
 
 def _aborted_epochs(header: dict) -> tuple:

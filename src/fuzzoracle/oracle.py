@@ -13,6 +13,7 @@ so adding policies or reordering work never perturbs existing results.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -266,19 +267,27 @@ def analyze_log(policy: IntendedPolicy, log: RunLog, config: OracleConfig) -> Po
     )
 
 
-def _judge_one_policy(args):
-    agent_config, env_spec, policy, policy_id, config = args
-    log = run_training_phase(
-        agent_config,
-        env_spec,
-        policy,
-        config.epochs,
-        (config.master_seed, policy_id),
-        reward_scale=config.reward_scale,
-        reward_mode=config.reward_mode,
-        policy_id=policy_id,
-    )
-    return analyze_log(policy, log, config)
+def _judge_one_policy(task):
+    """Outcome of one (program, policy) task, with its run log when
+    ``keep_log`` is set."""
+    program, env_spec, policy, policy_id, config, keep_log = task
+    seed = (config.master_seed, policy_id)
+    if isinstance(program, AgentConfig):
+        log = run_training_phase(
+            program,
+            env_spec,
+            policy,
+            config.epochs,
+            seed,
+            reward_scale=config.reward_scale,
+            reward_mode=config.reward_mode,
+            policy_id=policy_id,
+        )
+    else:
+        log = program(env_spec, policy, config.epochs, seed)
+    if log.policy_id != policy_id:
+        log = replace(log, policy_id=policy_id)
+    return analyze_log(policy, log, config), (log if keep_log else None)
 
 
 def assemble_verdict(outcomes, theta_oracle: float) -> Verdict:
@@ -296,25 +305,38 @@ def judge_programs(
     env_spec: EnvSpec,
     config: OracleConfig,
     workers: int | None = None,
+    on_log=None,
 ) -> list[Verdict]:
-    """Judge several :class:`AgentConfig` programs, one verdict each.
+    """Judge several programs, one verdict each.
 
-    Every (program, policy) training run is independent, so all of them are
-    one flat batch of tasks, in program-major order. ``workers`` > 1 trains
-    the whole batch on one process pool; results are identical either way.
+    A program is an :class:`AgentConfig` for the built-in learners, or a
+    callable ``(env_spec, policy, epochs, seed) -> RunLog`` for programs
+    that produce their traces elsewhere; the oracle sets each log's
+    ``policy_id``. Every (program, policy) run is independent, so all of
+    them are one flat batch of tasks, in program-major order. ``workers`` >
+    1 trains the whole batch on one process pool when every program is an
+    :class:`AgentConfig`; a callable, which may be a closure, always runs in
+    the calling process. Results are identical either way.
+
+    ``on_log(program_index, policy_id, policy, log)``, when given, is called
+    in the calling process with every run log, in task order.
     """
     policies = oracle_policies(env_spec, config)
+    n = len(policies)
     tasks = [
-        (program, env_spec, policy, pid, config)
+        (program, env_spec, policy, pid, config, on_log is not None)
         for program in programs
         for pid, policy in enumerate(policies, start=1)
     ]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_judge_one_policy, tasks))
-    else:
-        outcomes = [_judge_one_policy(t) for t in tasks]
-    n = len(policies)
+    pooled = workers and workers > 1 and all(isinstance(p, AgentConfig) for p in programs)
+    with (ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext()) as pool:
+        results = pool.map(_judge_one_policy, tasks) if pooled else map(_judge_one_policy, tasks)
+        outcomes = []
+        for i, (outcome, log) in enumerate(results):
+            if on_log is not None:
+                program_index, p = divmod(i, n)
+                on_log(program_index, p + 1, policies[p], log)
+            outcomes.append(outcome)
     return [
         assemble_verdict(outcomes[i:i + n], config.theta_oracle)
         for i in range(0, len(outcomes), n)
@@ -326,22 +348,11 @@ def oracle_main(
     env_spec: EnvSpec,
     config: OracleConfig,
     workers: int | None = None,
+    on_log=None,
 ) -> Verdict:
     """Judge a program: train it against generated policies and vote.
 
-    ``program`` is an :class:`AgentConfig` for the built-in learners, or a
-    callable ``(env_spec, policy, epochs, seed) -> RunLog`` for programs
-    that produce their traces elsewhere. ``workers`` > 1 trains an
-    :class:`AgentConfig`'s policies on a process pool (see
-    :func:`judge_programs`); results are identical either way.
+    ``program``, ``workers`` and ``on_log`` are as for
+    :func:`judge_programs`; results are identical at any pool size.
     """
-    if isinstance(program, AgentConfig):
-        return judge_programs([program], env_spec, config, workers)[0]
-
-    outcomes = []
-    for pid, policy in enumerate(oracle_policies(env_spec, config), start=1):
-        log = program(env_spec, policy, config.epochs, (config.master_seed, pid))
-        if log.policy_id != pid:
-            log = replace(log, policy_id=pid)
-        outcomes.append(analyze_log(policy, log, config))
-    return assemble_verdict(outcomes, config.theta_oracle)
+    return judge_programs([program], env_spec, config, workers, on_log)[0]

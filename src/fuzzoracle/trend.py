@@ -57,7 +57,8 @@ def linreg_slope(series) -> float:
     The sign is exact: the verdict turns on it, and a series whose true
     slope is zero can round to a tiny negative value. Where the rounded
     slope's sign is wrong, the exact slope rounded once is returned
-    instead (0.0 for an exact zero).
+    instead (0.0 for an exact zero, and the smallest float of its sign for
+    a slope too small for any other).
     """
     y = _values(series)
     n = len(y)
@@ -85,8 +86,11 @@ def linreg_slope(series) -> float:
     )
     if (slope > 0) - (slope < 0) == (numerator > 0) - (numerator < 0):
         return slope
+    if not numerator:
+        return 0.0
     # Integer true division rounds correctly.
-    return numerator / ((n * (n * n - 1)) << shift) if numerator else 0.0
+    exact = numerator / ((n * (n * n - 1)) << shift)
+    return exact if exact else math.copysign(5e-324, numerator)
 
 
 def convergence_start(series, window: int, epsilon: float) -> int | None:

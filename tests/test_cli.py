@@ -122,6 +122,42 @@ class TestAnalyze:
         assert code == 2
         assert "error: record 2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "space", [None, {"kind": "grid"}, []], ids=["missing", "no_rows", "list"]
+    )
+    def test_bad_policy_space_exits_2(self, tmp_path, capsys, space):
+        policy = json.loads(open(HAND_POLICY).read())
+        if space is None:
+            del policy["state_space"]
+        else:
+            policy["state_space"] = space
+        path = tmp_path / "bad.policy.json"
+        path.write_text(json.dumps(policy))
+        assert main(["analyze", "--trace", HAND_TRACE, "--policy", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad policy file: ")
+
+    @pytest.mark.parametrize("env, message", [
+        (None, "bad env config: expected an object, got None"),
+        ({"kind": "pendulum"}, "env kind must be 'grid' or 'hillcar', got 'pendulum'"),
+        ({"kind": "grid", "goal": [9]}, "goal (9,) outside the grid"),
+    ], ids=["missing", "pendulum", "goal"])
+    def test_bad_header_env_exits_2(self, tmp_path, capsys, env, message):
+        lines = open(HAND_TRACE).read().splitlines()
+        header = json.loads(lines[0])
+        if env is None:
+            del header["env"]
+        else:
+            header["env"] = env
+        path = tmp_path / "bad.trace.jsonl"
+        path.write_text("".join(l + "\n" for l in [json.dumps(header)] + lines[1:]))
+        assert main(["analyze", "--trace", str(path), "--policy", HAND_POLICY]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bad_trend_flag_exits_2(self, capsys):
+        assert main(["analyze", "--trace", HAND_TRACE, "--policy", HAND_POLICY,
+                     "--epsilon", "-1"]) == 2
+        assert capsys.readouterr().err == "error: bad trend config: epsilon must be positive\n"
+
 
 class TestTestCommand:
     def test_clean_agent_small_run(self, tmp_path, capsys):
@@ -233,6 +269,21 @@ class TestTestCommand:
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["test", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("section, message", [
+        ({"env": {"kind": "grid", "rows": "a"}}, "bad env config: '<' not supported"),
+        ({"env": []}, "bad env config: expected an object, got []"),
+        ({"env": {"kind": "grid", "goal": [9]}}, "goal (9,) outside the grid"),
+        ({"oracle": {"epsilon": -1}}, "bad oracle config: epsilon must be positive"),
+        ({"oracle": {"policies": None}}, "bad oracle config: '<' not supported"),
+        ({"oracle": {"window": 0}}, "window must be >= 1, got 0"),
+    ], ids=["env_rows", "env_list", "env_goal", "oracle_epsilon", "oracle_policies",
+            "oracle_window"])
+    def test_malformed_section_exits_2(self, tmp_path, capsys, section, message):
+        cfg = write_config(tmp_path / "cfg.json", **section)
+        assert main(["test", "--config", cfg, "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -363,6 +414,20 @@ class TestOnePool:
         assert pools == [2]
         assert outputs["2"] == outputs["1"]
         assert len(outputs["2"][1].splitlines()) == 4
+
+    def test_emit_traces_trains_on_one_pool(self, tmp_path, pools):
+        cfg = write_config(tmp_path / "cfg.json")
+        outputs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(["test", "--config", cfg, "--emit-traces", "--workers", workers,
+                         "--output", str(out)]) in (0, 1)
+            outputs[workers] = {
+                p.name: p.read_bytes() for p in out.iterdir() if p.name != "meta.json"
+            }
+        assert pools == [2]
+        assert len(outputs["1"]) == 2 + 2 * 3
+        assert outputs["2"] == outputs["1"]
 
     def test_test_command_trains_on_one_pool(self, tmp_path, pools):
         cfg = write_config(tmp_path / "cfg.json")

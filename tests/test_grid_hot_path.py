@@ -6,8 +6,9 @@ reads ``config.bug`` at every step, the grid move is clamped with min/max,
 terminal cells are looked up in the spec's fields, and every reward is
 scored by the brute-force scorer of ``conftest``, through the checked
 action metric. The program's run logs, rewards and compliance series must
-equal it bit for bit on every corpus variant, and its rewards must equal
-:func:`fuzzy_reward`.
+equal it bit for bit on every corpus variant. Its rewards must also equal
+:func:`fuzzy_reward`, and the array scorer's step degrees
+:func:`step_compliance_at`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from fuzzoracle import (
     oracle_policies,
     policy_compliance_series,
     run_training_phase,
+    step_compliance_at,
 )
+from fuzzoracle.compliance import _step_degrees
 
 from conftest import brute_force_series
 
@@ -127,9 +130,13 @@ def test_run_logs_rewards_and_series_match_reference(bug, slip):
         log = run_training_phase(config, spec, policy, EPOCHS, seed_path, policy_id=pid)
         expected = reference_run(config, spec, policy, EPOCHS, seed_path, pid)
         assert log == expected
-        for epoch in log.epochs:
-            for step in epoch.steps:
-                assert step.reward == fuzzy_reward(step.state, step.action, policy)
+        steps = [step for epoch in log.epochs for step in epoch.steps]
+        for step in steps:
+            assert step.reward == fuzzy_reward(step.state, step.action, policy)
+        scalar = [step_compliance_at(policy, s.state, s.action) for s in steps]
+        mu_state, mu_step = _step_degrees(policy, steps)
+        assert mu_state.tolist() == [mu[0] for mu in scalar]
+        assert mu_step.tolist() == [mu[2] for mu in scalar]
         for mode in ("state", "step"):
             series = policy_compliance_series(policy, log, ORACLE.theta_step, mode)
             assert list(series.values) == brute_force_series(

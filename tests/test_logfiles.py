@@ -1,6 +1,7 @@
 import enum
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fuzzoracle import (
     TrendParams,
 )
 from fuzzoracle import logfiles
-from fuzzoracle.errors import TraceFormatError
+from fuzzoracle.errors import InvalidWindowError, TraceFormatError
 from fuzzoracle.logfiles import (
     agent_config_from_dict,
     canonical_json,
@@ -188,6 +189,21 @@ class TestTraceValidation:
             read_trace(path)
         assert err.value.record_index == 1
 
+    @pytest.mark.parametrize("env", [
+        None, [], {"kind": "pendulum"}, {"kind": "grid", "rows": "a"},
+        {"kind": "grid", "goal": [9]}, {"kind": "grid", "rowz": 4},
+    ], ids=repr)
+    def test_bad_header_env(self, tmp_path, env):
+        header = json.loads(self.header())
+        if env is None:
+            del header["env"]
+        else:
+            header["env"] = env
+        path = self.write_lines(tmp_path, [json.dumps(header), self.step(1, 1)])
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.record_index == 1
+
     def test_state_out_of_bounds(self, tmp_path):
         path = self.write_lines(
             tmp_path, [self.header(), self.step(1, 1, state=(9, 9))]
@@ -309,14 +325,27 @@ class TestTraceReaderChunks:
         return [header] + [json.dumps({**rec, "step": j}, sort_keys=True)
                            for j in range(1, self.RECORDS + 1)]
 
-    def test_canonical_records_skip_the_record_by_record_reader(self, tmp_path, monkeypatch):
-        path = tmp_path / "ok.trace.jsonl"
-        path.write_text("".join(l + "\n" for l in self.lines()))
-        expected, _ = read_trace(path)
-        monkeypatch.setattr(logfiles, "_read_record", None)
-        log, _ = read_trace(path)
-        assert log == expected
-        assert len(log.epochs[0].steps) == self.RECORDS
+    def test_canonical_records_are_parsed_one_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # Only a chunk holding a line the chunk parse cannot take (here an
+        # extra field in record 7) is parsed again line by line.
+        parsed_alone = []
+        original = logfiles._parse_record
+
+        def parse_record(line, index):
+            parsed_alone.append(index)
+            return original(line, index)
+
+        monkeypatch.setattr(logfiles, "_parse_record", parse_record)
+        expected = (TraceStep((0, 0), 1, 0.5),) * self.RECORDS
+        lines = self.lines()
+        for extra, alone in ((False, [1]), (True, [1, 6, 7, 8, 9])):
+            if extra:
+                lines[6] = lines[6][:-1] + ', "extra": null}'
+            path = tmp_path / "ok.trace.jsonl"
+            path.write_text("".join(l + "\n" for l in lines))
+            parsed_alone.clear()
+            assert read_trace(path)[0].epochs[0].steps == expected
+            assert parsed_alone == alone
 
     @pytest.mark.parametrize("index", [2, 3, 5, 6, 7, 9, 10, 11, 12])
     @pytest.mark.parametrize("fault", ["invalid_json", "missing_field", "state_out_of_bounds",
@@ -422,6 +451,44 @@ class TestTraceReaderChunks:
         assert err.value.record_index == 7
 
 
+class TestBoxRecords:
+    """Hill-car states read from a trace follow the record rules: numbers
+    (not bools) of any JSON kind, converted to floats, inside the bounds."""
+
+    @staticmethod
+    def expected(value):
+        if not isinstance(value, list):
+            return "point must be a list"
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            return "box coordinates must be numbers"
+        point = tuple(float(v) for v in value)
+        return point if HillCarSpec().state_space().contains(point) else "outside the environment"
+
+    @pytest.mark.parametrize("state", [
+        [-0.5, 0.01], [-1, 0], [0, 0.0], [-1.2, -0.07], [0.6, 0.07], [0.61, 0.0],
+        [0.0, -0.08], [0.1], [0.1, 0.0, 0.0], [float("nan"), 0.0], [True, 0.0],
+        ["a", 0.0], [[0.1], 0.0], 5, None,
+    ], ids=repr)
+    def test_state(self, tmp_path, state):
+        log = RunLog(1, (EpochTrace((TraceStep((0.0, 0.0), (0.5,), 0.0),) * 3, 1),))
+        path = tmp_path / "hc.trace.jsonl"
+        write_trace(path, log, HillCarSpec())
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["state"] = state
+        lines[2] = json.dumps(rec)
+        path.write_text("".join(l + "\n" for l in lines))
+        expected = self.expected(state)
+        if isinstance(expected, tuple):
+            steps = read_trace(path)[0].epochs[0].steps
+            assert steps[1].state == expected
+            assert all(type(x) is float for x in steps[1].state)
+        else:
+            with pytest.raises(TraceFormatError, match=f"^record 3: .*{expected}") as err:
+                read_trace(path)
+            assert err.value.record_index == 3
+
+
 class TestPolicyFiles:
     def test_round_trip(self, tmp_path, two_ref_policy):
         path = tmp_path / "p.json"
@@ -492,6 +559,25 @@ class TestConfigSerialization:
     def test_agent_round_trip(self):
         config = AgentConfig(learning_rate=0.25, seed=9)
         assert agent_config_from_dict(agent_config_to_dict(config)) == config
+
+    def test_oracle_bad_values(self):
+        # Values the constructors reject become TraceFormatError; their own
+        # library errors pass through unchanged.
+        for data, message in (
+            ({"epsilon": -1}, "bad oracle config: epsilon must be positive"),
+            ({"policies": None}, "bad oracle config: '<' not supported"),
+            ({"theta_step": [1]}, "bad oracle config: '<=' not supported"),
+        ):
+            with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}"):
+                oracle_config_from_dict(data)
+        with pytest.raises(InvalidWindowError, match="^window must be >= 1, got 0$"):
+            oracle_config_from_dict({"window": 0})
+        with pytest.raises(TraceFormatError, match="^unknown oracle fields: trend$"):
+            oracle_config_from_dict({"trend": {}})
+
+    def test_env_lists_become_tuples(self):
+        spec = env_spec_from_dict({"kind": "grid", "holes": [[1, 1]], "goal": [3, 3]})
+        assert spec == GridSpec(holes=((1, 1),))
 
     def test_agent_bad_value(self):
         with pytest.raises(TraceFormatError):

@@ -13,10 +13,12 @@ from fuzzoracle import (
     TrendParams,
     assemble_verdict,
     generate_policies,
+    judge_programs,
     oracle_main,
     policy_compliance_series,
     run_training_phase,
 )
+from fuzzoracle import oracle
 from fuzzoracle.errors import PolicyTooLargeError, SamplingExhaustedError
 from fuzzoracle.oracle import default_policy_size, oracle_policies
 
@@ -235,6 +237,23 @@ class TestOracleMain:
         serial = oracle_main(AgentConfig(), grid_spec, config, workers=1)
         pooled = oracle_main(AgentConfig(), grid_spec, config, workers=2)
         assert serial == pooled
+
+    def test_judge_programs_matches_oracle_main_on_callables(self, grid_spec, monkeypatch):
+        # A callable, which may be a closure, runs in this process even when
+        # workers are asked for. on_log sees every run log in task order,
+        # with the task's policy id in place of the program's own.
+        config = small_config(policies=3)
+        programs = [split_trainer(1), AgentConfig(), perfect_trainer]
+        expected = [oracle_main(p, grid_spec, config) for p in programs]
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", None)
+        seen = []
+        verdicts = judge_programs(
+            programs, grid_spec, config, workers=2,
+            on_log=lambda k, pid, policy, log: seen.append((k, pid, policy, log.policy_id)),
+        )
+        assert verdicts == expected
+        policies = oracle_policies(grid_spec, config)
+        assert seen == [(k, i + 1, p, i + 1) for k in range(3) for i, p in enumerate(policies)]
 
     def test_filter_mode_reaches_the_series(self, grid_spec):
         # Every epoch mixes on-reference ideal steps with near misses; the

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzoracle import TrendParams, convergence_start, linreg_slope, trend_analysis
 from fuzzoracle.errors import InvalidWindowError, SeriesTooShortError
@@ -51,6 +51,8 @@ class TestSlope:
             max_size=60,
         )
     )
+    # A negative slope too small for a float once rounded to -0.0.
+    @example(values=[5e-324, 0.0, 0.0])
     def test_sign_is_exact(self, values):
         n = len(values)
         exact = sum((2 * i - (n - 1)) * Fraction(v) for i, v in enumerate(values))
