@@ -4,25 +4,30 @@ Two deliberately small learners serve as the programs under test: tabular
 Q-learning for the grid world and a linear-in-features actor-critic for
 the hill car. Both are seeded and fully deterministic given their config.
 
-The bug registry manufactures defective variants on demand. Each bug is a
-pure config override, a behavior switch keyed off ``config.bug``, or both,
-spanning four fault categories: training, model, updating the network, and
-exploring the environment.
+The bug registry manufactures defective variants on demand, spanning four
+fault categories: training, model, updating the network, and exploring the
+environment. A bug overrides config parameters, changes behaviour, or both;
+:func:`make_agent` layers a behaviour fault on the built learner from
+outside, so the learners stay bug-free reference code apart from the
+permuted writes of ``WRONG_FEATURE_MAP``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .envs import Transition
 from .errors import (
     AlgorithmEnvMismatchError,
     InapplicableBugError,
     NumericalDivergenceError,
     UnknownBugError,
 )
+from .spaces import DiscreteSpace
 
 ALGORITHMS = ("tabular_q", "linear_actor_critic")
 
@@ -33,7 +38,7 @@ BUG_CATEGORIES = ("training", "model", "updating_network", "exploration")
 class AgentConfig:
     """Hyperparameters for a reference learner.
 
-    ``bug`` names a registry entry whose behavior overrides apply; configs
+    ``bug`` names the registry entry :func:`inject_bug` applied; configs
     without a bug must satisfy the sanity bounds below.
     """
 
@@ -144,10 +149,10 @@ BUG_REGISTRY = {
 def inject_bug(config: AgentConfig, bug_id: str) -> AgentConfig:
     """Config for the buggy variant of ``config``.
 
-    Applies the registry's parameter overrides and records the bug id so
-    behavior switches engage inside the learner. A bug that cannot affect
-    ``config.algorithm`` is refused, since the variant would behave exactly
-    like the clean program while labelled buggy.
+    Applies the registry's parameter overrides and records the bug id for
+    :func:`make_agent`. A bug that cannot affect ``config.algorithm`` is
+    refused, since the variant would behave exactly like the clean program
+    while labelled buggy.
     """
     bug = BUG_REGISTRY.get(bug_id)
     if bug is None:
@@ -165,6 +170,14 @@ _TWO_TO_MINUS_53 = 2.0**-53
 
 def _epsilon(config: AgentConfig, progress: float) -> float:
     return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * progress
+
+
+def _write_permutation(config: AgentConfig, n: int):
+    """The permutation of ``n`` parameter rows that ``WRONG_FEATURE_MAP``
+    sends updates through, or None for any other config."""
+    if config.bug != "WRONG_FEATURE_MAP":
+        return None
+    return np.random.default_rng([max(config.seed, 0), 97]).permutation(n)
 
 
 class TabularQAgent:
@@ -193,20 +206,8 @@ class TabularQAgent:
         # A uniform 32-bit draw shifted right by this is uniform over the
         # actions; exact only while n_actions is a power of two.
         self._action_shift = 32 - (self.n_actions - 1).bit_length()
-        self._updates_seen = 0
-        # The config is frozen, so the bug switches are resolved once
-        # rather than on every step.
-        bug = config.bug
-        self._clamp_wrong = bug == "ACTION_CLAMP_WRONG"
-        self._skip_updates = bug == "UPDATE_SKIPPED"
-        self._every_other = bug == "UPDATE_EVERY_OTHER"
-        self._negate_reward = bug == "REWARD_NEGATED"
-        self._stale_state = bug == "STALE_STATE"
-        if bug == "WRONG_FEATURE_MAP":
-            perm_rng = np.random.default_rng([max(config.seed, 0), 97])
-            self._write_index = [int(i) for i in perm_rng.permutation(self.n_states)]
-        else:
-            self._write_index = None
+        perm = _write_permutation(config, self.n_states)
+        self._write_index = None if perm is None else perm.tolist()
 
     def state_index(self, state) -> int:
         return state[0] * self.cols + state[1]
@@ -243,43 +244,26 @@ class TabularQAgent:
             explore = eps > 0.0 and (raw() >> 11) * _TWO_TO_MINUS_53 < eps
         if explore:
             if raw is None:
-                action = int(self.rng.integers(self.n_actions))
+                return int(self.rng.integers(self.n_actions))
+            half = self._half
+            if half is None:
+                bits = raw()
+                half, self._half = bits & 0xFFFFFFFF, bits >> 32
             else:
-                half = self._half
-                if half is None:
-                    bits = raw()
-                    half, self._half = bits & 0xFFFFFFFF, bits >> 32
-                else:
-                    self._half = None
-                action = half >> self._action_shift
-        else:
-            # max keeps the first of equal values, so ties go to the lowest id.
-            row = self.q[state[0] * self.cols + state[1]]
-            action = row.index(max(row))
-        if self._clamp_wrong:
-            action = min(action, self.n_actions // 2 - 1)
-        return action
+                self._half = None
+            return half >> self._action_shift
+        # max keeps the first of equal values, so ties go to the lowest id.
+        row = self.q[state[0] * self.cols + state[1]]
+        return row.index(max(row))
 
     def update(self, transition) -> None:
-        if self._skip_updates:
-            return
-        if self._every_other:
-            self._updates_seen += 1
-            if self._updates_seen % 2 == 0:
-                return
         config = self.config
-        reward = transition.reward
-        if self._negate_reward:
-            reward = -reward
-        state, cols = transition.state, self.cols
+        state, next_state, cols = transition.state, transition.next_state, self.cols
         s = state[0] * cols + state[1]
-        if self._stale_state:
-            s2 = s
-        else:
-            s2 = transition.next_state[0] * cols + transition.next_state[1]
+        s2 = next_state[0] * cols + next_state[1]
         bootstrap = 0.0 if transition.done else config.discount * max(self.q[s2])
         old = self.q[s][transition.action]
-        value = old + config.learning_rate * (reward + bootstrap - old)
+        value = old + config.learning_rate * (transition.reward + bootstrap - old)
         if not math.isfinite(value):
             raise NumericalDivergenceError(
                 f"Q value diverged at state {transition.state}, action {transition.action}"
@@ -322,12 +306,7 @@ class LinearActorCriticAgent:
         self._weights = np.full((2, self.n_features), init)
         self.w_value, self.w_mean = self._weights
         self.rng = np.random.default_rng(config.seed if rng is None else rng)
-        self._updates_seen = 0
-        if config.bug == "WRONG_FEATURE_MAP":
-            perm_rng = np.random.default_rng([max(config.seed, 0), 97])
-            self._write_perm = perm_rng.permutation(self.n_features)
-        else:
-            self._write_perm = None
+        self._write_perm = _write_permutation(config, self.n_features)
 
     def features(self, state) -> np.ndarray:
         """Radial basis features of ``state`` plus a constant bias.
@@ -351,30 +330,18 @@ class LinearActorCriticAgent:
     def act(self, state, progress: float) -> tuple:
         mean = float(self.w_mean @ self.features(state))
         noisy = mean + self.config.action_noise * float(self.rng.standard_normal())
-        bound = 0.5 if self.config.bug == "ACTION_CLAMP_WRONG" else 1.0
-        return (min(max(noisy, -bound), bound),)
+        return (min(max(noisy, -1.0), 1.0),)
 
     def update(self, transition) -> None:
         config = self.config
-        bug = config.bug
-        if bug == "UPDATE_SKIPPED":
-            return
-        if bug == "UPDATE_EVERY_OTHER":
-            self._updates_seen += 1
-            if self._updates_seen % 2 == 0:
-                return
-        reward = transition.reward
-        if bug == "REWARD_NEGATED":
-            reward = -reward
         phi = self.features(transition.state)
         if transition.done:
             future = 0.0
         else:
-            successor = (
-                transition.state if bug == "STALE_STATE" else transition.next_state
+            future = config.discount * float(
+                self.w_value @ self.features(transition.next_state)
             )
-            future = config.discount * float(self.w_value @ self.features(successor))
-        td_error = reward + future - float(self.w_value @ phi)
+        td_error = transition.reward + future - float(self.w_value @ phi)
         mean = float(self.w_mean @ phi)
         act_value = transition.action[0]
         write_phi = phi[self._write_perm] if self._write_perm is not None else phi
@@ -390,7 +357,37 @@ class LinearActorCriticAgent:
 
 
 def make_agent(config: AgentConfig, env_spec, rng=None):
-    """Construct the learner named by ``config.algorithm`` for ``env_spec``."""
-    if config.algorithm == "tabular_q":
-        return TabularQAgent(config, env_spec, rng)
-    return LinearActorCriticAgent(config, env_spec, rng)
+    """Construct the learner named by ``config.algorithm`` for ``env_spec``,
+    with the behaviour fault of ``config.bug`` applied."""
+    cls = TabularQAgent if config.algorithm == "tabular_q" else LinearActorCriticAgent
+    agent = cls(config, env_spec, rng)
+    _apply_behaviour_fault(agent, config.bug, env_spec.action_space())
+    return agent
+
+
+def _apply_behaviour_fault(agent, bug, action_space) -> None:
+    """Rebind ``agent.act`` or ``agent.update`` to behave as ``bug`` says.
+    ``tuple.__new__`` builds an altered transition in under half the time of
+    ``Transition(...)`` and a third of ``_replace``, on every step."""
+    act, update = agent.act, agent.update
+    if bug == "REWARD_NEGATED":
+        agent.update = lambda t: update(tuple.__new__(
+            Transition, (t.state, t.action, -t.reward, t.next_state, t.done, t.clamped)
+        ))
+    elif bug == "STALE_STATE":
+        agent.update = lambda t: update(tuple.__new__(
+            Transition, (t.state, t.action, t.reward, t.state, t.done, t.clamped)
+        ))
+    elif bug == "UPDATE_SKIPPED":
+        agent.update = lambda t: None
+    elif bug == "UPDATE_EVERY_OTHER":
+        calls = itertools.count(1)
+        agent.update = lambda t: update(t) if next(calls) % 2 else None
+    elif bug == "ACTION_CLAMP_WRONG" and isinstance(action_space, DiscreteSpace):
+        top = action_space.n // 2 - 1
+        agent.act = lambda state, progress: min(act(state, progress), top)
+    elif bug == "ACTION_CLAMP_WRONG":
+        halves = [(lo / 2, hi / 2) for lo, hi in zip(action_space.lows, action_space.highs)]
+        agent.act = lambda state, progress: tuple(
+            min(max(a, lo), hi) for a, (lo, hi) in zip(act(state, progress), halves)
+        )

@@ -166,7 +166,7 @@ def _apply_overrides(config: dict, args) -> dict:
             )
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw
         sections[section][fieldname] = value
     if args.seed is not None:

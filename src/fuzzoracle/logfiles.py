@@ -123,6 +123,13 @@ def env_spec_from_dict(data):
 
 
 def agent_config_from_dict(data) -> AgentConfig:
+    """The agent section of a run config. It names no bug: a bug enters
+    only through :func:`inject_bug`, which applies its overrides."""
+    if _object(data, "agent").get("bug") is not None:
+        raise TraceFormatError(
+            "bad agent config: agent.bug is not accepted; name the bug as the "
+            "top-level 'bug', a variant's 'bug' or --bug"
+        )
     return config_from_dict(AgentConfig, data, "agent")
 
 
@@ -207,7 +214,10 @@ def _point_reader(space):
                 raise _bad_point("point must be a list", value, index)
             if not all(_is_int(v) or isinstance(v, float) for v in value):
                 raise _bad_point("box coordinates must be numbers", value, index)
-            p = tuple(map(float, value))
+            try:
+                p = tuple(map(float, value))
+            except OverflowError:
+                raise _bad_point("box coordinate too large for a float", value, index) from None
             return p, space.contains(p)
     return point
 
@@ -241,6 +251,8 @@ def policy_to_dict(policy: IntendedPolicy) -> dict:
 
 
 def policy_from_dict(data: dict) -> IntendedPolicy:
+    if not isinstance(data, dict):
+        raise TraceFormatError(f"not a policy file: expected an object, got {data!r}")
     if data.get("format") != POLICY_FORMAT:
         raise TraceFormatError(f"not a policy file: format {data.get('format')!r}")
     if data.get("version") != FORMAT_VERSION:
@@ -255,7 +267,7 @@ def policy_from_dict(data: dict) -> IntendedPolicy:
         policy = IntendedPolicy.build(
             entries, state_space, action_space, state_shape, action_shape
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise TraceFormatError(f"bad policy file: {exc}") from exc
     stored = data.get("min_ref_distance")
     if stored is not None and stored != policy.min_ref_distance:
@@ -272,12 +284,19 @@ def save_policy(path, policy: IntendedPolicy) -> None:
 
 
 def load_policy(path) -> IntendedPolicy:
+    return policy_from_dict(_load_json(path))
+
+
+def _load_json(path):
+    """The JSON value in the file at ``path``. Bad JSON, an int too long to
+    convert or nesting too deep to parse raises :class:`TraceFormatError`."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return policy_from_dict(data)
+        except (ValueError, RecursionError) as exc:
+            raise TraceFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +484,10 @@ class _Epochs:
             self.done.extend(EpochTrace((), k) for k in skipped)
             self.number = e - 1
         if e == self.number + 1 and j == 1:
+            if not _is_int(e):
+                raise TraceFormatError(
+                    f"record {index}: epoch must be an int, got {e!r}", record_index=index
+                )
             self._finish()
             self.number = e
         elif e != self.number or j != len(self.current) + 1:
@@ -547,7 +570,12 @@ def _record_reader(state_space, action_space):
                 raise TraceFormatError(
                     f"record {index}: reward must be a number", record_index=index
                 )
-            reward = float(reward)
+            try:
+                reward = float(reward)
+            except OverflowError:
+                raise TraceFormatError(
+                    f"record {index}: reward too large for a float", record_index=index
+                ) from None
         epochs.current.append(TraceStep(state, action, reward))
 
     return read
@@ -603,9 +631,10 @@ def _aborted_epochs(header: dict) -> tuple:
 def _parse_record(line: str, index: int) -> dict:
     try:
         rec = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # A JSONDecodeError, an int too long to convert, or nesting too deep.
         raise TraceFormatError(
-            f"record {index}: invalid JSON: {exc.msg}", record_index=index
+            f"record {index}: invalid JSON: {getattr(exc, 'msg', exc)}", record_index=index
         ) from exc
     if not isinstance(rec, dict):
         raise TraceFormatError(
@@ -624,11 +653,7 @@ def load_run_config(path) -> dict:
     Returns a dict with keys env, agent, oracle, bug, output_dir. JSON
     syntax errors surface with their line number.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise TraceFormatError("run config must be a JSON object")
     _take(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,56 @@ class TestAnalyze:
         assert main(["analyze", "--trace", str(path), "--policy", HAND_POLICY]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_float_epoch_exits_2(self, tmp_path, capsys):
+        # Epoch 1.0 compares equal to 1; kept as the epoch number, it made
+        # the skip over aborted epoch 2 raise a TypeError (exit 1, Buggy).
+        lines = open(HAND_TRACE).read().splitlines()
+        header = json.loads(lines[0])
+        header["aborted_epochs"] = [2]
+        lines = [json.dumps(header)] + [
+            l.replace('"epoch":1,', '"epoch":1.0,') for l in lines[1:] if '"epoch":2,' not in l
+        ]
+        path = tmp_path / "float.trace.jsonl"
+        path.write_text("".join(l + "\n" for l in lines))
+        assert main(["analyze", "--trace", str(path), "--policy", HAND_POLICY]) == 2
+        assert capsys.readouterr().err == "error: record 2: epoch must be an int, got 1.0\n"
+
+    def test_policy_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.policy.json"
+        path.write_text("[]")
+        assert main(["analyze", "--trace", HAND_TRACE, "--policy", str(path)]) == 2
+        assert capsys.readouterr().err == "error: not a policy file: expected an object, got []\n"
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize("where", ["reward", "hillcar_state", "hillcar_policy"])
+    def test_oversize_int_exits_2(self, tmp_path, capsys, where, digits):
+        # 400 digits overflow float(); past 4,300 digits json itself raises
+        # a plain ValueError. Both escaped as tracebacks (exit 1, Buggy).
+        big = "9" * digits
+        if where == "reward":
+            lines = open(HAND_TRACE).read().splitlines()
+            lines[1] = lines[1].replace('"reward":1.0', f'"reward":{big}')
+            trace, policy = tmp_path / "big.trace.jsonl", HAND_POLICY
+            trace.write_text("".join(l + "\n" for l in lines))
+        else:
+            assert main(["policies", "generate", "--env", "hillcar", "--count", "1",
+                         "--output", str(tmp_path)]) == 0
+            policy = tmp_path / "policy_001.json"
+            x = big if where == "hillcar_state" else "-0.5"
+            trace = tmp_path / "hc.trace.jsonl"
+            trace.write_text(
+                '{"env":{"kind":"hillcar"},"format":"fuzzoracle-trace","version":1}\n'
+                f'{{"action":[0.0],"epoch":1,"reward":0.0,"state":[{x},0.0],"step":1}}\n'
+            )
+            if where == "hillcar_policy":
+                text = re.sub(r'"state":\[[^,]*,', f'"state":[{big},', policy.read_text(), 1)
+                policy.write_text(text)
+        capsys.readouterr()
+        assert main(["analyze", "--trace", str(trace), "--policy", str(policy)]) == 2
+        err = capsys.readouterr().err
+        prefix = "error: " if where == "hillcar_policy" else "error: record 2: "
+        assert err.startswith(prefix) and err.count("\n") == 1
+
     def test_bad_trend_flag_exits_2(self, capsys):
         assert main(["analyze", "--trace", HAND_TRACE, "--policy", HAND_POLICY,
                      "--epsilon", "-1"]) == 2
@@ -277,13 +328,32 @@ class TestTestCommand:
         ({"oracle": {"epsilon": -1}}, "bad oracle config: epsilon must be positive"),
         ({"oracle": {"policies": None}}, "bad oracle config: '<' not supported"),
         ({"oracle": {"window": 0}}, "window must be >= 1, got 0"),
+        ({"agent": {"bug": "NO_SUCH_BUG"}}, "bad agent config: agent.bug is not accepted"),
+        ({"agent": {"bug": "LR_ZERO"}}, "bad agent config: agent.bug is not accepted"),
     ], ids=["env_rows", "env_list", "env_goal", "oracle_epsilon", "oracle_policies",
-            "oracle_window"])
+            "oracle_window", "agent_bug_unknown", "agent_bug"])
     def test_malformed_section_exits_2(self, tmp_path, capsys, section, message):
         cfg = write_config(tmp_path / "cfg.json", **section)
         assert main(["test", "--config", cfg, "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_set_agent_bug_exits_2(self, tmp_path, capsys):
+        # It used to train the clean learner while the report said LR_ZERO.
+        cfg = write_config(tmp_path / "cfg.json")
+        code = main(["test", "--config", cfg, "--set", "agent.bug=LR_ZERO",
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad agent config: agent.bug") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_int_too_long_for_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"oracle": {"policies": ' + "9" * 5000 + "}}")
+        assert main(["test", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

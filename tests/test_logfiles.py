@@ -227,6 +227,27 @@ class TestTraceValidation:
             read_trace(path)
         assert err.value.record_index == 2
 
+    def test_nesting_too_deep(self, tmp_path):
+        path = self.write_lines(tmp_path, [self.header(), "[" * 100_000])
+        with pytest.raises(TraceFormatError, match="^record 2: invalid JSON: ") as err:
+            read_trace(path)
+        assert err.value.record_index == 2
+
+    def test_epoch_number_must_be_an_int(self, tmp_path):
+        steps = [self.step(1.0, 1), self.step(3, 1)]
+        path = self.write_lines(tmp_path, [self.header(3, aborted_epochs=[2])] + steps)
+        with pytest.raises(TraceFormatError, match=r"^record 2: epoch must be an int, got 1\.0$") as err:
+            read_trace(path)
+        assert err.value.record_index == 2
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_oversize_int_reward(self, tmp_path, digits):
+        record = self.step(1, 1).replace('"reward": 0.0', '"reward": ' + "9" * digits)
+        path = self.write_lines(tmp_path, [self.header(), record])
+        with pytest.raises(TraceFormatError, match="^record 2: ") as err:
+            read_trace(path)
+        assert err.value.record_index == 2
+
 
 class Move(enum.IntEnum):
     UP = 0
@@ -524,7 +545,10 @@ class TestPolicyFiles:
         with pytest.raises(TraceFormatError, match="got"):
             policy_from_dict(data)
 
-    @pytest.mark.parametrize("state", [5, ["a", 0.0], [True, 0.0], [None, 0.0]], ids=repr)
+    @pytest.mark.parametrize("state", [
+        5, ["a", 0.0], [True, 0.0], [None, 0.0],
+        pytest.param([10**400, 0.0], id="[10**400, 0.0]"),
+    ], ids=repr)
     def test_bad_box_state_rejected(self, state):
         space = HillCarSpec().state_space()
         actions = HillCarSpec().action_space()
@@ -541,6 +565,18 @@ class TestPolicyFiles:
         data["format"] = "something"
         with pytest.raises(TraceFormatError):
             policy_from_dict(data)
+
+    @pytest.mark.parametrize("data", [[], None, "policy"], ids=repr)
+    def test_not_an_object_rejected(self, data):
+        with pytest.raises(TraceFormatError, match="^not a policy file: expected an object"):
+            policy_from_dict(data)
+
+    def test_int_too_long_for_json_rejected(self, tmp_path, two_ref_policy):
+        path = tmp_path / "p.json"
+        save_policy(path, two_ref_policy)
+        path.write_text(path.read_text().replace('"version":1', '"version":' + "1" * 5000))
+        with pytest.raises(TraceFormatError, match="invalid JSON"):
+            load_policy(path)
 
 
 class TestConfigSerialization:
@@ -579,6 +615,12 @@ class TestConfigSerialization:
         spec = env_spec_from_dict({"kind": "grid", "holes": [[1, 1]], "goal": [3, 3]})
         assert spec == GridSpec(holes=((1, 1),))
 
+    def test_agent_bug_rejected(self):
+        # A bug enters only through inject_bug, which applies its overrides.
+        with pytest.raises(TraceFormatError, match="^bad agent config: agent.bug"):
+            agent_config_from_dict({"bug": "LR_ZERO"})
+        assert agent_config_from_dict({"bug": None}) == AgentConfig()
+
     def test_agent_bad_value(self):
         with pytest.raises(TraceFormatError):
             agent_config_from_dict({"learning_rate": -1.0})
@@ -602,6 +644,16 @@ class TestConfigSerialization:
         with pytest.raises(TraceFormatError) as err:
             load_run_config(path)
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text", ['{"oracle": {"policies": ' + "1" * 5000 + "}}", "[" * 100_000],
+        ids=["int_too_long", "nesting_too_deep"],
+    )
+    def test_run_config_json_the_parser_refuses(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match="invalid JSON"):
+            load_run_config(path)
 
     def test_run_config_unknown_section(self, tmp_path):
         path = tmp_path / "cfg.json"
