@@ -71,7 +71,7 @@ from .evaluation import (
     confusion_metrics,
     roc_sweep,
 )
-from .membership import MembershipShape, make_shape
+from .membership import MembershipShape
 from .oracle import (
     OracleConfig,
     PolicyOutcome,
@@ -131,7 +131,6 @@ __all__ = [
     "linreg_slope",
     "make_agent",
     "make_reward_fn",
-    "make_shape",
     "min_reference_distance",
     "native_reward",
     "oracle_main",

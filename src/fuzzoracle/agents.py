@@ -38,8 +38,9 @@ BUG_CATEGORIES = ("training", "model", "updating_network", "exploration")
 class AgentConfig:
     """Hyperparameters for a reference learner.
 
-    ``bug`` names the registry entry :func:`inject_bug` applied; configs
-    without a bug must satisfy the sanity bounds below.
+    ``bug`` names the registry entry :func:`inject_bug` applied, and must
+    be one that can affect ``algorithm``; configs without a bug must
+    satisfy the sanity bounds below.
     """
 
     algorithm: str = "tabular_q"
@@ -68,6 +69,15 @@ class AgentConfig:
                 raise ValueError("need epsilon_start >= epsilon_end >= 0")
             if self.algorithm == "linear_actor_critic" and not self.action_noise > 0:
                 raise ValueError("action_noise must be positive")
+            return
+        bug = BUG_REGISTRY.get(self.bug)
+        if bug is None:
+            raise UnknownBugError(f"no bug named {self.bug!r} in the registry")
+        if self.algorithm not in bug.algorithms:
+            raise InapplicableBugError(
+                f"bug {self.bug!r} cannot affect {self.algorithm!r}; it applies to "
+                f"{', '.join(bug.algorithms)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -150,19 +160,12 @@ def inject_bug(config: AgentConfig, bug_id: str) -> AgentConfig:
     """Config for the buggy variant of ``config``.
 
     Applies the registry's parameter overrides and records the bug id for
-    :func:`make_agent`. A bug that cannot affect ``config.algorithm`` is
-    refused, since the variant would behave exactly like the clean program
-    while labelled buggy.
+    :func:`make_agent`. :class:`AgentConfig` refuses an unknown bug, and a
+    bug that cannot affect ``config.algorithm``, since the variant would
+    behave exactly like the clean program while labelled buggy.
     """
     bug = BUG_REGISTRY.get(bug_id)
-    if bug is None:
-        raise UnknownBugError(f"no bug named {bug_id!r} in the registry")
-    if config.algorithm not in bug.algorithms:
-        raise InapplicableBugError(
-            f"bug {bug_id!r} cannot affect {config.algorithm!r}; it applies to "
-            f"{', '.join(bug.algorithms)}"
-        )
-    return replace(config, bug=bug_id, **dict(bug.overrides))
+    return replace(config, bug=bug_id, **dict(bug.overrides if bug else ()))
 
 
 _TWO_TO_MINUS_53 = 2.0**-53

@@ -393,10 +393,6 @@ def _json_text(space):
     return _ints_text if isinstance(space, GridSpace) else _floats_text
 
 
-# Records parsed per ``json.loads`` call by :func:`read_trace`.
-_CHUNK = 1000
-
-
 def read_trace(path):
     """Parse a trace file into (RunLog, env spec).
 
@@ -405,48 +401,35 @@ def read_trace(path):
     without records is accepted only when the header lists it among the
     aborted epochs; it is read back as an epoch with no steps.
 
-    Records are parsed in chunks of :data:`_CHUNK` lines, one JSON array
-    per chunk (see :func:`_parse_chunk`), and each is checked by the one
-    record reader (:func:`_record_reader`). A chunk that fails the parse
-    guards, or holds any record the reader rejects, is read again line by
-    line, so every record gets the value or the error, at the same record
-    index, that reading it alone gives.
+    The file is read one line at a time, and each line is parsed on its own
+    (:func:`_parse_record`) and checked by the one record reader
+    (:func:`_record_reader`). A line ends only at a newline; text mode
+    reads CR LF and a lone CR as one, while U+2028, U+2029, U+0085 and
+    form feeds stay inside their line.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TraceFormatError("trace file is empty", record_index=0)
+        first = fh.readline()
+        if not first:
+            raise TraceFormatError("trace file is empty", record_index=0)
+        header = _parse_record(first, 1)
+        if header.get("format") != TRACE_FORMAT:
+            raise TraceFormatError(
+                f"not a trace file: format {header.get('format')!r}", record_index=1
+            )
+        if header.get("version") != FORMAT_VERSION:
+            raise TraceFormatError(
+                f"unsupported trace version {header.get('version')!r}", record_index=1
+            )
+        try:
+            env_spec = env_spec_from_dict(header.get("env"))
+        except FuzzOracleError as exc:
+            raise TraceFormatError(str(exc), record_index=1) from exc
+        declared_epochs = header.get("epochs")
+        aborted = _aborted_epochs(header)
 
-    header = _parse_record(lines[0], 1)
-    if header.get("format") != TRACE_FORMAT:
-        raise TraceFormatError(
-            f"not a trace file: format {header.get('format')!r}", record_index=1
-        )
-    if header.get("version") != FORMAT_VERSION:
-        raise TraceFormatError(
-            f"unsupported trace version {header.get('version')!r}", record_index=1
-        )
-    try:
-        env_spec = env_spec_from_dict(header.get("env"))
-    except FuzzOracleError as exc:
-        raise TraceFormatError(str(exc), record_index=1) from exc
-    declared_epochs = header.get("epochs")
-    aborted = _aborted_epochs(header)
-
-    grouped = _Epochs(frozenset(aborted))
-    read = _record_reader(env_spec.state_space(), env_spec.action_space())
-    for first in range(1, len(lines), _CHUNK):
-        chunk = lines[first:first + _CHUNK]
-        records = _parse_chunk(chunk)
-        if records is not None:
-            mark = grouped.mark()
-            try:
-                for index, rec in enumerate(records, start=first + 1):
-                    read(rec, index, grouped)
-                continue
-            except TraceFormatError:
-                grouped.restore(mark)
-        for index, line in enumerate(chunk, start=first + 1):
+        grouped = _Epochs(frozenset(aborted))
+        read = _record_reader(env_spec.state_space(), env_spec.action_space())
+        for index, line in enumerate(fh, start=2):
             read(_parse_record(line, index), index, grouped)
     epochs = grouped.close()
 
@@ -503,16 +486,6 @@ class _Epochs:
             self.done.append(EpochTrace(tuple(self.current), self.number))
             self.current = []
 
-    def mark(self) -> tuple:
-        """The grouping so far, for :meth:`restore`."""
-        return len(self.done), self.current, len(self.current), self.number
-
-    def restore(self, mark: tuple) -> None:
-        """Drop every step added since :meth:`mark` gave ``mark``."""
-        done, self.current, steps, self.number = mark
-        del self.done[done:]
-        del self.current[steps:]
-
     def close(self) -> list:
         """All epochs, with trailing aborted epochs that wrote no record."""
         self._finish()
@@ -525,9 +498,10 @@ _FIELDS = ("epoch", "step", "state", "action", "reward")
 
 
 def _record_reader(state_space, action_space):
-    """Callable ``(rec, index, epochs)`` that checks the parsed trace record
-    ``rec`` and adds its step to ``epochs``; any fault raises
-    :class:`TraceFormatError` at record ``index``.
+    """Callable ``(rec, index, epochs)`` that checks the trace record ``rec``,
+    an object as :func:`_parse_record` gives it, and adds its step to
+    ``epochs``; any fault raises :class:`TraceFormatError` at record
+    ``index``.
 
     The checks run in this order: the five fields are present, the record
     may come next in its epoch, the state and then the action are points of
@@ -542,11 +516,7 @@ def _record_reader(state_space, action_space):
             e, j, state, action, reward = (
                 rec["epoch"], rec["step"], rec["state"], rec["action"], rec["reward"]
             )
-        except (KeyError, TypeError):
-            if not isinstance(rec, dict):
-                raise TraceFormatError(
-                    f"record {index}: expected an object", record_index=index
-                ) from None
+        except KeyError:
             missing = ", ".join(f for f in sorted(_FIELDS) if f not in rec)
             raise TraceFormatError(
                 f"record {index} missing fields: {missing}", record_index=index
@@ -581,38 +551,6 @@ def _record_reader(state_space, action_space):
     return read
 
 
-def _parse_chunk(lines: list) -> list | None:
-    """Every line parsed, as one JSON array, or None when the lines have to
-    be parsed one at a time.
-
-    The lines are joined with a newline and a comma; a newline appears
-    nowhere else. The array is taken only when every line starts with
-    ``{`` and ends with ``}``, it has one element per line, and the chunk
-    holds 10 quote characters per line; the caller then checks that the
-    record reader accepts every element. The reader accepts records with
-    the five fields, so each element holds at least its 10 quotes, and with
-    10 per line no element holds any other string: no duplicate key hides
-    anything and no field holds a string. The reader's state, action and
-    reward are numbers or lists of numbers, and its epoch and step numbers
-    compare equal to ints, so no field holds an object. An element spanning
-    lines would hold a separator between ``}`` and ``{``: at its top level
-    a key would have to start with ``{``, and inside a field the field
-    would hold an object. So every accepted element is exactly its own line.
-    """
-    text = "[" + "\n,".join(lines) + "]"
-    if (
-        text[1] != "{" or text[-2] != "}"
-        or text.count("}\n,{") != len(lines) - 1
-        or text.count('"') != 10 * len(lines)
-    ):
-        return None
-    try:
-        records = json.loads(text)
-    except (ValueError, RecursionError):
-        return None
-    return records if len(records) == len(lines) else None
-
-
 def _aborted_epochs(header: dict) -> tuple:
     """The header's aborted epochs: increasing epoch numbers from 1."""
     value = header.get("aborted_epochs", [])
@@ -628,9 +566,28 @@ def _aborted_epochs(header: dict) -> tuple:
     return tuple(value)
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
 def _parse_record(line: str, index: int) -> dict:
+    """The JSON object on ``line``, record ``index`` of a trace, with or
+    without the line's newline.
+
+    The JSON decoder's own scanner parses a record that is one object from
+    the line's first character to its end, as every canonical record is.
+    Any other line goes to :func:`json.loads` (without its newline), so it
+    gives the value, or the error and message, that ``json.loads`` gives:
+    surrounding whitespace is allowed, while a BOM, extra data, bad JSON,
+    an int too long to convert or nesting too deep is invalid JSON.
+    """
     try:
-        rec = json.loads(line)
+        rec, end = _scan_json(line, 0)
+        if type(rec) is dict and line[end:] in ("", "\n"):
+            return rec
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    try:
+        rec = json.loads(line.removesuffix("\n"))
     except (ValueError, RecursionError) as exc:
         # A JSONDecodeError, an int too long to convert, or nesting too deep.
         raise TraceFormatError(

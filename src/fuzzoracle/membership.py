@@ -66,7 +66,3 @@ class MembershipShape:
         if self.kind == "quadratic":
             ramp = ramp * ramp
         return np.where(distances >= w, 0.0, ramp)
-
-
-def make_shape(kind: str, width: float | None = None) -> MembershipShape:
-    return MembershipShape(kind, width)

@@ -110,14 +110,6 @@ class BoxSpace:
             total = total + d * d
         return np.sqrt(total)
 
-    def raw_distance(self, a: Coords, b: Coords) -> float:
-        """Plain Euclidean distance in original units."""
-        total = 0.0
-        for x, y in zip(a, b):
-            d = x - y
-            total += d * d
-        return math.sqrt(total)
-
     @property
     def diameter(self) -> float:
         """Euclidean length of the box diagonal in original units."""

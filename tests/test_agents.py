@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,6 +131,23 @@ class TestBugRegistry:
     def test_unknown_bug(self):
         with pytest.raises(UnknownBugError):
             inject_bug(AgentConfig(), "UNKNOWN_XYZ")
+
+    def test_config_checks_its_bug_where_it_is_built(self):
+        # The bug switches the sanity bounds off, so it is checked itself.
+        message = "^no bug named 'NO_SUCH_BUG' in the registry$"
+        with pytest.raises(UnknownBugError, match=message):
+            AgentConfig(learning_rate=-1.0, discount=7.0, bug="NO_SUCH_BUG")
+        with pytest.raises(UnknownBugError, match=message):
+            replace(AgentConfig(), bug="NO_SUCH_BUG")
+        message = (
+            "^bug 'EPSILON_ZERO_START' cannot affect 'linear_actor_critic'; "
+            "it applies to tabular_q$"
+        )
+        with pytest.raises(InapplicableBugError, match=message):
+            AgentConfig(algorithm="linear_actor_critic", bug="EPSILON_ZERO_START")
+        buggy = inject_bug(AgentConfig(), "EPSILON_ZERO_START")
+        with pytest.raises(InapplicableBugError, match=message):
+            replace(buggy, algorithm="linear_actor_critic")
 
     @pytest.mark.parametrize("bug_id", ["EPSILON_FROZEN_ONE", "EPSILON_ZERO_START"])
     def test_epsilon_bugs_refused_on_actor_critic(self, bug_id):

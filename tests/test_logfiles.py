@@ -332,41 +332,16 @@ class TestTraceWriterBytes:
 
 
 class TestTraceReaderChunks:
-    """A bad record anywhere in a parse chunk is reported at its own index."""
+    """A bad record anywhere in a trace is reported at its own index, and a
+    line is never read together with its neighbours."""
 
-    RECORDS = 11  # record indices 2..12: chunks 2-5, 6-9 and 10-12
-
-    @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(logfiles, "_CHUNK", 4)
+    RECORDS = 11  # record indices 2..12
 
     def lines(self):
         header = TestTraceValidation().header()
         rec = {"epoch": 1, "state": [0, 0], "action": 1, "reward": 0.5}
         return [header] + [json.dumps({**rec, "step": j}, sort_keys=True)
                            for j in range(1, self.RECORDS + 1)]
-
-    def test_canonical_records_are_parsed_one_chunk_at_a_time(self, tmp_path, monkeypatch):
-        # Only a chunk holding a line the chunk parse cannot take (here an
-        # extra field in record 7) is parsed again line by line.
-        parsed_alone = []
-        original = logfiles._parse_record
-
-        def parse_record(line, index):
-            parsed_alone.append(index)
-            return original(line, index)
-
-        monkeypatch.setattr(logfiles, "_parse_record", parse_record)
-        expected = (TraceStep((0, 0), 1, 0.5),) * self.RECORDS
-        lines = self.lines()
-        for extra, alone in ((False, [1]), (True, [1, 6, 7, 8, 9])):
-            if extra:
-                lines[6] = lines[6][:-1] + ', "extra": null}'
-            path = tmp_path / "ok.trace.jsonl"
-            path.write_text("".join(l + "\n" for l in lines))
-            parsed_alone.clear()
-            assert read_trace(path)[0].epochs[0].steps == expected
-            assert parsed_alone == alone
 
     @pytest.mark.parametrize("index", [2, 3, 5, 6, 7, 9, 10, 11, 12])
     @pytest.mark.parametrize("fault", ["invalid_json", "missing_field", "state_out_of_bounds",
@@ -394,10 +369,9 @@ class TestTraceReaderChunks:
         assert err.value.record_index == index
         assert str(err.value).startswith(f"record {index}")
 
-    # Groups of lines from record 2 on, in the first chunk (records 2 to 5),
-    # whose record 2 is not JSON on its own. REST stands for a line with
-    # steps 2 and 3, which keeps the chunk's count of four and its steps in
-    # sequence where two lines make one record when joined.
+    # Groups of lines from record 2 on whose record 2 is not JSON on its
+    # own. REST stands for a line with steps 2 and 3, which keeps the steps
+    # in sequence where two lines make one record when joined.
     REST = "rest"
 
     @pytest.mark.parametrize("group", [
@@ -430,8 +404,7 @@ class TestTraceReaderChunks:
         assert "invalid JSON" in str(err.value)
 
     def test_records_the_fast_checks_pass_on_read_as_before(self, tmp_path):
-        # An int reward and an extra field are accepted by the
-        # record-by-record reader as before.
+        # An int reward and an extra field are accepted.
         lines = self.lines()
         lines[2] = '{"action":1,"epoch":1,"reward":1,"state":[0,0],"step":2}'
         lines[11] = '{"action":1,"epoch":1,"extra":[],"reward":0.5,"state":[0,0],"step":11}'
@@ -470,6 +443,106 @@ class TestTraceReaderChunks:
         with pytest.raises(TraceFormatError) as err:
             read_trace(path)
         assert err.value.record_index == 7
+
+
+HAND_TRACE = os.path.join(DATA, "hand3epoch.trace.jsonl")
+HAND_RECORD_2 = '{"action":2,"epoch":1,"reward":1.0,"state":[0,0],"step":1}'
+TOO_DEEP = HAND_RECORD_2[:-1] + ',"x":' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+def loads_record(line, index):
+    """``line`` as ``json.loads`` reads it, with the trace reader's errors."""
+    try:
+        rec = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise TraceFormatError(
+            f"record {index}: invalid JSON: {getattr(exc, 'msg', exc)}", record_index=index
+        ) from exc
+    if not isinstance(rec, dict):
+        raise TraceFormatError(f"record {index}: expected an object", record_index=index)
+    return rec
+
+
+def outcome(parse, *args):
+    try:
+        return "value", parse(*args)
+    except TraceFormatError as exc:
+        return type(exc), str(exc), exc.record_index
+
+
+class TestTraceLines:
+    """Each trace line is parsed on its own, and only a newline ends it."""
+
+    def hand_lines(self):
+        with open(HAND_TRACE, encoding="utf-8") as fh:
+            return fh.read().split("\n")[:-1]
+
+    def write(self, tmp_path, lines, end="\n"):
+        path = tmp_path / "t.trace.jsonl"
+        path.write_bytes("".join(line + end for line in lines).encode("utf-8"))
+        return path
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"],
+                             ids=["U+2028", "U+2029", "U+0085"])
+    def test_unicode_line_breaks_stay_inside_their_record(self, tmp_path, char):
+        # JSON allows these raw inside a string; an ignored field holds one.
+        lines = self.hand_lines()
+        lines[1] = lines[1][:-1] + f',"note":"a{char}b"}}'
+        assert read_trace(self.write(tmp_path, lines)) == read_trace(HAND_TRACE)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_crlf_and_cr_end_a_line(self, tmp_path, end):
+        path = self.write(tmp_path, self.hand_lines(), end)
+        assert read_trace(path) == read_trace(HAND_TRACE)
+
+    def test_form_feed_does_not_end_a_line(self, tmp_path):
+        lines = self.hand_lines()
+        lines[1:3] = [lines[1] + "\f" + lines[2]]
+        with pytest.raises(TraceFormatError, match="^record 2: invalid JSON: Extra data$") as err:
+            read_trace(self.write(tmp_path, lines))
+        assert err.value.record_index == 2
+
+    # Record 2 of the hand fixture as lines the JSON scanner does not take
+    # whole, and what reading the trace gives: the fixture, or an error.
+    NOT_WHOLE = [
+        ("  " + HAND_RECORD_2, None),
+        (HAND_RECORD_2 + " \t", None),
+        ("\ufeff" + HAND_RECORD_2,
+         "record 2: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (HAND_RECORD_2 + " x", "record 2: invalid JSON: Extra data"),
+        (HAND_RECORD_2 + HAND_RECORD_2, "record 2: invalid JSON: Extra data"),
+        (HAND_RECORD_2[:-1], "record 2: invalid JSON: Expecting ',' delimiter"),
+        ("", "record 2: invalid JSON: Expecting value"),
+        ("[]", "record 2: expected an object"),
+        ("5", "record 2: expected an object"),
+        ('"{}"', "record 2: expected an object"),
+        (TOO_DEEP, "record 2: invalid JSON: maximum recursion depth exceeded"),
+    ]
+    NOT_WHOLE_IDS = ["leading_spaces", "trailing_spaces", "bom", "extra_word",
+                     "two_records", "unclosed", "empty", "array", "number", "string",
+                     "too_deep"]
+
+    @pytest.mark.parametrize("line, error", NOT_WHOLE, ids=NOT_WHOLE_IDS)
+    def test_lines_the_scanner_does_not_take_whole(self, tmp_path, line, error):
+        lines = self.hand_lines()
+        lines[1] = line
+        path = self.write(tmp_path, lines)
+        if error is None:
+            assert read_trace(path) == read_trace(HAND_TRACE)
+            return
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert str(err.value).startswith(error)
+        assert err.value.record_index == 2
+
+    @pytest.mark.parametrize("line", [line for line, _ in NOT_WHOLE] + [
+        HAND_RECORD_2, HAND_RECORD_2 + "\r", "\r" + HAND_RECORD_2, '{"a":"b', "{}",
+    ], ids=NOT_WHOLE_IDS + ["canonical", "trailing_cr", "leading_cr", "unterminated", "empty_object"])
+    def test_a_line_parses_as_json_loads_parses_it(self, line):
+        # With or without its newline, which json.loads never sees.
+        expected = outcome(loads_record, line, 2)
+        assert outcome(logfiles._parse_record, line, 2) == expected
+        assert outcome(logfiles._parse_record, line + "\n", 2) == expected
 
 
 class TestBoxRecords:

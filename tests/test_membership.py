@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzoracle.membership import MembershipShape, make_shape
+from fuzzoracle.membership import MembershipShape
 
 
 def test_linear_values():
@@ -37,7 +37,7 @@ def test_indicator():
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        make_shape("sigmoid")
+        MembershipShape("sigmoid")
 
 
 def test_negative_width_rejected():

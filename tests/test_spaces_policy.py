@@ -41,9 +41,8 @@ class TestSpaces:
         # displacement is (1, 1) and the distance sqrt(2).
         assert space.distance((0.0, 0.0), (2.0, 20.0)) == pytest.approx(math.sqrt(2))
 
-    def test_box_raw_distance_and_diameter(self):
+    def test_box_diameter(self):
         space = BoxSpace(lows=(-1.0,), highs=(1.0,))
-        assert space.raw_distance((0.4,), (0.0,)) == pytest.approx(0.4)
         assert space.diameter == pytest.approx(2.0)
 
     def test_box_rejects_bad_bounds(self):
