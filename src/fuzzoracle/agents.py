@@ -170,6 +170,12 @@ def inject_bug(config: AgentConfig, bug_id: str) -> AgentConfig:
 
 _TWO_TO_MINUS_53 = 2.0**-53
 
+# Normal draws the actor-critic takes from its generator at a time.
+_NORMAL_BLOCK = 256
+
+# Weights are finite while the actor-critic's running bound stays below this.
+_WEIGHT_LIMIT = 1e300
+
 
 def _epsilon(config: AgentConfig, progress: float) -> float:
     return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * progress
@@ -280,7 +286,11 @@ class TabularQAgent:
 
 
 class LinearActorCriticAgent:
-    """Gaussian-policy actor-critic on radial basis features."""
+    """Gaussian-policy actor-critic on radial basis features.
+
+    Every float operation of a training step, and its order, is that of the
+    straight-line step, so a run is bit for bit the same.
+    """
 
     def __init__(self, config: AgentConfig, env_spec, rng=None):
         if env_spec.kind != "hillcar":
@@ -295,7 +305,8 @@ class LinearActorCriticAgent:
         self._center_x = np.repeat(centers, k)
         self._center_y = np.tile(centers, k)
         bandwidth = 1.0 / max(k - 1, 1)
-        self._two_bandwidth_sq = 2.0 * bandwidth**2
+        # Dividing by the negated divisor is exactly negating the quotient.
+        self._neg_two_bandwidth_sq = -(2.0 * bandwidth**2)
         self._pos_span = env_spec.max_position - env_spec.min_position
         self._vel_span = 2.0 * env_spec.max_speed
         self.n_features = k * k + 1
@@ -303,12 +314,18 @@ class LinearActorCriticAgent:
         # its bootstrap is the state the next ``act`` and ``update`` see.
         self._phi_state = None
         self._phi = None
+        # (state, policy mean) of the last ``act``, for the ``update`` after it.
+        self._acted = None
         init = float(config.init_value)
         # Critic and actor weights are rows of one array, updated in place,
         # so one finiteness check covers both.
         self._weights = np.full((2, self.n_features), init)
         self.w_value, self.w_mean = self._weights
+        self._coefs = np.empty((2, 1))
+        self._step = np.empty((2, self.n_features))
+        self._bound = abs(init)
         self.rng = np.random.default_rng(config.seed if rng is None else rng)
+        self._normals = iter(())
         self._write_perm = _write_permutation(config, self.n_features)
 
     def features(self, state) -> np.ndarray:
@@ -322,22 +339,53 @@ class LinearActorCriticAgent:
         spec = self.spec
         pos = (state[0] - spec.min_position) / self._pos_span
         vel = (state[1] + spec.max_speed) / self._vel_span
-        sq = (self._center_x - pos) ** 2 + (self._center_y - vel) ** 2
+        sq = np.square(self._center_x - pos)
+        sq += np.square(self._center_y - vel)
+        sq /= self._neg_two_bandwidth_sq
         phi = np.empty(self.n_features)
-        phi[:-1] = np.exp(-sq / self._two_bandwidth_sq)
+        np.exp(sq, out=phi[:-1])
         phi[-1] = 1.0
         phi.flags.writeable = False
         self._phi_state, self._phi = state, phi
         return phi
 
     def act(self, state, progress: float) -> tuple:
+        """The policy mean plus ``action_noise`` times a standard normal
+        draw, clamped to [-1, 1].
+
+        ``standard_normal(n)`` gives the values of ``n`` scalar draws, so the
+        draws are taken ``_NORMAL_BLOCK`` at a time and handed out in order.
+        The agent owns its generator: the generator runs ahead of the draws
+        handed out, so nothing else may draw from it.
+        """
         mean = float(self.w_mean @ self.features(state))
-        noisy = mean + self.config.action_noise * float(self.rng.standard_normal())
-        return (min(max(noisy, -1.0), 1.0),)
+        self._acted = (state, mean)
+        z = next(self._normals, None)
+        if z is None:
+            self._normals = iter(self.rng.standard_normal(_NORMAL_BLOCK).tolist())
+            z = next(self._normals)
+        noisy = mean + self.config.action_noise * z
+        return (-1.0 if noisy < -1.0 else 1.0 if noisy > 1.0 else noisy,)
 
     def update(self, transition) -> None:
+        """One TD(0) step of the critic and the actor.
+
+        The weights change only here, so the mean ``act`` computed for
+        ``transition.state`` still holds; any other state's is computed.
+
+        Divergence is checked with a running bound. Every feature lies in
+        [0, 1], so no weight's magnitude exceeds ``_bound``, the initial one
+        plus every coefficient magnitude so far, but for rounding of at most
+        a factor 1 + 2**-52 per update. That cannot close the factor 1.8e8
+        between ``_WEIGHT_LIMIT`` and the largest double in under 1e16
+        updates, so the weights are scanned only once the bound fails
+        ``bound < _WEIGHT_LIMIT``, as any NaN or infinite coefficient makes
+        it do: divergence raises at the same update as with a scan after
+        every update.
+        """
         config = self.config
-        phi = self.features(transition.state)
+        state = transition.state
+        phi = self.features(state)
         if transition.done:
             future = 0.0
         else:
@@ -345,17 +393,21 @@ class LinearActorCriticAgent:
                 self.w_value @ self.features(transition.next_state)
             )
         td_error = transition.reward + future - float(self.w_value @ phi)
-        mean = float(self.w_mean @ phi)
-        act_value = transition.action[0]
-        write_phi = phi[self._write_perm] if self._write_perm is not None else phi
-        self.w_value += config.critic_learning_rate * td_error * write_phi
-        self.w_mean += (
+        acted, self._acted = self._acted, None
+        mean = acted[1] if acted is not None and acted[0] is state else float(self.w_mean @ phi)
+        c_value = config.critic_learning_rate * td_error
+        c_mean = (
             config.learning_rate
             * td_error
-            * (act_value - mean)
+            * (transition.action[0] - mean)
             / (config.action_noise**2)
-        ) * write_phi
-        if not np.isfinite(self._weights).all():
+        )
+        self._coefs[0, 0], self._coefs[1, 0] = c_value, c_mean
+        write_phi = phi[self._write_perm] if self._write_perm is not None else phi
+        np.multiply(self._coefs, write_phi, out=self._step)
+        self._weights += self._step
+        self._bound += abs(c_value) + abs(c_mean)
+        if not self._bound < _WEIGHT_LIMIT and not np.isfinite(self._weights).all():
             raise NumericalDivergenceError("actor-critic weights diverged")
 
 

@@ -207,6 +207,23 @@ def _write(path, text) -> None:
         fh.write(text)
 
 
+def _meta(elapsed, workers, verdicts) -> str:
+    """meta.json: the wall time, the workers, and each phase's cost summed
+    over every (program, policy) task."""
+    outcomes = [o for verdict in verdicts for o in verdict.per_policy]
+    train_seconds = sum(o.train_seconds for o in outcomes)
+    env_steps = sum(o.env_steps for o in outcomes)
+    meta = {
+        "elapsed_seconds": elapsed,
+        "workers": workers,
+        "train_seconds": train_seconds,
+        "analyze_seconds": sum(o.analyze_seconds for o in outcomes),
+        "env_steps": env_steps,
+        "train_us_per_step": train_seconds / env_steps * 1e6 if env_steps else None,
+    }
+    return json.dumps(meta, indent=2) + "\n"
+
+
 def cmd_test(args) -> int:
     config = _apply_overrides(load_run_config(args.config), args)
     env_spec = config["env"]
@@ -233,10 +250,7 @@ def cmd_test(args) -> int:
     report = verdict_report(verdict, env_spec, agent_config, oracle_config, bug)
     _write(os.path.join(out_dir, "report.json"), canonical_json(report))
     _write(os.path.join(out_dir, "series.jsonl"), series_lines(verdict))
-    _write(
-        os.path.join(out_dir, "meta.json"),
-        json.dumps({"elapsed_seconds": elapsed, "workers": workers}, indent=2) + "\n",
-    )
+    _write(os.path.join(out_dir, "meta.json"), _meta(elapsed, workers, [verdict]))
     print(
         f"{verdict.label}: {verdict.true_count}/{len(verdict.per_policy)} healthy "
         f"policy trends (threshold {oracle_config.theta_oracle})"
@@ -327,7 +341,9 @@ def cmd_evaluate(args) -> int:
         verdicts = (oracle_main(a, env_spec, oracle_config) for a in agent_configs)
     records = []
     programs = []
+    judged = []
     for v, verdict in zip(variants, verdicts):
+        judged.append(verdict)
         records.append(
             ProgramRecord(
                 verdict.true_count, len(verdict.per_policy), bool(v["buggy"]),
@@ -374,10 +390,7 @@ def cmd_evaluate(args) -> int:
         "roc": [{"theta": t, "fpr": f, "tpr": p} for t, f, p in roc],
     }
     _write(os.path.join(out_dir, "evaluation.json"), canonical_json(report))
-    _write(
-        os.path.join(out_dir, "meta.json"),
-        json.dumps({"elapsed_seconds": elapsed, "workers": workers}, indent=2) + "\n",
-    )
+    _write(os.path.join(out_dir, "meta.json"), _meta(elapsed, workers, judged))
     print(
         f"confusion TP={matrix.tp} FP={matrix.fp} TN={matrix.tn} FN={matrix.fn}; "
         f"report in {out_dir}/evaluation.json"

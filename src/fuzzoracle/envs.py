@@ -214,10 +214,13 @@ def _hillcar_step(spec: HillCarSpec, state, action, reward_fn) -> Transition:
 
     position, velocity = state
     velocity = velocity + force * spec.force - spec.gravity * math.cos(3.0 * position)
-    velocity = min(max(velocity, -spec.max_speed), spec.max_speed)
-    position = min(max(position + velocity, spec.min_position), spec.max_position)
+    # Clamp to the track; comparisons are several times cheaper than min/max.
+    top, low, high = spec.max_speed, spec.min_position, spec.max_position
+    velocity = -top if velocity < -top else top if velocity > top else velocity
+    position += velocity
+    position = low if position < low else high if position > high else position
     next_state = (position, velocity)
-    done = spec.is_terminal(next_state)
+    done = position >= spec.goal_position
     reward = (
         reward_fn(state, action)
         if reward_fn is not None

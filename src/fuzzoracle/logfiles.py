@@ -405,9 +405,10 @@ def read_trace(path):
     (:func:`_parse_record`) and checked by the one record reader
     (:func:`_record_reader`). A line ends only at a newline; text mode
     reads CR LF and a lone CR as one, while U+2028, U+2029, U+0085 and
-    form feeds stay inside their line.
+    form feeds stay inside their line. A byte that is not UTF-8 is read as
+    a lone surrogate and rejected with the index of the record holding it.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline()
         if not first:
             raise TraceFormatError("trace file is empty", record_index=0)
@@ -578,8 +579,17 @@ def _parse_record(line: str, index: int) -> dict:
     Any other line goes to :func:`json.loads` (without its newline), so it
     gives the value, or the error and message, that ``json.loads`` gives:
     surrounding whitespace is allowed, while a BOM, extra data, bad JSON,
-    an int too long to convert or nesting too deep is invalid JSON.
+    an int too long to convert or nesting too deep is invalid JSON. A line
+    read with ``surrogateescape`` that held bytes not in UTF-8 is refused.
     """
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise TraceFormatError(
+                f"record {index}: invalid UTF-8 byte 0x{byte:02x}", record_index=index
+            ) from None
     try:
         rec, end = _scan_json(line, 0)
         if type(rec) is dict and line[end:] in ("", "\n"):

@@ -12,6 +12,7 @@ so adding policies or reordering work never perturbs existing results.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -102,6 +103,10 @@ class PolicyOutcome:
     trend: TrendReport
     healthy: bool
     aborted_epochs: tuple = ()
+    # What the run cost, for meta.json; not part of the outcome's value.
+    train_seconds: float = field(default=0.0, compare=False)
+    analyze_seconds: float = field(default=0.0, compare=False)
+    env_steps: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -272,6 +277,7 @@ def _judge_one_policy(task):
     ``keep_log`` is set."""
     program, env_spec, policy, policy_id, config, keep_log = task
     seed = (config.master_seed, policy_id)
+    started = time.perf_counter()
     if isinstance(program, AgentConfig):
         log = run_training_phase(
             program,
@@ -285,9 +291,16 @@ def _judge_one_policy(task):
         )
     else:
         log = program(env_spec, policy, config.epochs, seed)
+    trained = time.perf_counter()
     if log.policy_id != policy_id:
         log = replace(log, policy_id=policy_id)
-    return analyze_log(policy, log, config), (log if keep_log else None)
+    outcome = replace(
+        analyze_log(policy, log, config),
+        train_seconds=trained - started,
+        analyze_seconds=time.perf_counter() - trained,
+        env_steps=sum(len(epoch.steps) for epoch in log.epochs),
+    )
+    return outcome, (log if keep_log else None)
 
 
 def assemble_verdict(outcomes, theta_oracle: float) -> Verdict:

@@ -336,6 +336,48 @@ class TestActorCritic:
         with pytest.raises(NumericalDivergenceError):
             agent.update(Transition((-0.5, 0.0), (0.2,), math.inf, (-0.49, 0.0), True))
 
+    def test_nan_reward_raises_on_that_update(self):
+        agent = make_agent(AgentConfig(algorithm="linear_actor_critic"), self.spec())
+        state, successor = (-0.5, 0.0), (-0.49, 0.001)
+        agent.update(Transition(state, (0.2,), 1.0, successor, False))
+        with pytest.raises(NumericalDivergenceError):
+            agent.update(Transition(successor, (0.2,), math.nan, (-0.48, 0.002), False))
+
+    def test_huge_finite_weights_are_scanned_not_refused(self):
+        # Past the running bound every update scans the weights, which are
+        # still finite here; the overflow after them raises.
+        agent = make_agent(AgentConfig(algorithm="linear_actor_critic"), self.spec())
+        state, successor = (-0.5, 0.0), (-0.49, 0.001)
+        agent.update(Transition(state, (0.2,), 1e305, successor, True))
+        assert np.isfinite(agent.w_value).all() and agent.w_value.max() > 1e300
+        with pytest.raises(NumericalDivergenceError):
+            for _ in range(50):
+                agent.update(Transition(state, (0.2,), 1e307, successor, True))
+        assert not (np.isfinite(agent.w_value).all() and np.isfinite(agent.w_mean).all())
+
+    def test_update_reuses_the_act_mean_only_for_that_state(self):
+        # act leaves the weights alone, so with or without it the updates
+        # must give the same weights, whatever states they are for.
+        config = AgentConfig(algorithm="linear_actor_critic", seed=5)
+        s1, s2, s3 = (-0.5, 0.0), (-0.45, 0.01), (-0.4, 0.02)
+        # (act first?, transition): the first update makes the weights
+        # nonzero, the second is for another state than the act's, and the
+        # last follows an update for the act's state.
+        steps = [(False, Transition(s1, (0.3,), 1.0, s2, False)),
+                 (True, Transition(s2, (-0.6,), 0.5, s3, False)),
+                 (True, Transition(s1, (0.9,), 0.25, s2, False)),
+                 (False, Transition(s1, (-0.2,), 0.75, s2, False))]
+        acting = make_agent(config, self.spec())
+        plain = make_agent(config, self.spec())
+        for act_first, tr in steps:
+            if act_first:
+                acting.act(s1, 0.0)
+            acting.update(tr)
+            plain.update(tr)
+        assert acting.w_mean.tobytes() == plain.w_mean.tobytes()
+        assert acting.w_value.tobytes() == plain.w_value.tobytes()
+        assert plain.w_mean.any()
+
 
 def reference_features(spec, feature_grid, state):
     """The radial basis features computed from scratch with the (k*k, 2)

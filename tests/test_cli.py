@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fuzzoracle import oracle
+from fuzzoracle.logfiles import read_trace
 from fuzzoracle.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -97,6 +98,15 @@ class TestAnalyze:
         path.write_text("".join(l + "\n" for l in broken))
         assert main(["analyze", "--trace", str(path), "--policy", HAND_POLICY]) == 2
         assert "record" in capsys.readouterr().err
+
+    def test_undecodable_trace_byte_exits_2(self, tmp_path, capsys):
+        # The UnicodeDecodeError escaped as a traceback, exiting 1 (Buggy).
+        lines = open(HAND_TRACE, "rb").read().split(b"\n")
+        lines[1] = lines[1][:-1] + b',"note":"\xff"}'
+        path = tmp_path / "bytes.trace.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        assert main(["analyze", "--trace", str(path), "--policy", HAND_POLICY]) == 2
+        assert "error: record 2: invalid UTF-8 byte 0xff" in capsys.readouterr().err
 
     def test_action_shape_without_width_exits_2(self, tmp_path, capsys):
         # A scaled action shape has no width to fall back on; the policy
@@ -443,6 +453,50 @@ class TestWorkersEnvVar:
         monkeypatch.setenv("FUZZORACLE_WORKERS", "1")
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["test", "--config", cfg, "--output", str(tmp_path / "o")]) in (0, 1)
+
+
+class TestMeta:
+    """meta.json sums each phase's cost over every (program, policy) task."""
+
+    @pytest.mark.parametrize("overrides, workers", [
+        ({}, "2"),
+        # Diverges in epoch 7; epochs 8 and 9 abort too.
+        ({"env": {"kind": "hillcar"}, "agent": {"algorithm": "linear_actor_critic"},
+          "oracle": {"policies": 2, "epochs": 9, "master_seed": 36}}, "1"),
+    ], ids=["grid_pooled", "hillcar_aborting"])
+    def test_env_steps_match_emitted_traces(self, tmp_path, overrides, workers):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["test", "--config", cfg, "--emit-traces", "--workers", workers,
+                         "--output", str(out)]) in (0, 1)
+        meta = json.loads((out / "meta.json").read_text())
+        traces = sorted(out.glob("*.trace.jsonl"))
+        assert len(traces) == json.loads(open(cfg).read())["oracle"]["policies"]
+        steps = sum(len(e.steps) for path in traces for e in read_trace(path)[0].epochs)
+        assert meta["env_steps"] == steps > 0
+        assert meta["train_seconds"] > 0 and meta["analyze_seconds"] > 0
+        assert meta["train_us_per_step"] == meta["train_seconds"] / steps * 1e6
+
+    def test_evaluate_sums_over_variants(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({
+            "env": {"kind": "grid"},
+            "agent": {"algorithm": "tabular_q"},
+            "oracle": {"policies": 2, "epochs": 10, "master_seed": 4},
+            "variants": [
+                {"name": "clean", "bug": None, "buggy": False},
+                {"name": "lr_zero", "bug": "LR_ZERO", "buggy": True},
+            ],
+        }))
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(path), "--output", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert set(meta) == {"elapsed_seconds", "workers", "train_seconds",
+                             "analyze_seconds", "env_steps", "train_us_per_step"}
+        # Each of the 2 x 2 runs takes at least one step per epoch.
+        assert meta["env_steps"] >= 2 * 2 * 10
+        assert meta["train_seconds"] > 0 and meta["analyze_seconds"] > 0
 
 
 class TestOnePool:

@@ -495,6 +495,19 @@ class TestTraceLines:
         path = self.write(tmp_path, self.hand_lines(), end)
         assert read_trace(path) == read_trace(HAND_TRACE)
 
+    @pytest.mark.parametrize("record", [1, 2], ids=["header", "record_2"])
+    def test_undecodable_byte_names_its_record(self, tmp_path, record):
+        # Text-mode decoding raised a UnicodeDecodeError on the first read,
+        # before any record was reached.
+        lines = [line.encode("utf-8") for line in self.hand_lines()]
+        lines[record - 1] = lines[record - 1][:-1] + b',"note":"\xff"}'
+        path = tmp_path / "t.trace.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        with pytest.raises(TraceFormatError,
+                           match=f"^record {record}: invalid UTF-8 byte 0xff$") as err:
+            read_trace(path)
+        assert err.value.record_index == record
+
     def test_form_feed_does_not_end_a_line(self, tmp_path):
         lines = self.hand_lines()
         lines[1:3] = [lines[1] + "\f" + lines[2]]

@@ -120,17 +120,27 @@ class TestClosestReference:
             assert idx == distances.index(min(distances))
 
 
-    def test_box_matches_linear_scan_with_exact_ties(self):
-        space = BoxSpace((-1.0, -0.5), (1.0, 0.5))
-        # Dyadic coordinates: states on the axis x = 0 are exactly as far
-        # from the mirrored references 1 and 2.
-        refs = [(0.75, 0.375), (0.5, 0.0), (-0.5, 0.0), (-0.75, -0.375)]
+    @pytest.mark.parametrize("lows, highs", [
+        ((-1.0,), (1.3,)),
+        ((-1.0, -0.5), (1.0, 0.5)),
+        ((-1.1, -0.7), (1.0, 0.6)),
+        ((-1.1, -0.5, -2.0), (1.0, 0.6, 1.7)),
+    ], ids=["1d", "2d", "2d_uneven", "3d"])
+    def test_box_matches_linear_scan_with_exact_ties(self, lows, highs):
+        space = BoxSpace(lows, highs)
+        dim = space.dim
+        # Dyadic coordinates: states with x = 0 are exactly as far from the
+        # mirrored references 1 and 2, whatever the spans.
+        refs = [
+            r[:dim]
+            for r in [(0.75, 0.375, 1.5), (0.5, 0.0, 0.0), (-0.5, 0.0, 0.0), (-0.75, -0.375, -1.5)]
+        ]
         policy = IntendedPolicy.build(
             [(r, (0.0,)) for r in refs], space, BoxSpace((-1.0,), (1.0,))
         )
         rng = np.random.default_rng(8)
-        ties = [(0.0, v) for v in (0.0, 0.125, -0.125, 0.25, -0.25)]
-        states = ties + [(float(x), float(v)) for x, v in rng.uniform(-1, 1, size=(200, 2)) / 2]
+        ties = [(0.0, v, -2.0 * v)[:dim] for v in (0.0, 0.125, -0.125, 0.25, -0.25)]
+        states = ties + [tuple(map(float, row)) for row in rng.uniform(-1, 1, size=(200, dim)) / 2]
         for state in states:
             distances = [space.distance(state, r) for r in refs]
             best = min(distances)
