@@ -170,7 +170,9 @@ def inject_bug(config: AgentConfig, bug_id: str) -> AgentConfig:
 
 _TWO_TO_MINUS_53 = 2.0**-53
 
-# Normal draws the actor-critic takes from its generator at a time.
+# Raw 64-bit outputs the tabular agent, and normal draws the actor-critic,
+# take from a generator at a time.
+_RAW_BLOCK = 256
 _NORMAL_BLOCK = 256
 
 # Weights are finite while the actor-critic's running bound stays below this.
@@ -208,10 +210,13 @@ class TabularQAgent:
         bit_generator = self.rng.bit_generator
         if type(bit_generator) is np.random.PCG64:
             self._random_raw = bit_generator.random_raw
+            self._raws = iter(())
             buffered = bit_generator.state
             self._half = buffered["uinteger"] if buffered["has_uint32"] else None
         else:
-            self._random_raw = None
+            self._raws = None
+        # Epsilon of the last progress value; progress is constant in an epoch.
+        self._progress = self._eps = None
         # A uniform 32-bit draw shifted right by this is uniform over the
         # actions; exact only while n_actions is a power of two.
         self._action_shift = 32 - (self.n_actions - 1).bit_length()
@@ -227,8 +232,8 @@ class TabularQAgent:
 
         The draws are ``rng.random()`` and then, when exploring,
         ``int(rng.integers(n_actions))``. On a PCG64 generator both are
-        taken from ``bit_generator.random_raw()`` with the same bits, which
-        costs a fraction of the ``Generator`` calls:
+        taken from the 64-bit outputs of ``bit_generator.random_raw`` with
+        the same bits, which costs a fraction of the ``Generator`` calls:
 
         * ``random()`` is ``(raw >> 11) * 2**-53`` of the next 64-bit output.
         * ``integers(n)`` is Lemire's method on the next 32-bit draw ``u``:
@@ -240,30 +245,55 @@ class TabularQAgent:
           nor clears that half. The agent keeps it in ``_half``, starting
           from the generator's own buffered half, so a generator that was
           used before it was handed over is followed exactly.
+        * ``random_raw(n)`` gives the values of ``n`` single outputs, so the
+          outputs are taken ``_RAW_BLOCK`` at a time and handed out in order.
 
-        The agent owns its generator: once this path has run, the
-        generator's own buffered half is stale, so nothing else may draw
-        from it. Any other bit generator keeps the ``Generator`` calls.
+        The agent owns its generator: the generator runs ahead of the
+        outputs handed out, to the end of the current block, and its own
+        buffered half is stale, so nothing else may draw from it. Any other
+        bit generator keeps the ``Generator`` calls.
+
+        Epsilon is computed again only when ``progress`` differs from the
+        last call's, as it is a function of ``progress`` alone.
         """
-        eps = _epsilon(self.config, progress)
-        raw = self._random_raw
-        if raw is None:
-            explore = eps > 0.0 and self.rng.random() < eps
-        else:
-            explore = eps > 0.0 and (raw() >> 11) * _TWO_TO_MINUS_53 < eps
-        if explore:
-            if raw is None:
-                return int(self.rng.integers(self.n_actions))
-            half = self._half
-            if half is None:
-                bits = raw()
-                half, self._half = bits & 0xFFFFFFFF, bits >> 32
+        if progress != self._progress:
+            self._progress, self._eps = progress, _epsilon(self.config, progress)
+        eps = self._eps
+        if eps > 0.0:
+            raws = self._raws
+            if raws is None:
+                if self.rng.random() < eps:
+                    return int(self.rng.integers(self.n_actions))
             else:
-                self._half = None
-            return half >> self._action_shift
-        # max keeps the first of equal values, so ties go to the lowest id.
-        row = self.q[state[0] * self.cols + state[1]]
-        return row.index(max(row))
+                bits = next(raws, None)
+                if bits is None:
+                    bits = self._next_block()
+                if (bits >> 11) * _TWO_TO_MINUS_53 < eps:
+                    half = self._half
+                    if half is None:
+                        bits = next(self._raws, None)
+                        if bits is None:
+                            bits = self._next_block()
+                        half, self._half = bits & 0xFFFFFFFF, bits >> 32
+                    else:
+                        self._half = None
+                    return half >> self._action_shift
+        # row.index(max(row)) unrolled for the four actions: a later value
+        # must be greater to win, so ties go to the lowest id.
+        a, b, c, d = self.q[state[0] * self.cols + state[1]]
+        best, value = 0, a
+        if b > value:
+            best, value = 1, b
+        if c > value:
+            best, value = 2, c
+        if d > value:
+            best = 3
+        return best
+
+    def _next_block(self) -> int:
+        """Take the next block of raw outputs and hand out its first."""
+        self._raws = iter(self._random_raw(_RAW_BLOCK).tolist())
+        return next(self._raws)
 
     def update(self, transition) -> None:
         config = self.config

@@ -28,7 +28,8 @@ from .compliance import (
     make_reward_fn,
     policy_compliance_series,
 )
-from .envs import EnvSpec, env_reset, env_step, native_reward
+from . import envs
+from .envs import EnvSpec, env_reset, env_step, native_reward, step_function
 from .errors import (
     InvalidActionError,
     NumericalDivergenceError,
@@ -212,6 +213,13 @@ def run_training_phase(
     diverges, or whose learner emits an action the environment rejects
     (such as NaN), is logged as far as it got and training moves on; an
     epoch that aborts on its first action has no steps.
+
+    The agent's ``act`` and ``update`` and the environment's step function
+    are looked up once per run, not once per step. The step function is
+    :func:`~fuzzoracle.envs.step_function`'s, as :func:`env_step` would
+    call it, unless ``env_step`` has been replaced in this module (as the
+    benchmark's per-layer spans do), in which case the replacement is
+    called at every step.
     """
     seed_path = seed if isinstance(seed, (list, tuple)) else (seed,)
     agent = make_agent(
@@ -222,6 +230,9 @@ def run_training_phase(
     max_steps = env_spec.max_steps_per_epoch
     add_native = reward_mode == "add"
     progress_span = max(epochs - 1, 1)
+    act, update = agent.act, agent.update
+    step = step_function(env_spec) if env_step is envs.env_step else env_step
+    new = tuple.__new__
 
     epoch_traces = []
     aborted = []
@@ -230,10 +241,11 @@ def run_training_phase(
         progress = (e - 1) / progress_span
         state = env_reset(env_spec, env_rng)
         steps = []
+        record = steps.append
         for t in range(max_steps):
             try:
-                action = agent.act(state, progress)
-                tr = env_step(env_spec, state, action, reward_fn, env_rng)
+                action = act(state, progress)
+                tr = step(env_spec, state, action, reward_fn, env_rng)
                 if add_native:
                     tr = tr._replace(
                         reward=tr.reward
@@ -243,8 +255,8 @@ def run_training_phase(
                     clamped += 1
                 if not tr.done and t == max_steps - 1:
                     tr = tr._replace(done=True)
-                steps.append(TraceStep(state, action, tr.reward))
-                agent.update(tr)
+                record(new(TraceStep, (state, action, tr.reward)))
+                update(tr)
             except (NumericalDivergenceError, InvalidActionError):
                 aborted.append(e)
                 break

@@ -8,11 +8,19 @@ path is checked against an independent route.
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 
+import fuzzoracle
 from fuzzoracle import GridSpec, IntendedPolicy
 from fuzzoracle.spaces import DiscreteSpace, GridSpace
+
+
+def pytest_report_header(config):
+    # pyproject.toml puts this checkout's src/ ahead of PYTHONPATH, so say
+    # which package the run tests.
+    return f"fuzzoracle under test: {os.path.dirname(fuzzoracle.__file__)}"
 
 
 @pytest.fixture

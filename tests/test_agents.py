@@ -1,4 +1,5 @@
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -268,7 +269,13 @@ class TestExplorationDraws:
         agent.q[agent.state_index((1, 2))] = [0.0, 0.0, 0.0, 1.0]
         actions = [agent.act((1, 2), 0.5) for _ in range(self.STEPS)]
         assert actions == self.expected_actions(reference, eps, 3, bug is not None)
-        # Both streams stand at the same place.
+        self.check_streams(agent, agent_rng, reference)
+
+    def check_streams(self, agent, agent_rng, reference):
+        """Both streams stand at the same place, once the reference skips
+        the raw outputs the agent took in its last block but did not use."""
+        if agent._raws is not None:
+            reference.bit_generator.random_raw(operator.length_hint(agent._raws))
         assert [agent_rng.random() for _ in range(3)] == [reference.random() for _ in range(3)]
 
     @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
@@ -296,6 +303,25 @@ class TestExplorationDraws:
     def test_other_bit_generators_keep_generator_calls(self, grid_spec, eps):
         for seed in range(10):
             self.check(grid_spec, lambda: np.random.Generator(np.random.MT19937(seed)), eps)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_epsilon_follows_progress_that_comes_back(self, grid_spec, bit_generator):
+        # Progress changes, repeats and returns to earlier values; epsilon
+        # must be that of each call's progress, as computed afresh.
+        config = AgentConfig(epsilon_start=1.0, epsilon_end=0.1)
+        progresses = [p for p in (0.0, 0.5, 0.5, 0.0, 1.0, 0.25, 1.0) for _ in range(60)]
+        for seed in range(10):
+            agent_rng = np.random.Generator(bit_generator(seed))
+            reference = np.random.Generator(bit_generator(seed))
+            agent = make_agent(config, grid_spec, agent_rng)
+            agent.q[agent.state_index((1, 2))] = [0.0, 0.0, 0.0, 1.0]
+            actions = [agent.act((1, 2), p) for p in progresses]
+            expected = []
+            for p in progresses:
+                eps = config.epsilon_start + (config.epsilon_end - config.epsilon_start) * p
+                expected.append(int(reference.integers(4)) if reference.random() < eps else 3)
+            assert actions == expected
+            self.check_streams(agent, agent_rng, reference)
 
 
 class TestActorCritic:
