@@ -170,10 +170,9 @@ def inject_bug(config: AgentConfig, bug_id: str) -> AgentConfig:
 
 _TWO_TO_MINUS_53 = 2.0**-53
 
-# Raw 64-bit outputs the tabular agent, and normal draws the actor-critic,
-# take from a generator at a time.
-_RAW_BLOCK = 256
-_NORMAL_BLOCK = 256
+# Draws a learner takes from its generator at a time: raw 64-bit outputs
+# for the tabular agent, standard normals for the actor-critic.
+_BLOCK = 256
 
 # Weights are finite while the actor-critic's running bound stays below this.
 _WEIGHT_LIMIT = 1e300
@@ -215,8 +214,6 @@ class TabularQAgent:
             self._half = buffered["uinteger"] if buffered["has_uint32"] else None
         else:
             self._raws = None
-        # Epsilon of the last progress value; progress is constant in an epoch.
-        self._progress = self._eps = None
         # A uniform 32-bit draw shifted right by this is uniform over the
         # actions; exact only while n_actions is a power of two.
         self._action_shift = 32 - (self.n_actions - 1).bit_length()
@@ -246,19 +243,14 @@ class TabularQAgent:
           from the generator's own buffered half, so a generator that was
           used before it was handed over is followed exactly.
         * ``random_raw(n)`` gives the values of ``n`` single outputs, so the
-          outputs are taken ``_RAW_BLOCK`` at a time and handed out in order.
+          outputs are taken ``_BLOCK`` at a time and handed out in order.
 
         The agent owns its generator: the generator runs ahead of the
         outputs handed out, to the end of the current block, and its own
         buffered half is stale, so nothing else may draw from it. Any other
         bit generator keeps the ``Generator`` calls.
-
-        Epsilon is computed again only when ``progress`` differs from the
-        last call's, as it is a function of ``progress`` alone.
         """
-        if progress != self._progress:
-            self._progress, self._eps = progress, _epsilon(self.config, progress)
-        eps = self._eps
+        eps = _epsilon(self.config, progress)
         if eps > 0.0:
             raws = self._raws
             if raws is None:
@@ -267,13 +259,15 @@ class TabularQAgent:
             else:
                 bits = next(raws, None)
                 if bits is None:
-                    bits = self._next_block()
+                    self._raws = raws = iter(self._random_raw(_BLOCK).tolist())
+                    bits = next(raws)
                 if (bits >> 11) * _TWO_TO_MINUS_53 < eps:
                     half = self._half
                     if half is None:
-                        bits = next(self._raws, None)
+                        bits = next(raws, None)
                         if bits is None:
-                            bits = self._next_block()
+                            self._raws = raws = iter(self._random_raw(_BLOCK).tolist())
+                            bits = next(raws)
                         half, self._half = bits & 0xFFFFFFFF, bits >> 32
                     else:
                         self._half = None
@@ -289,11 +283,6 @@ class TabularQAgent:
         if d > value:
             best = 3
         return best
-
-    def _next_block(self) -> int:
-        """Take the next block of raw outputs and hand out its first."""
-        self._raws = iter(self._random_raw(_RAW_BLOCK).tolist())
-        return next(self._raws)
 
     def update(self, transition) -> None:
         config = self.config
@@ -384,7 +373,7 @@ class LinearActorCriticAgent:
         draw, clamped to [-1, 1].
 
         ``standard_normal(n)`` gives the values of ``n`` scalar draws, so the
-        draws are taken ``_NORMAL_BLOCK`` at a time and handed out in order.
+        draws are taken ``_BLOCK`` at a time and handed out in order.
         The agent owns its generator: the generator runs ahead of the draws
         handed out, so nothing else may draw from it.
         """
@@ -392,7 +381,7 @@ class LinearActorCriticAgent:
         self._acted = (state, mean)
         z = next(self._normals, None)
         if z is None:
-            self._normals = iter(self.rng.standard_normal(_NORMAL_BLOCK).tolist())
+            self._normals = iter(self.rng.standard_normal(_BLOCK).tolist())
             z = next(self._normals)
         noisy = mean + self.config.action_noise * z
         return (-1.0 if noisy < -1.0 else 1.0 if noisy > 1.0 else noisy,)

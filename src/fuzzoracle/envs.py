@@ -151,13 +151,9 @@ def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transiti
     hill-car forces are clamped and flagged on the transition rather than
     rejected, so misbehaving learners stay runnable.
     """
-    return step_function(spec)(spec, state, action, reward_fn, rng)
-
-
-def step_function(spec: EnvSpec):
-    """The function :func:`env_step` calls for ``spec``, with the same
-    arguments; a caller that steps one spec many times resolves it once."""
-    return _grid_step if spec.kind == "grid" else _hillcar_step
+    if spec.kind == "grid":
+        return _grid_step(spec, state, action, reward_fn, rng)
+    return _hillcar_step(spec, state, action, reward_fn)
 
 
 def _grid_step(spec: GridSpec, state, action, reward_fn, rng) -> Transition:
@@ -198,8 +194,7 @@ def _grid_step(spec: GridSpec, state, action, reward_fn, rng) -> Transition:
     return tuple.__new__(Transition, (state, action, reward, next_state, done, False))
 
 
-def _hillcar_step(spec: HillCarSpec, state, action, reward_fn, rng=None) -> Transition:
-    # The hill car is deterministic; ``rng`` keeps the grid step's signature.
+def _hillcar_step(spec: HillCarSpec, state, action, reward_fn) -> Transition:
     if isinstance(action, tuple):
         if len(action) != 1:
             raise InvalidActionError(f"hill-car action must be scalar, got {action!r}")

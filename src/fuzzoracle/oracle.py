@@ -28,8 +28,7 @@ from .compliance import (
     make_reward_fn,
     policy_compliance_series,
 )
-from . import envs
-from .envs import EnvSpec, env_reset, env_step, native_reward, step_function
+from .envs import EnvSpec, env_reset, env_step, native_reward
 from .errors import (
     InvalidActionError,
     NumericalDivergenceError,
@@ -214,12 +213,8 @@ def run_training_phase(
     (such as NaN), is logged as far as it got and training moves on; an
     epoch that aborts on its first action has no steps.
 
-    The agent's ``act`` and ``update`` and the environment's step function
-    are looked up once per run, not once per step. The step function is
-    :func:`~fuzzoracle.envs.step_function`'s, as :func:`env_step` would
-    call it, unless ``env_step`` has been replaced in this module (as the
-    benchmark's per-layer spans do), in which case the replacement is
-    called at every step.
+    The agent's ``act`` and ``update``, and each epoch's ``append``, are
+    looked up once, not once per step.
     """
     seed_path = seed if isinstance(seed, (list, tuple)) else (seed,)
     agent = make_agent(
@@ -231,7 +226,6 @@ def run_training_phase(
     add_native = reward_mode == "add"
     progress_span = max(epochs - 1, 1)
     act, update = agent.act, agent.update
-    step = step_function(env_spec) if env_step is envs.env_step else env_step
     new = tuple.__new__
 
     epoch_traces = []
@@ -245,7 +239,7 @@ def run_training_phase(
         for t in range(max_steps):
             try:
                 action = act(state, progress)
-                tr = step(env_spec, state, action, reward_fn, env_rng)
+                tr = env_step(env_spec, state, action, reward_fn, env_rng)
                 if add_native:
                     tr = tr._replace(
                         reward=tr.reward

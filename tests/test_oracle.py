@@ -172,26 +172,6 @@ class TestRunTrainingPhase:
         assert outcome.series.values[-1] == 0.0
         assert verdict.label == "Buggy"
 
-    @pytest.mark.parametrize("kind", ["grid", "hillcar"])
-    def test_replaced_env_step_sees_every_step(self, grid_spec, monkeypatch, kind):
-        # The loop resolves the step function once per run, but an env_step
-        # replaced in the oracle module, as a per-layer profiler does, must
-        # still be called for every step, with the same run as the result.
-        spec = grid_spec if kind == "grid" else HillCarSpec(max_steps_per_epoch=40)
-        config = AgentConfig(algorithm="tabular_q" if kind == "grid" else "linear_actor_critic")
-        policy = oracle_policies(spec, small_config())[0]
-        plain = run_training_phase(config, spec, policy, 12, 4)
-        calls, env_step = [], oracle.env_step
-
-        def counted(*args):
-            calls.append(args[1])
-            return env_step(*args)
-
-        monkeypatch.setattr(oracle, "env_step", counted)
-        log = run_training_phase(config, spec, policy, 12, 4)
-        assert log == plain
-        assert calls == [step.state for epoch in log.epochs for step in epoch.steps]
-
     def test_hillcar_training_runs(self):
         spec = HillCarSpec(max_steps_per_epoch=40)
         policy = generate_policies(spec, 1, 3, 0)[0]
