@@ -9,10 +9,12 @@ Commands:
 * ``bugs``      inspect the fault registry (``bugs list``)
 
 Exit status is the machine contract: 0 means NonBuggy (or success for
-commands without a verdict), 1 means Buggy, 2 means error. Flags override
-config-file fields, which override defaults. The FUZZORACLE_WORKERS
-environment variable bounds the training worker pool; ``--workers`` wins
-when both are given.
+commands without a verdict), 1 means Buggy, 2 means error. Flags and
+``--set`` override config-file fields, which override defaults: each is set
+on the file's section before that section is parsed, so a file value it
+replaces is never checked, and ``--set env.kind`` starts from that kind's
+defaults. The FUZZORACLE_WORKERS environment variable bounds the training
+worker pool; ``--workers`` wins when both are given.
 """
 
 from __future__ import annotations
@@ -36,17 +38,13 @@ from .compliance import policy_compliance_series
 from .logfiles import (
     EVALUATION_FORMAT,
     FORMAT_VERSION,
-    agent_config_from_dict,
-    agent_config_to_dict,
     canonical_json,
     config_from_dict,
+    config_to_dict,
     display,
     env_spec_from_dict,
-    env_spec_to_dict,
     load_policy,
     load_run_config,
-    oracle_config_from_dict,
-    oracle_config_to_dict,
     read_trace,
     save_policy,
     series_lines,
@@ -57,6 +55,7 @@ from .oracle import (
     OracleConfig,
     default_policy_size,
     generate_policies,
+    healthy,
     judge_programs,
     oracle_main,
 )
@@ -146,13 +145,10 @@ def _add_override_flags(parser) -> None:
     )
 
 
-def _apply_overrides(config: dict, args) -> dict:
-    """Fold CLI flags into the parsed run config (flag > file > default)."""
-    sections = {
-        "env": dict(env_spec_to_dict(config["env"])),
-        "agent": dict(agent_config_to_dict(config["agent"])),
-        "oracle": dict(oracle_config_to_dict(config["oracle"])),
-    }
+def _overrides(args) -> list:
+    """``--set`` and the oracle flags as the ``(section, field, value)``
+    overrides of :func:`load_run_config`; a flag beats a ``--set``."""
+    overrides = []
     for item in args.set:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise TraceFormatError(
@@ -160,7 +156,7 @@ def _apply_overrides(config: dict, args) -> dict:
             )
         target, raw = item.split("=", 1)
         section, fieldname = target.split(".", 1)
-        if section not in sections:
+        if section not in ("env", "agent", "oracle"):
             raise TraceFormatError(
                 f"--set section must be env, agent, or oracle, got {section!r}"
             )
@@ -168,24 +164,12 @@ def _apply_overrides(config: dict, args) -> dict:
             value = json.loads(raw)
         except ValueError:
             value = raw
-        sections[section][fieldname] = value
-    if args.seed is not None:
-        sections["oracle"]["master_seed"] = args.seed
-    if args.epochs is not None:
-        sections["oracle"]["epochs"] = args.epochs
-    if args.policies is not None:
-        sections["oracle"]["policies"] = args.policies
-    if args.theta_oracle is not None:
-        sections["oracle"]["theta_oracle"] = args.theta_oracle
-
-    return {
-        "env": env_spec_from_dict(sections["env"]),
-        "agent": agent_config_from_dict(sections["agent"]),
-        "oracle": oracle_config_from_dict(sections["oracle"]),
-        "bug": config.get("bug"),
-        "output_dir": config.get("output_dir"),
-        "variants": config.get("variants"),
-    }
+        overrides.append((section, fieldname, value))
+    for flag, fieldname in (("seed", "master_seed"), ("epochs", "epochs"),
+                            ("policies", "policies"), ("theta_oracle", "theta_oracle")):
+        if getattr(args, flag) is not None:
+            overrides.append(("oracle", fieldname, getattr(args, flag)))
+    return overrides
 
 
 def _resolve_workers(args) -> int | None:
@@ -225,7 +209,7 @@ def _meta(elapsed, workers, verdicts) -> str:
 
 
 def cmd_test(args) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+    config = load_run_config(args.config, _overrides(args))
     env_spec = config["env"]
     oracle_config = config["oracle"]
     bug = args.bug if args.bug is not None else config.get("bug")
@@ -261,11 +245,14 @@ def cmd_test(args) -> int:
 def cmd_analyze(args) -> int:
     log, env_spec = read_trace(args.trace)
     policy = load_policy(args.policy)
-    if policy.state_space != env_spec.state_space():
-        raise TraceFormatError(
-            f"policy state space {policy.state_space} does not match the "
-            f"trace environment {env_spec.state_space()}"
-        )
+    for name, ours, theirs in (
+        ("state", policy.state_space, env_spec.state_space()),
+        ("action", policy.action_space, env_spec.action_space()),
+    ):
+        if ours != theirs:
+            raise TraceFormatError(
+                f"policy {name} space {ours} does not match the trace environment {theirs}"
+            )
     defaults = OracleConfig()
     theta_step = defaults.theta_step if args.theta_step is None else args.theta_step
     filter_mode = args.filter_mode or defaults.filter_mode
@@ -275,13 +262,14 @@ def cmd_analyze(args) -> int:
     )
     series = policy_compliance_series(policy, log, theta_step, filter_mode=filter_mode)
     report = trend_analysis(series, params)
-    verdict_label = "NonBuggy" if report.verdict else "Buggy"
+    is_healthy = healthy(report, log)
+    verdict_label = "NonBuggy" if is_healthy else "Buggy"
     analysis = {
         "format": "fuzzoracle-analysis",
         "version": FORMAT_VERSION,
         "trace": os.path.basename(args.trace),
         "policy_id": log.policy_id,
-        "env": env_spec_to_dict(env_spec),
+        "env": config_to_dict(env_spec),
         "params": {
             "theta_step": theta_step,
             "filter_mode": filter_mode,
@@ -296,7 +284,7 @@ def cmd_analyze(args) -> int:
             "slope_display": display(report.slope),
             "convergence_index": report.convergence_index,
             "abnormality_found": report.abnormality_found,
-            "healthy": report.verdict,
+            "healthy": is_healthy,
         },
         "verdict": verdict_label,
     }
@@ -306,11 +294,11 @@ def cmd_analyze(args) -> int:
     else:
         sys.stdout.write(text)
     print(f"{verdict_label}: slope {display(report.slope)}", file=sys.stderr)
-    return EXIT_NON_BUGGY if report.verdict else EXIT_BUGGY
+    return EXIT_NON_BUGGY if is_healthy else EXIT_BUGGY
 
 
 def cmd_evaluate(args) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+    config = load_run_config(args.config, _overrides(args))
     variants = config.get("variants")
     if not variants:
         raise TraceFormatError("corpus config needs a non-empty 'variants' list")
@@ -371,9 +359,9 @@ def cmd_evaluate(args) -> int:
         "format": EVALUATION_FORMAT,
         "version": FORMAT_VERSION,
         "config": {
-            "env": env_spec_to_dict(env_spec),
-            "agent": agent_config_to_dict(config["agent"]),
-            "oracle": oracle_config_to_dict(oracle_config),
+            "env": config_to_dict(env_spec),
+            "agent": config_to_dict(config["agent"]),
+            "oracle": config_to_dict(oracle_config),
         },
         "programs": programs,
         "confusion": {"tp": matrix.tp, "fp": matrix.fp, "tn": matrix.tn, "fn": matrix.fn},

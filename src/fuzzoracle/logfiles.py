@@ -47,9 +47,9 @@ def display(x: float | None) -> str | None:
 def config_to_dict(config) -> dict:
     """The fields of a config dataclass as JSON values.
 
-    An env spec also gives its ``kind``. Tuples become lists, and the fields
-    of a nested config (the oracle's trend parameters) are flattened into
-    this one's.
+    A config with a ``kind`` (an env spec, a space) also gives it. Tuples
+    become lists, and the fields of a nested config (the oracle's trend
+    parameters) are flattened into this one's.
     """
     data = {"kind": config.kind} if hasattr(config, "kind") else {}
     for f in fields(config):
@@ -65,20 +65,22 @@ def config_from_dict(cls, data, where: str):
     """The ``cls`` config that :func:`config_to_dict` wrote as ``data``.
 
     Lists become tuples, and a missing field takes the dataclass's default.
-    An unknown field, or a value the constructor rejects with a TypeError,
-    ValueError or AttributeError, raises :class:`TraceFormatError` naming
-    the ``where`` section; the constructor's own library errors pass
-    through unchanged.
+    A ``kind`` goes to the constructor only when it is one of ``cls``'s
+    fields (a membership shape). An unknown field, or a value the
+    constructor rejects with a TypeError, ValueError or AttributeError,
+    raises :class:`TraceFormatError` naming the ``where`` section; the
+    constructor's own library errors pass through unchanged.
     """
     nested = {
         f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)
     }
     allowed = [f.name for f in fields(cls) if f.name not in nested]
     allowed += [f.name for sub in nested.values() for f in fields(sub)]
+    kind_field = "kind" in allowed
     if hasattr(cls, "kind"):
         allowed.append("kind")
     _take(_object(data, where), *allowed, where=where)
-    values = {k: _tuples(v) for k, v in data.items() if k != "kind"}
+    values = {k: _tuples(v) for k, v in data.items() if k != "kind" or kind_field}
     try:
         for name, sub in nested.items():
             own = [f.name for f in fields(sub) if f.name in values]
@@ -86,6 +88,17 @@ def config_from_dict(cls, data, where: str):
         return cls(**values)
     except (TypeError, ValueError, AttributeError) as exc:
         raise TraceFormatError(f"bad {where} config: {exc}") from exc
+
+
+def _config_of_kind(data, where: str, classes):
+    """The config of whichever of ``classes`` has the ``kind`` that ``data``
+    names, read by :func:`config_from_dict`."""
+    kind = _object(data, where).get("kind")
+    for cls in classes:
+        if kind == cls.kind:
+            return config_from_dict(cls, data, where)
+    *others, last = [repr(cls.kind) for cls in classes]
+    raise TraceFormatError(f"{where} kind must be {', '.join(others)} or {last}, got {kind!r}")
 
 
 def _lists(value):
@@ -111,15 +124,8 @@ def _take(data: dict, *allowed, where: str) -> dict:
     return data
 
 
-env_spec_to_dict = agent_config_to_dict = oracle_config_to_dict = config_to_dict
-
-
 def env_spec_from_dict(data):
-    kind = _object(data, "env").get("kind")
-    for spec in (GridSpec, HillCarSpec):
-        if kind == spec.kind:
-            return config_from_dict(spec, data, "env")
-    raise TraceFormatError(f"env kind must be 'grid' or 'hillcar', got {kind!r}")
+    return _config_of_kind(data, "env", (GridSpec, HillCarSpec))
 
 
 def agent_config_from_dict(data) -> AgentConfig:
@@ -133,35 +139,8 @@ def agent_config_from_dict(data) -> AgentConfig:
     return config_from_dict(AgentConfig, data, "agent")
 
 
-def oracle_config_from_dict(data) -> OracleConfig:
-    return config_from_dict(OracleConfig, data, "oracle")
-
-
 # ---------------------------------------------------------------------------
 # Intended policies
-
-
-def _space_to_dict(space) -> dict:
-    if isinstance(space, GridSpace):
-        return {"kind": "grid", "rows": space.rows, "cols": space.cols}
-    if isinstance(space, DiscreteSpace):
-        return {"kind": "discrete", "n": space.n}
-    return {"kind": "box", "lows": list(space.lows), "highs": list(space.highs)}
-
-
-def _space_from_dict(data: dict):
-    kind = data.get("kind")
-    if kind == "grid":
-        return GridSpace(data["rows"], data["cols"])
-    if kind == "discrete":
-        return DiscreteSpace(data["n"])
-    if kind == "box":
-        return BoxSpace(tuple(data["lows"]), tuple(data["highs"]))
-    raise TraceFormatError(f"unknown space kind {kind!r}")
-
-
-def _shape_to_dict(shape: MembershipShape) -> dict:
-    return {"kind": shape.kind, "width": shape.width}
 
 
 def _point_to_json(point, space):
@@ -235,8 +214,8 @@ def policy_to_dict(policy: IntendedPolicy) -> dict:
     return {
         "format": POLICY_FORMAT,
         "version": FORMAT_VERSION,
-        "state_space": _space_to_dict(policy.state_space),
-        "action_space": _space_to_dict(policy.action_space),
+        "state_space": config_to_dict(policy.state_space),
+        "action_space": config_to_dict(policy.action_space),
         "entries": [
             {
                 "state": _point_to_json(s, policy.state_space),
@@ -244,8 +223,8 @@ def policy_to_dict(policy: IntendedPolicy) -> dict:
             }
             for s, a in policy.entries
         ],
-        "state_shape": _shape_to_dict(policy.state_shape),
-        "action_shape": _shape_to_dict(policy.action_shape),
+        "state_shape": config_to_dict(policy.state_shape),
+        "action_shape": config_to_dict(policy.action_shape),
         "min_ref_distance": policy.min_ref_distance,
     }
 
@@ -258,15 +237,19 @@ def policy_from_dict(data: dict) -> IntendedPolicy:
     if data.get("version") != FORMAT_VERSION:
         raise TraceFormatError(f"unsupported policy version {data.get('version')!r}")
     try:
-        state_space = _space_from_dict(data["state_space"])
-        action_space = _space_from_dict(data["action_space"])
-        state_of, action_of = _point_reader(state_space), _point_reader(action_space)
+        spaces = [
+            _config_of_kind(data[k], k, (GridSpace, DiscreteSpace, BoxSpace))
+            for k in ("state_space", "action_space")
+        ]
+        shapes = [
+            config_from_dict(MembershipShape, data[k], k) for k in ("state_shape", "action_shape")
+        ]
+    except (KeyError, TraceFormatError, OverflowError) as exc:
+        raise TraceFormatError(f"bad policy file: {exc}") from exc
+    try:
+        state_of, action_of = map(_point_reader, spaces)
         entries = [(state_of(e["state"])[0], action_of(e["action"])[0]) for e in data["entries"]]
-        state_shape = MembershipShape(**data["state_shape"])
-        action_shape = MembershipShape(**data["action_shape"])
-        policy = IntendedPolicy.build(
-            entries, state_space, action_space, state_shape, action_shape
-        )
+        policy = IntendedPolicy.build(entries, *spaces, *shapes)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise TraceFormatError(f"bad policy file: {exc}") from exc
     stored = data.get("min_ref_distance")
@@ -316,7 +299,7 @@ def write_trace(path, log: RunLog, env_spec) -> None:
     header = {
         "format": TRACE_FORMAT,
         "version": FORMAT_VERSION,
-        "env": env_spec_to_dict(env_spec),
+        "env": config_to_dict(env_spec),
         "policy_id": log.policy_id,
         "epochs": len(log.epochs),
     }
@@ -614,11 +597,14 @@ def _parse_record(line: str, index: int) -> dict:
 # Run configuration files
 
 
-def load_run_config(path) -> dict:
+def load_run_config(path, overrides=()) -> dict:
     """Parse a run config into env spec, agent config, oracle config, bug.
 
-    Returns a dict with keys env, agent, oracle, bug, output_dir. JSON
-    syntax errors surface with their line number.
+    Returns a dict with keys env, agent, oracle, bug, output_dir, variants.
+    Each ``(section, field, value)`` in ``overrides`` is set on the file's
+    env, agent or oracle section before that section is parsed, so a file
+    value it replaces is never checked. JSON syntax errors surface with
+    their line number.
     """
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -627,13 +613,17 @@ def load_run_config(path) -> dict:
         data, "env", "agent", "oracle", "bug", "output_dir", "variants",
         where="run config",
     )
-    env = env_spec_from_dict(data.get("env", {"kind": "grid"}))
-    agent = agent_config_from_dict(data.get("agent", {}))
-    oracle = oracle_config_from_dict(data.get("oracle", {}))
+    sections = {
+        "env": data.get("env", {"kind": "grid"}),
+        "agent": data.get("agent", {}),
+        "oracle": data.get("oracle", {}),
+    }
+    for section, name, value in overrides:
+        sections[section] = {**_object(sections[section], section), name: value}
     return {
-        "env": env,
-        "agent": agent,
-        "oracle": oracle,
+        "env": env_spec_from_dict(sections["env"]),
+        "agent": agent_config_from_dict(sections["agent"]),
+        "oracle": config_from_dict(OracleConfig, sections["oracle"], "oracle"),
         "bug": data.get("bug"),
         "output_dir": data.get("output_dir"),
         "variants": data.get("variants"),
@@ -651,9 +641,9 @@ def verdict_report(
         "format": REPORT_FORMAT,
         "version": FORMAT_VERSION,
         "config": {
-            "env": env_spec_to_dict(env_spec),
-            "agent": agent_config_to_dict(agent_config),
-            "oracle": oracle_config_to_dict(oracle_config),
+            "env": config_to_dict(env_spec),
+            "agent": config_to_dict(agent_config),
+            "oracle": config_to_dict(oracle_config),
             "bug": bug,
         },
         "verdict": {

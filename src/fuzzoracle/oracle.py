@@ -261,20 +261,21 @@ def run_training_phase(
     return RunLog(policy_id, tuple(epoch_traces), tuple(aborted), clamped)
 
 
-def analyze_log(policy: IntendedPolicy, log: RunLog, config: OracleConfig) -> PolicyOutcome:
-    """Series, trend report, and health of one run log.
+def healthy(report: TrendReport, log: RunLog) -> bool:
+    """Whether the run ``log``, with trend ``report``, is healthy. A run in
+    which every single epoch aborted is unhealthy outright, on top of
+    whatever the trend check says."""
+    return report.verdict and len(log.aborted_epochs) != len(log.epochs)
 
-    A run in which every single epoch aborted is unhealthy outright, on
-    top of whatever the trend check says.
-    """
+
+def analyze_log(policy: IntendedPolicy, log: RunLog, config: OracleConfig) -> PolicyOutcome:
+    """Series, trend report, and :func:`healthy` of one run log."""
     series = policy_compliance_series(
         policy, log, config.theta_step, filter_mode=config.filter_mode
     )
     report = trend_analysis(series, config.trend)
-    wholly_failed = len(log.aborted_epochs) == len(log.epochs)
     return PolicyOutcome(
-        log.policy_id, series, report, report.verdict and not wholly_failed,
-        log.aborted_epochs,
+        log.policy_id, series, report, healthy(report, log), log.aborted_epochs
     )
 
 

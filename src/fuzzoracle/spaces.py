@@ -33,6 +33,8 @@ class GridSpace:
     rows: int
     cols: int
 
+    kind = "grid"
+
     def contains(self, point) -> bool:
         if not (isinstance(point, tuple) and len(point) == 2):
             return False
@@ -65,6 +67,8 @@ class BoxSpace:
 
     lows: Coords
     highs: Coords
+
+    kind = "box"
 
     def __post_init__(self):
         if len(self.lows) != len(self.highs) or not self.lows:
@@ -125,6 +129,8 @@ class DiscreteSpace:
     """Finite action set {0, ..., n-1}."""
 
     n: int
+
+    kind = "discrete"
 
     def __post_init__(self):
         if self.n < 1:

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from fuzzoracle import oracle
-from fuzzoracle.logfiles import read_trace
+from fuzzoracle import TrendParams, oracle
+from fuzzoracle.logfiles import load_policy, read_trace
 from fuzzoracle.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -90,6 +90,42 @@ class TestAnalyze:
                      "--policy", str(out / "policy_001.json")])
         assert code == 2
         assert "state space" in capsys.readouterr().err
+
+    def test_policy_action_space_mismatch_exits_2(self, tmp_path, capsys):
+        # An 8-action policy on the 4-action grid trace scored [0.0, 0.0, 0.5]
+        # and exited 0 (NonBuggy).
+        policy = json.loads(open(HAND_POLICY).read())
+        policy["action_space"] = {"kind": "discrete", "n": 8}
+        policy["entries"][0]["action"] = 6
+        path = tmp_path / "eight.policy.json"
+        path.write_text(json.dumps(policy))
+        code = main(["analyze", "--trace", HAND_TRACE, "--policy", str(path),
+                     "--theta-step", "0.5", "--window", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: policy action space DiscreteSpace(n=8) does not match the "
+            "trace environment DiscreteSpace(n=4)\n"
+        )
+
+    def test_all_aborted_trace_is_buggy(self, tmp_path, capsys):
+        # Every epoch aborted on its first action. The oracle judges such a
+        # run unhealthy; analyze judged the same log healthy and NonBuggy.
+        header = json.loads(open(HAND_TRACE).readline())
+        header.update(epochs=10, aborted_epochs=list(range(1, 11)))
+        trace = tmp_path / "aborted.trace.jsonl"
+        trace.write_text(json.dumps(header) + "\n")
+        out = tmp_path / "analysis.json"
+        code = main(["analyze", "--trace", str(trace), "--policy", HAND_POLICY,
+                     "--window", "2", "--output", str(out)])
+        assert code == 1
+        analysis = json.loads(out.read_text())
+        assert analysis["series"] == [0.0] * 10
+        assert analysis["trend"]["healthy"] is False
+        assert analysis["verdict"] == "Buggy"
+        log, _ = read_trace(trace)
+        policy = load_policy(HAND_POLICY)
+        config = oracle.OracleConfig(epochs=10, trend=TrendParams(window=2))
+        assert oracle.analyze_log(policy, log, config).healthy is False
 
     def test_non_contiguous_trace_exits_2(self, tmp_path, capsys):
         lines = open(HAND_TRACE).read().splitlines()
@@ -252,6 +288,20 @@ class TestTestCommand:
         assert report["config"]["oracle"]["policies"] == 2
         assert report["config"]["oracle"]["epochs"] == 20
         assert report["config"]["oracle"]["theta_step"] == 0.5
+
+    @pytest.mark.parametrize("section, flags", [
+        ({"oracle": {"epochs": 1}}, ["--epochs", "20"]),
+        ({"env": {"kind": "grid", "goal": [9]}}, ["--set", "env.goal=[3,3]"]),
+    ], ids=["epochs", "goal"])
+    def test_overridden_file_value_is_not_checked(self, tmp_path, section, flags):
+        # The file was parsed, and so checked, before the flags applied.
+        cfg = write_config(tmp_path / "cfg.json", **section)
+        out = tmp_path / "out"
+        assert main(["test", "--config", cfg, "--policies", "1", "--output", str(out),
+                     *flags]) in (0, 1)
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["oracle"]["epochs"] == (20 if "oracle" in section else 30)
+        assert report["config"]["env"]["goal"] == [3, 3]
 
     def test_emit_traces_reproducible_by_analyze(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")

@@ -23,13 +23,11 @@ from fuzzoracle.errors import InvalidWindowError, TraceFormatError
 from fuzzoracle.logfiles import (
     agent_config_from_dict,
     canonical_json,
-    agent_config_to_dict,
+    config_from_dict,
+    config_to_dict,
     env_spec_from_dict,
-    env_spec_to_dict,
     load_policy,
     load_run_config,
-    oracle_config_from_dict,
-    oracle_config_to_dict,
     policy_from_dict,
     policy_to_dict,
     read_trace,
@@ -119,7 +117,7 @@ class TestTraceValidation:
             {
                 "format": "fuzzoracle-trace",
                 "version": 1,
-                "env": env_spec_to_dict(GridSpec()),
+                "env": config_to_dict(GridSpec()),
                 "policy_id": 1,
                 "epochs": epochs,
                 **extra,
@@ -288,7 +286,7 @@ def canonical_trace(log, spec) -> str:
     header = {
         "format": "fuzzoracle-trace",
         "version": 1,
-        "env": env_spec_to_dict(spec),
+        "env": config_to_dict(spec),
         "policy_id": log.policy_id,
         "epochs": len(log.epochs),
     }
@@ -613,6 +611,48 @@ class TestPolicyFiles:
         save_policy(path, policy)
         assert load_policy(path) == policy
 
+    def test_box_policy_bytes(self, tmp_path):
+        space = HillCarSpec().state_space()
+        actions = HillCarSpec().action_space()
+        policy = IntendedPolicy.build(
+            [((-0.51, 0.013), (0.25,)), ((0.1, -0.06), (-0.8,))], space, actions
+        )
+        path = tmp_path / "p.json"
+        save_policy(path, policy)
+        assert path.read_text() == (
+            '{"action_shape":{"kind":"linear","width":2.0},'
+            '"action_space":{"highs":[1.0],"kind":"box","lows":[-1.0]},'
+            '"entries":[{"action":[0.25],"state":[-0.51,0.013]},'
+            '{"action":[-0.8],"state":[0.1,-0.06]}],'
+            '"format":"fuzzoracle-policy","min_ref_distance":0.6218789545517571,'
+            '"state_shape":{"kind":"linear","width":null},'
+            '"state_space":{"highs":[0.6,0.07],"kind":"box","lows":[-1.2,-0.07]},'
+            '"version":1}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "section", ["state_space", "action_space", "state_shape", "action_shape"]
+    )
+    def test_unknown_section_field_rejected(self, two_ref_policy, section):
+        # Space sections follow the run-config rules; an extra field in one
+        # was ignored.
+        data = policy_to_dict(two_ref_policy)
+        data[section]["extra"] = 1
+        with pytest.raises(
+            TraceFormatError, match=f"^bad policy file: unknown {section} fields: extra$"
+        ):
+            policy_from_dict(data)
+
+    @pytest.mark.parametrize("space, message", [
+        ({"kind": "hex", "n": 4}, "action_space kind must be 'grid', 'discrete' or 'box', got 'hex'"),
+        ({"kind": "discrete", "n": 0}, "bad action_space config: discrete space needs at least one action"),
+    ], ids=["kind", "n"])
+    def test_bad_space_rejected(self, two_ref_policy, space, message):
+        data = policy_to_dict(two_ref_policy)
+        data["action_space"] = space
+        with pytest.raises(TraceFormatError, match=f"^bad policy file: {re.escape(message)}$"):
+            policy_from_dict(data)
+
     def test_shipped_fixture_loads(self):
         policy = load_policy(os.path.join(DATA, "hand3epoch.policy.json"))
         assert policy.entries == (((0, 0), 2), ((2, 2), 1))
@@ -668,7 +708,7 @@ class TestPolicyFiles:
 class TestConfigSerialization:
     def test_env_round_trip(self):
         for spec in (GridSpec(rows=5, cols=3, holes=((1, 1),), goal=(4, 2)), HillCarSpec()):
-            assert env_spec_from_dict(env_spec_to_dict(spec)) == spec
+            assert env_spec_from_dict(config_to_dict(spec)) == spec
 
     def test_env_unknown_kind(self):
         with pytest.raises(TraceFormatError):
@@ -680,7 +720,7 @@ class TestConfigSerialization:
 
     def test_agent_round_trip(self):
         config = AgentConfig(learning_rate=0.25, seed=9)
-        assert agent_config_from_dict(agent_config_to_dict(config)) == config
+        assert agent_config_from_dict(config_to_dict(config)) == config
 
     def test_oracle_bad_values(self):
         # Values the constructors reject become TraceFormatError; their own
@@ -691,11 +731,11 @@ class TestConfigSerialization:
             ({"theta_step": [1]}, "bad oracle config: '<=' not supported"),
         ):
             with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}"):
-                oracle_config_from_dict(data)
+                config_from_dict(OracleConfig, data, "oracle")
         with pytest.raises(InvalidWindowError, match="^window must be >= 1, got 0$"):
-            oracle_config_from_dict({"window": 0})
+            config_from_dict(OracleConfig, {"window": 0}, "oracle")
         with pytest.raises(TraceFormatError, match="^unknown oracle fields: trend$"):
-            oracle_config_from_dict({"trend": {}})
+            config_from_dict(OracleConfig, {"trend": {}}, "oracle")
 
     def test_env_lists_become_tuples(self):
         spec = env_spec_from_dict({"kind": "grid", "holes": [[1, 1]], "goal": [3, 3]})
@@ -715,7 +755,7 @@ class TestConfigSerialization:
         config = OracleConfig(
             policies=4, epochs=50, trend=TrendParams(window=3, epsilon=0.01, delta=0.2)
         )
-        assert oracle_config_from_dict(oracle_config_to_dict(config)) == config
+        assert config_from_dict(OracleConfig, config_to_dict(config), "oracle") == config
 
     def test_run_config_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -723,6 +763,19 @@ class TestConfigSerialization:
         config = load_run_config(path)
         assert config["env"] == GridSpec()
         assert config["oracle"].policies == 2
+
+    def test_run_config_overrides_apply_before_parsing(self, tmp_path):
+        # Each override replaces a field of the file's section, so a kind
+        # starts from that kind's defaults and a replaced value is never
+        # checked.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"env": {"kind": "grid"}, "oracle": {"epochs": 1}}')
+        config = load_run_config(
+            path, [("env", "kind", "hillcar"), ("oracle", "epochs", 20), ("agent", "seed", 4)]
+        )
+        assert config["env"] == HillCarSpec()
+        assert config["oracle"].epochs == 20
+        assert config["agent"] == AgentConfig(seed=4)
 
     def test_run_config_syntax_error_reports_line(self, tmp_path):
         path = tmp_path / "cfg.json"
