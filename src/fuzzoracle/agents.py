@@ -29,7 +29,12 @@ from .errors import (
 )
 from .spaces import DiscreteSpace
 
-ALGORITHMS = ("tabular_q", "linear_actor_critic")
+# The environment kind each learner runs on, as its mismatch error names it.
+_ENVIRONMENTS = {
+    "tabular_q": ("grid", "a discrete grid environment"),
+    "linear_actor_critic": ("hillcar", "a continuous environment"),
+}
+ALGORITHMS = tuple(_ENVIRONMENTS)
 
 BUG_CATEGORIES = ("training", "model", "updating_network", "exploration")
 
@@ -178,6 +183,14 @@ _BLOCK = 256
 _WEIGHT_LIMIT = 1e300
 
 
+def check_environment(algorithm: str, env_kind: str) -> None:
+    """Raise :class:`AlgorithmEnvMismatchError` unless the learner named
+    ``algorithm`` runs on an environment of kind ``env_kind``."""
+    kind, description = _ENVIRONMENTS[algorithm]
+    if env_kind != kind:
+        raise AlgorithmEnvMismatchError(f"{algorithm} needs {description}, got {env_kind!r}")
+
+
 def _epsilon(config: AgentConfig, progress: float) -> float:
     return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * progress
 
@@ -190,15 +203,18 @@ def _write_permutation(config: AgentConfig, n: int):
     return np.random.default_rng([max(config.seed, 0), 97]).permutation(n)
 
 
+def _draws(draw):
+    """Endless stream of the values of ``draw(_BLOCK)``, block after block,
+    that draws its first block at the first ``next``. ``draw(n)`` gives the
+    values of ``n`` single draws, so they come out in the same order."""
+    return itertools.chain.from_iterable(iter(lambda: draw(_BLOCK).tolist(), None))
+
+
 class TabularQAgent:
     """Q-learning over a table indexed by grid cell and action id."""
 
     def __init__(self, config: AgentConfig, env_spec, rng=None):
-        if env_spec.kind != "grid":
-            raise AlgorithmEnvMismatchError(
-                "tabular_q needs a discrete grid environment, "
-                f"got {env_spec.kind!r}"
-            )
+        check_environment("tabular_q", env_spec.kind)
         self.config = config
         self.cols = env_spec.cols
         self.n_states = env_spec.rows * env_spec.cols
@@ -208,8 +224,7 @@ class TabularQAgent:
         self.rng = np.random.default_rng(config.seed if rng is None else rng)
         bit_generator = self.rng.bit_generator
         if type(bit_generator) is np.random.PCG64:
-            self._random_raw = bit_generator.random_raw
-            self._raws = iter(())
+            self._raws = _draws(bit_generator.random_raw)
             buffered = bit_generator.state
             self._half = buffered["uinteger"] if buffered["has_uint32"] else None
         else:
@@ -242,8 +257,8 @@ class TabularQAgent:
           nor clears that half. The agent keeps it in ``_half``, starting
           from the generator's own buffered half, so a generator that was
           used before it was handed over is followed exactly.
-        * ``random_raw(n)`` gives the values of ``n`` single outputs, so the
-          outputs are taken ``_BLOCK`` at a time and handed out in order.
+        * The outputs come from one stream of ``random_raw`` blocks
+          (:func:`_draws`).
 
         The agent owns its generator: the generator runs ahead of the
         outputs handed out, to the end of the current block, and its own
@@ -256,22 +271,14 @@ class TabularQAgent:
             if raws is None:
                 if self.rng.random() < eps:
                     return int(self.rng.integers(self.n_actions))
-            else:
-                bits = next(raws, None)
-                if bits is None:
-                    self._raws = raws = iter(self._random_raw(_BLOCK).tolist())
+            elif (next(raws) >> 11) * _TWO_TO_MINUS_53 < eps:
+                half = self._half
+                if half is None:
                     bits = next(raws)
-                if (bits >> 11) * _TWO_TO_MINUS_53 < eps:
-                    half = self._half
-                    if half is None:
-                        bits = next(raws, None)
-                        if bits is None:
-                            self._raws = raws = iter(self._random_raw(_BLOCK).tolist())
-                            bits = next(raws)
-                        half, self._half = bits & 0xFFFFFFFF, bits >> 32
-                    else:
-                        self._half = None
-                    return half >> self._action_shift
+                    half, self._half = bits & 0xFFFFFFFF, bits >> 32
+                else:
+                    self._half = None
+                return half >> self._action_shift
         # row.index(max(row)) unrolled for the four actions: a later value
         # must be greater to win, so ties go to the lowest id.
         a, b, c, d = self.q[state[0] * self.cols + state[1]]
@@ -312,11 +319,7 @@ class LinearActorCriticAgent:
     """
 
     def __init__(self, config: AgentConfig, env_spec, rng=None):
-        if env_spec.kind != "hillcar":
-            raise AlgorithmEnvMismatchError(
-                "linear_actor_critic needs a continuous environment, "
-                f"got {env_spec.kind!r}"
-            )
+        check_environment("linear_actor_critic", env_spec.kind)
         self.config = config
         self.spec = env_spec
         k = config.feature_grid
@@ -344,7 +347,7 @@ class LinearActorCriticAgent:
         self._step = np.empty((2, self.n_features))
         self._bound = abs(init)
         self.rng = np.random.default_rng(config.seed if rng is None else rng)
-        self._normals = iter(())
+        self._normals = _draws(self.rng.standard_normal)
         self._write_perm = _write_permutation(config, self.n_features)
 
     def features(self, state) -> np.ndarray:
@@ -372,18 +375,13 @@ class LinearActorCriticAgent:
         """The policy mean plus ``action_noise`` times a standard normal
         draw, clamped to [-1, 1].
 
-        ``standard_normal(n)`` gives the values of ``n`` scalar draws, so the
-        draws are taken ``_BLOCK`` at a time and handed out in order.
-        The agent owns its generator: the generator runs ahead of the draws
-        handed out, so nothing else may draw from it.
+        The draws come from one stream of ``standard_normal`` blocks
+        (:func:`_draws`), so the agent owns its generator and nothing else
+        may draw from it.
         """
         mean = float(self.w_mean @ self.features(state))
         self._acted = (state, mean)
-        z = next(self._normals, None)
-        if z is None:
-            self._normals = iter(self.rng.standard_normal(_BLOCK).tolist())
-            z = next(self._normals)
-        noisy = mean + self.config.action_noise * z
+        noisy = mean + self.config.action_noise * next(self._normals)
         return (-1.0 if noisy < -1.0 else 1.0 if noisy > 1.0 else noisy,)
 
     def update(self, transition) -> None:

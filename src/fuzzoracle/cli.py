@@ -25,7 +25,7 @@ import os
 import sys
 import time
 
-from .agents import BUG_REGISTRY, inject_bug
+from .agents import BUG_REGISTRY, check_environment, inject_bug
 from .errors import FuzzOracleError, TraceFormatError
 from .evaluation import (
     DEFAULT_ROC_THRESHOLDS,
@@ -210,6 +210,7 @@ def _meta(elapsed, workers, verdicts) -> str:
 
 def cmd_test(args) -> int:
     config = load_run_config(args.config, _overrides(args))
+    check_environment(config["agent"].algorithm, config["env"].kind)
     env_spec = config["env"]
     oracle_config = config["oracle"]
     bug = args.bug if args.bug is not None else config.get("bug")
@@ -299,6 +300,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = load_run_config(args.config, _overrides(args))
+    check_environment(config["agent"].algorithm, config["env"].kind)
     variants = config.get("variants")
     if not variants:
         raise TraceFormatError("corpus config needs a non-empty 'variants' list")

@@ -21,7 +21,7 @@ from .errors import FuzzOracleError, TraceFormatError
 from .membership import MembershipShape
 from .oracle import OracleConfig, Verdict
 from .policy import IntendedPolicy
-from .spaces import BoxSpace, DiscreteSpace, GridSpace
+from .spaces import BoxSpace, DiscreteSpace, GridSpace, is_int
 
 TRACE_FORMAT = "fuzzoracle-trace"
 POLICY_FORMAT = "fuzzoracle-policy"
@@ -66,7 +66,8 @@ def config_from_dict(cls, data, where: str):
 
     Lists become tuples, and a missing field takes the dataclass's default.
     A ``kind`` goes to the constructor only when it is one of ``cls``'s
-    fields (a membership shape). An unknown field, or a value the
+    fields (a membership shape). An unknown field, an int too large for a
+    float in a float field (kept, not converted), or a value the
     constructor rejects with a TypeError, ValueError or AttributeError,
     raises :class:`TraceFormatError` naming the ``where`` section; the
     constructor's own library errors pass through unchanged.
@@ -74,13 +75,21 @@ def config_from_dict(cls, data, where: str):
     nested = {
         f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)
     }
-    allowed = [f.name for f in fields(cls) if f.name not in nested]
-    allowed += [f.name for sub in nested.values() for f in fields(sub)]
+    flat = [f for c in (cls, *nested.values()) for f in fields(c) if f.name not in nested]
+    allowed = [f.name for f in flat]
     kind_field = "kind" in allowed
     if hasattr(cls, "kind"):
         allowed.append("kind")
     _take(_object(data, where), *allowed, where=where)
     values = {k: _tuples(v) for k, v in data.items() if k != "kind" or kind_field}
+    for f in flat:
+        if f.type in ("float", "float | None") and isinstance(values.get(f.name), int):
+            try:
+                float(values[f.name])
+            except OverflowError:
+                raise TraceFormatError(
+                    f"bad {where} config: {f.name} is too large for a float"
+                ) from None
     try:
         for name, sub in nested.items():
             own = [f.name for f in fields(sub) if f.name in values]
@@ -160,7 +169,7 @@ def _point_reader(space):
         n = space.n
 
         def point(value, index=None):
-            if _is_int(value):
+            if is_int(value):
                 return value, 0 <= value < n
             raise _bad_point("discrete action must be an int", value, index)
     elif isinstance(space, GridSpace):
@@ -169,7 +178,7 @@ def _point_reader(space):
         def point(value, index=None):
             if not isinstance(value, (list, tuple)):
                 raise _bad_point("point must be a list", value, index)
-            if len(value) == 2 and _is_int(value[0]) and _is_int(value[1]):
+            if len(value) == 2 and is_int(value[0]) and is_int(value[1]):
                 r, c = value
                 return (r, c), 0 <= r < rows and 0 <= c < cols
             raise _bad_point("grid coordinates must be two ints", value, index)
@@ -191,7 +200,7 @@ def _point_reader(space):
                     return tuple(value), inside
             if not isinstance(value, (list, tuple)):
                 raise _bad_point("point must be a list", value, index)
-            if not all(_is_int(v) or isinstance(v, float) for v in value):
+            if not all(is_int(v) or isinstance(v, float) for v in value):
                 raise _bad_point("box coordinates must be numbers", value, index)
             try:
                 p = tuple(map(float, value))
@@ -204,10 +213,6 @@ def _point_reader(space):
 def _bad_point(problem: str, value, index) -> TraceFormatError:
     prefix = "" if index is None else f"record {index}: "
     return TraceFormatError(f"{prefix}{problem}, got {value!r}", record_index=index)
-
-
-def _is_int(value) -> bool:
-    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
 def policy_to_dict(policy: IntendedPolicy) -> dict:
@@ -451,7 +456,7 @@ class _Epochs:
             self.done.extend(EpochTrace((), k) for k in skipped)
             self.number = e - 1
         if e == self.number + 1 and j == 1:
-            if not _is_int(e):
+            if not is_int(e):
                 raise TraceFormatError(
                     f"record {index}: epoch must be an int, got {e!r}", record_index=index
                 )
@@ -520,7 +525,7 @@ def _record_reader(state_space, action_space):
                 record_index=index,
             )
         if type(reward) is not float:
-            if not (_is_int(reward) or isinstance(reward, float)):
+            if not (is_int(reward) or isinstance(reward, float)):
                 raise TraceFormatError(
                     f"record {index}: reward must be a number", record_index=index
                 )

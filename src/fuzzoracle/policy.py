@@ -8,7 +8,6 @@ the metrics and membership shapes used to score how closely visited
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import DuplicateReferenceStateError, PolicyTooSmallError
@@ -114,22 +113,12 @@ def closest_reference(state, policy: IntendedPolicy) -> tuple[int, float]:
     """Index and distance of the reference state nearest to ``state``.
 
     Ties break toward the lowest entry index so repeated runs stay
-    reproducible; distance comparison is exact. On a box, the metric is
-    :meth:`BoxSpace.distance` written out, operation for operation.
+    reproducible; distance comparison is exact.
     """
-    space = policy.state_space
-    spans = space._spans if isinstance(space, BoxSpace) else None
-    distance = space.distance
+    distance = policy.state_space.distance
     best_index, best_distance = 0, None
     for i, (ref, _) in enumerate(policy.entries):
-        if spans is None:
-            d = distance(state, ref)
-        else:
-            total = 0.0
-            for x, y, span in zip(state, ref, spans):
-                d = (x - y) / span
-                total += d * d
-            d = math.sqrt(total)
+        d = distance(state, ref)
         if i == 0 or d < best_distance:
             best_index, best_distance = i, d
     return best_index, best_distance

@@ -26,6 +26,12 @@ GridCell = tuple[int, int]
 Coords = tuple[float, ...]
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool; a plain int is the
+    quickest to tell."""
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridSpace:
     """Discrete rectangular grid of cells addressed as (row, col)."""
@@ -39,12 +45,7 @@ class GridSpace:
         if not (isinstance(point, tuple) and len(point) == 2):
             return False
         r, c = point
-        return (
-            isinstance(r, int)
-            and isinstance(c, int)
-            and 0 <= r < self.rows
-            and 0 <= c < self.cols
-        )
+        return is_int(r) and is_int(c) and 0 <= r < self.rows and 0 <= c < self.cols
 
     def distance(self, a: GridCell, b: GridCell) -> float:
         return float(abs(a[0] - b[0]) + abs(a[1] - b[1]))
@@ -137,7 +138,7 @@ class DiscreteSpace:
             raise ValueError("discrete space needs at least one action")
 
     def contains(self, point) -> bool:
-        return isinstance(point, int) and not isinstance(point, bool) and 0 <= point < self.n
+        return is_int(point) and 0 <= point < self.n
 
     def distance(self, a: int, b: int) -> float:
         """Exact-match metric: 0 for equal ids, inf otherwise."""
@@ -146,7 +147,7 @@ class DiscreteSpace:
         return 0.0 if a == b else math.inf
 
     def _check_kind(self, point):
-        if not isinstance(point, int) or isinstance(point, bool):
+        if not is_int(point):
             raise ActionKindMismatchError(
                 f"expected a discrete action id, got {type(point).__name__}"
             )

@@ -1,5 +1,4 @@
 import math
-import operator
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +14,7 @@ from fuzzoracle import (
     inject_bug,
     make_agent,
 )
+from fuzzoracle.agents import _BLOCK
 from fuzzoracle.errors import (
     AlgorithmEnvMismatchError,
     FuzzOracleError,
@@ -243,6 +243,24 @@ class TestDeterminism:
         assert actions[0] == actions[1]
 
 
+class CountingReference:
+    """``Generator.random()`` and ``int(Generator.integers(n))``, counting
+    the raw 64-bit outputs they take: one per ``random()``, and one per
+    ``integers(n)`` that finds no buffered 32-bit half."""
+
+    def __init__(self, rng):
+        self.rng, self.used = rng, 0
+
+    def random(self):
+        self.used += 1
+        return self.rng.random()
+
+    def integers(self, n):
+        if not self.rng.bit_generator.state.get("has_uint32"):
+            self.used += 1
+        return int(self.rng.integers(n))
+
+
 class TestExplorationDraws:
     """``TabularQAgent.act`` draws exactly what ``Generator.random()`` and
     ``int(Generator.integers(4))`` would, draw for draw."""
@@ -253,7 +271,7 @@ class TestExplorationDraws:
         actions = []
         for _ in range(self.STEPS):
             if eps > 0.0 and rng.random() < eps:
-                action = int(rng.integers(4))
+                action = rng.integers(4)
             else:
                 action = greedy
             actions.append(min(action, 1) if clamp else action)
@@ -263,20 +281,22 @@ class TestExplorationDraws:
         config = AgentConfig(epsilon_start=eps, epsilon_end=eps)
         if bug:
             config = inject_bug(config, bug)
-        agent_rng, reference = make_rng(), make_rng()
+        agent_rng, reference = make_rng(), CountingReference(make_rng())
         agent = make_agent(config, grid_spec, agent_rng)
         # Greedy action 3 at (1, 2), so no exploratory draw can pass for it.
         agent.q[agent.state_index((1, 2))] = [0.0, 0.0, 0.0, 1.0]
         actions = [agent.act((1, 2), 0.5) for _ in range(self.STEPS)]
         assert actions == self.expected_actions(reference, eps, 3, bug is not None)
-        self.check_streams(agent, agent_rng, reference)
+        self.check_streams(agent_rng, reference)
 
-    def check_streams(self, agent, agent_rng, reference):
+    def check_streams(self, agent_rng, reference):
         """Both streams stand at the same place, once the reference skips
-        the raw outputs the agent took in its last block but did not use."""
-        if agent._raws is not None:
-            reference.bit_generator.random_raw(operator.length_hint(agent._raws))
-        assert [agent_rng.random() for _ in range(3)] == [reference.random() for _ in range(3)]
+        the raw outputs that a PCG64 agent took in whole blocks of
+        ``_BLOCK`` but did not use."""
+        rng = reference.rng
+        if type(agent_rng.bit_generator) is np.random.PCG64:
+            rng.bit_generator.random_raw(-reference.used % _BLOCK)
+        assert [agent_rng.random() for _ in range(3)] == [rng.random() for _ in range(3)]
 
     @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
     def test_many_seeds(self, grid_spec, eps):
@@ -312,16 +332,16 @@ class TestExplorationDraws:
         progresses = [p for p in (0.0, 0.5, 0.5, 0.0, 1.0, 0.25, 1.0) for _ in range(60)]
         for seed in range(10):
             agent_rng = np.random.Generator(bit_generator(seed))
-            reference = np.random.Generator(bit_generator(seed))
+            reference = CountingReference(np.random.Generator(bit_generator(seed)))
             agent = make_agent(config, grid_spec, agent_rng)
             agent.q[agent.state_index((1, 2))] = [0.0, 0.0, 0.0, 1.0]
             actions = [agent.act((1, 2), p) for p in progresses]
             expected = []
             for p in progresses:
                 eps = config.epsilon_start + (config.epsilon_end - config.epsilon_start) * p
-                expected.append(int(reference.integers(4)) if reference.random() < eps else 3)
+                expected.append(reference.integers(4) if reference.random() < eps else 3)
             assert actions == expected
-            self.check_streams(agent, agent_rng, reference)
+            self.check_streams(agent_rng, reference)
 
 
 class TestActorCritic:

@@ -390,13 +390,45 @@ class TestTestCommand:
         ({"oracle": {"window": 0}}, "window must be >= 1, got 0"),
         ({"agent": {"bug": "NO_SUCH_BUG"}}, "bad agent config: agent.bug is not accepted"),
         ({"agent": {"bug": "LR_ZERO"}}, "bad agent config: agent.bug is not accepted"),
+        ({"env": {"kind": "grid", "goal": [3, True]}}, "goal (3, True) outside the grid"),
+        ({"env": {"kind": "grid", "holes": [[True, 1]]}}, "hole (True, 1) outside the grid"),
+        *(({"env": {"kind": "hillcar", name: -int("9" * 400)},
+            "agent": {"algorithm": "linear_actor_critic"}},
+           f"bad env config: {name} is too large for a float")
+          for name in ("min_position", "max_speed", "gravity")),
+        ({"agent": {"learning_rate": int("9" * 400)}},
+         "bad agent config: learning_rate is too large for a float"),
+        ({"oracle": {"reward_scale": int("9" * 400)}},
+         "bad oracle config: reward_scale is too large for a float"),
     ], ids=["env_rows", "env_list", "env_goal", "oracle_epsilon", "oracle_policies",
-            "oracle_window", "agent_bug_unknown", "agent_bug"])
+            "oracle_window", "agent_bug_unknown", "agent_bug", "env_goal_bool",
+            "env_hole_bool", "env_min_position_overflow", "env_max_speed_overflow",
+            "env_gravity_overflow", "agent_learning_rate_overflow",
+            "oracle_reward_scale_overflow"])
     def test_malformed_section_exits_2(self, tmp_path, capsys, section, message):
         cfg = write_config(tmp_path / "cfg.json", **section)
         assert main(["test", "--config", cfg, "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, kind, extra", [
+        ("test", "hillcar", []),
+        ("test", "grid", ["--set", 'env.kind="hillcar"']),
+        ("evaluate", "hillcar", []),
+    ], ids=["test", "test_set_kind", "evaluate"])
+    def test_learner_environment_mismatch_writes_nothing(
+        self, tmp_path, capsys, command, kind, extra
+    ):
+        cfg = write_config(
+            tmp_path / "cfg.json", env={"kind": kind},
+            variants=[{"name": "clean", "bug": None, "buggy": False}],
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: tabular_q needs a discrete grid environment, got 'hillcar'\n"
+        assert not out.exists()
 
     def test_set_agent_bug_exits_2(self, tmp_path, capsys):
         # It used to train the clean learner while the report said LR_ZERO.

@@ -20,6 +20,7 @@ from fuzzoracle import (
 )
 from fuzzoracle import logfiles
 from fuzzoracle.errors import InvalidWindowError, TraceFormatError
+from fuzzoracle.membership import MembershipShape
 from fuzzoracle.logfiles import (
     agent_config_from_dict,
     canonical_json,
@@ -736,6 +737,26 @@ class TestConfigSerialization:
             config_from_dict(OracleConfig, {"window": 0}, "oracle")
         with pytest.raises(TraceFormatError, match="^unknown oracle fields: trend$"):
             config_from_dict(OracleConfig, {"trend": {}}, "oracle")
+
+    @pytest.mark.parametrize("cls, where, name", [
+        (HillCarSpec, "env", "min_position"),
+        (AgentConfig, "agent", "learning_rate"),
+        (OracleConfig, "oracle", "reward_scale"),
+        (OracleConfig, "oracle", "epsilon"),
+        (MembershipShape, "state_shape", "width"),
+    ])
+    def test_float_field_too_large_for_a_float(self, cls, where, name):
+        data = {"kind": "linear"} if cls is MembershipShape else {}
+        data[name] = -int("9" * 400)
+        message = f"bad {where} config: {name} is too large for a float"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            config_from_dict(cls, data, where)
+
+    def test_float_field_keeps_an_int(self):
+        # The value is checked, not converted, so the config echo keeps it.
+        config = agent_config_from_dict({"learning_rate": 1})
+        assert type(config.learning_rate) is int
+        assert config_to_dict(config)["learning_rate"] == 1
 
     def test_env_lists_become_tuples(self):
         spec = env_spec_from_dict({"kind": "grid", "holes": [[1, 1]], "goal": [3, 3]})

@@ -31,6 +31,11 @@ class TestSpaces:
         assert not space.contains((0, -1))
         assert not space.contains((0.0, 1))
 
+    def test_grid_refuses_bool_coordinates(self):
+        space = GridSpace(4, 4)
+        assert not space.contains((True, 0))
+        assert not space.contains((0, False))
+
     def test_manhattan(self):
         space = GridSpace(4, 4)
         assert space.distance((0, 0), (2, 3)) == 5.0
@@ -159,6 +164,12 @@ class TestPolicyBuild:
         with pytest.raises(ValueError):
             IntendedPolicy.build(
                 [((0, 0), 0), ((1, 1), 7)], GridSpace(4, 4), DiscreteSpace(4)
+            )
+
+    def test_rejects_bool_grid_state(self):
+        with pytest.raises(ValueError, match="outside the state space"):
+            IntendedPolicy.build(
+                [((True, 0), 1), ((2, 2), 0)], GridSpace(4, 4), DiscreteSpace(4)
             )
 
     def test_caches_min_reference_distance(self):
