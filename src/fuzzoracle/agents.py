@@ -161,14 +161,17 @@ BUG_REGISTRY = {
 }
 
 
-def inject_bug(config: AgentConfig, bug_id: str) -> AgentConfig:
-    """Config for the buggy variant of ``config``.
+def inject_bug(config: AgentConfig, bug_id: str | None) -> AgentConfig:
+    """Config for the buggy variant of ``config``, or ``config`` itself
+    when ``bug_id`` is None.
 
     Applies the registry's parameter overrides and records the bug id for
     :func:`make_agent`. :class:`AgentConfig` refuses an unknown bug, and a
     bug that cannot affect ``config.algorithm``, since the variant would
     behave exactly like the clean program while labelled buggy.
     """
+    if bug_id is None:
+        return config
     bug = BUG_REGISTRY.get(bug_id)
     return replace(config, bug=bug_id, **dict(bug.overrides if bug else ()))
 

@@ -25,7 +25,7 @@ import os
 import sys
 import time
 
-from .agents import BUG_REGISTRY, check_environment, inject_bug
+from .agents import BUG_REGISTRY, check_environment
 from .errors import FuzzOracleError, TraceFormatError
 from .evaluation import (
     DEFAULT_ROC_THRESHOLDS,
@@ -53,11 +53,10 @@ from .logfiles import (
 )
 from .oracle import (
     OracleConfig,
-    default_policy_size,
-    generate_policies,
     healthy,
     judge_programs,
     oracle_main,
+    oracle_policies,
 )
 from .trend import TrendParams, trend_analysis
 
@@ -146,8 +145,8 @@ def _add_override_flags(parser) -> None:
 
 
 def _overrides(args) -> list:
-    """``--set`` and the oracle flags as the ``(section, field, value)``
-    overrides of :func:`load_run_config`; a flag beats a ``--set``."""
+    """``--set``, the oracle flags and ``--bug`` as the ``(section, field,
+    value)`` overrides of :func:`load_run_config`; a flag beats a ``--set``."""
     overrides = []
     for item in args.set:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -165,10 +164,13 @@ def _overrides(args) -> list:
         except ValueError:
             value = raw
         overrides.append((section, fieldname, value))
-    for flag, fieldname in (("seed", "master_seed"), ("epochs", "epochs"),
-                            ("policies", "policies"), ("theta_oracle", "theta_oracle")):
-        if getattr(args, flag) is not None:
-            overrides.append(("oracle", fieldname, getattr(args, flag)))
+    for flag, section, fieldname in (
+        ("seed", "oracle", "master_seed"), ("epochs", "oracle", "epochs"),
+        ("policies", "oracle", "policies"), ("theta_oracle", "oracle", "theta_oracle"),
+        ("bug", None, "bug"),
+    ):
+        if getattr(args, flag, None) is not None:
+            overrides.append((section, fieldname, getattr(args, flag)))
     return overrides
 
 
@@ -184,6 +186,16 @@ def _resolve_workers(args) -> int | None:
                 f"FUZZORACLE_WORKERS must be an integer, got {env_value!r}"
             ) from None
     return None
+
+
+def _prologue(args) -> tuple:
+    """The run config with every override, checked for a learner that runs
+    on its environment, with the output directory and the worker count.
+    Nothing is written yet."""
+    config = load_run_config(args.config, _overrides(args))
+    check_environment(config["agent"].algorithm, config["env"].kind)
+    out_dir = args.output or config["output_dir"] or "fuzzoracle-out"
+    return config, out_dir, _resolve_workers(args)
 
 
 def _write(path, text) -> None:
@@ -209,18 +221,9 @@ def _meta(elapsed, workers, verdicts) -> str:
 
 
 def cmd_test(args) -> int:
-    config = load_run_config(args.config, _overrides(args))
-    check_environment(config["agent"].algorithm, config["env"].kind)
-    env_spec = config["env"]
-    oracle_config = config["oracle"]
-    bug = args.bug if args.bug is not None else config.get("bug")
-    agent_config = config["agent"]
-    if bug:
-        agent_config = inject_bug(agent_config, bug)
-
-    out_dir = args.output or config.get("output_dir") or "fuzzoracle-out"
+    config, out_dir, workers = _prologue(args)
+    env_spec, agent_config, oracle_config = config["env"], config["agent"], config["oracle"]
     os.makedirs(out_dir, exist_ok=True)
-    workers = _resolve_workers(args)
 
     on_log = None
     if args.emit_traces:
@@ -232,7 +235,7 @@ def cmd_test(args) -> int:
     verdict = oracle_main(agent_config, env_spec, oracle_config, workers, on_log)
     elapsed = time.monotonic() - started
 
-    report = verdict_report(verdict, env_spec, agent_config, oracle_config, bug)
+    report = verdict_report(verdict, env_spec, agent_config, oracle_config)
     _write(os.path.join(out_dir, "report.json"), canonical_json(report))
     _write(os.path.join(out_dir, "series.jsonl"), series_lines(verdict))
     _write(os.path.join(out_dir, "meta.json"), _meta(elapsed, workers, [verdict]))
@@ -299,27 +302,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = load_run_config(args.config, _overrides(args))
-    check_environment(config["agent"].algorithm, config["env"].kind)
-    variants = config.get("variants")
+    config, out_dir, workers = _prologue(args)
+    variants = config["variants"]
     if not variants:
         raise TraceFormatError("corpus config needs a non-empty 'variants' list")
-    # Every variant is checked, and its bug injected, before any training.
-    agent_configs = []
-    for v in variants:
-        if not isinstance(v, dict) or "name" not in v or "buggy" not in v:
-            raise TraceFormatError(
-                "each variant needs at least 'name' and 'buggy' fields"
-            )
-        bug = v.get("bug")
-        if bug is not None and bug not in BUG_REGISTRY:
-            raise TraceFormatError(f"variant {v['name']!r} references unknown bug {bug!r}")
-        agent_configs.append(inject_bug(config["agent"], bug) if bug else config["agent"])
-
-    env_spec = config["env"]
-    oracle_config = config["oracle"]
-    workers = _resolve_workers(args)
-    out_dir = args.output or config.get("output_dir") or "fuzzoracle-out"
+    env_spec, oracle_config = config["env"], config["oracle"]
+    agent_configs = [agent for _, _, agent in variants]
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.monotonic()
@@ -332,26 +320,23 @@ def cmd_evaluate(args) -> int:
     records = []
     programs = []
     judged = []
-    for v, verdict in zip(variants, verdicts):
+    for (name, buggy, agent), verdict in zip(variants, verdicts):
         judged.append(verdict)
         records.append(
-            ProgramRecord(
-                verdict.true_count, len(verdict.per_policy), bool(v["buggy"]),
-                name=v["name"],
-            )
+            ProgramRecord(verdict.true_count, len(verdict.per_policy), buggy, name=name)
         )
         programs.append(
             {
-                "name": v["name"],
-                "bug": v.get("bug"),
-                "ground_truth_buggy": bool(v["buggy"]),
+                "name": name,
+                "bug": agent.bug,
+                "ground_truth_buggy": buggy,
                 "label": verdict.label,
                 "true_count": verdict.true_count,
                 "ratio": verdict.ratio,
                 "ratio_display": display(verdict.ratio),
             }
         )
-        print(f"{v['name']}: {verdict.label} ({verdict.true_count}/{len(verdict.per_policy)})")
+        print(f"{name}: {verdict.label} ({verdict.true_count}/{len(verdict.per_policy)})")
     elapsed = time.monotonic() - started
 
     matrix = confusion_at(records, oracle_config.theta_oracle)
@@ -390,8 +375,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_policies_generate(args) -> int:
     env_spec = env_spec_from_dict({"kind": args.env})
-    size = args.size or default_policy_size(env_spec)
-    policies = generate_policies(env_spec, args.count, size, (args.seed, 1))
+    given = {"policies": args.count, "policy_size": args.size, "master_seed": args.seed}
+    policies = oracle_policies(env_spec, config_from_dict(OracleConfig, given, "oracle"))
     os.makedirs(args.output, exist_ok=True)
     for i, policy in enumerate(policies, start=1):
         path = os.path.join(args.output, f"policy_{i:03d}.json")

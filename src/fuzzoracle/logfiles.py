@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, is_dataclass
 
-from .agents import AgentConfig
+from .agents import AgentConfig, inject_bug
 from .compliance import EpochTrace, RunLog, TraceStep
 from .envs import GridSpec, HillCarSpec
 from .errors import FuzzOracleError, TraceFormatError
@@ -603,13 +603,16 @@ def _parse_record(line: str, index: int) -> dict:
 
 
 def load_run_config(path, overrides=()) -> dict:
-    """Parse a run config into env spec, agent config, oracle config, bug.
+    """Parse a run config into env spec, agent config, oracle config,
+    output directory and corpus variants.
 
-    Returns a dict with keys env, agent, oracle, bug, output_dir, variants.
-    Each ``(section, field, value)`` in ``overrides`` is set on the file's
-    env, agent or oracle section before that section is parsed, so a file
-    value it replaces is never checked. JSON syntax errors surface with
-    their line number.
+    Returns a dict with keys env, agent, oracle, output_dir, variants: the
+    agent carries the top-level ``bug``, and each variant is a ``(name,
+    buggy, agent)`` whose agent carries the variant's bug instead. Each
+    ``(section, field, value)`` in ``overrides`` is set on the file's env,
+    agent or oracle section, or with section None on its top level, before
+    it is parsed, so a file value it replaces is never checked. JSON syntax
+    errors surface with their line number.
     """
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -618,30 +621,35 @@ def load_run_config(path, overrides=()) -> dict:
         data, "env", "agent", "oracle", "bug", "output_dir", "variants",
         where="run config",
     )
-    sections = {
-        "env": data.get("env", {"kind": "grid"}),
-        "agent": data.get("agent", {}),
-        "oracle": data.get("oracle", {}),
-    }
+    data = {"env": {"kind": "grid"}, "agent": {}, "oracle": {}, "variants": [], **data}
     for section, name, value in overrides:
-        sections[section] = {**_object(sections[section], section), name: value}
+        if section is None:
+            data[name] = value
+        else:
+            data[section] = {**_object(data[section], section), name: value}
+    env = env_spec_from_dict(data["env"])
+    agent = agent_config_from_dict(data["agent"])
     return {
-        "env": env_spec_from_dict(sections["env"]),
-        "agent": agent_config_from_dict(sections["agent"]),
-        "oracle": config_from_dict(OracleConfig, sections["oracle"], "oracle"),
-        "bug": data.get("bug"),
+        "env": env,
+        "agent": inject_bug(agent, data.get("bug")),
+        "oracle": config_from_dict(OracleConfig, data["oracle"], "oracle"),
         "output_dir": data.get("output_dir"),
-        "variants": data.get("variants"),
+        "variants": [_variant(v, agent) for v in data["variants"]],
     }
+
+
+def _variant(data, agent: AgentConfig) -> tuple:
+    """``(name, buggy, agent with the variant's bug)`` of one corpus variant."""
+    if not isinstance(data, dict) or "name" not in data or "buggy" not in data:
+        raise TraceFormatError("each variant needs at least 'name' and 'buggy' fields")
+    return data["name"], bool(data["buggy"]), inject_bug(agent, data.get("bug"))
 
 
 # ---------------------------------------------------------------------------
 # Reports
 
 
-def verdict_report(
-    verdict: Verdict, env_spec, agent_config, oracle_config, bug
-) -> dict:
+def verdict_report(verdict: Verdict, env_spec, agent_config, oracle_config) -> dict:
     return {
         "format": REPORT_FORMAT,
         "version": FORMAT_VERSION,
@@ -649,7 +657,7 @@ def verdict_report(
             "env": config_to_dict(env_spec),
             "agent": config_to_dict(agent_config),
             "oracle": config_to_dict(oracle_config),
-            "bug": bug,
+            "bug": agent_config.bug,
         },
         "verdict": {
             "label": verdict.label,
