@@ -65,6 +65,8 @@ class AgentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.feature_grid < 1:
+            raise ValueError("feature_grid must be at least 1")
         if self.bug is None:
             if not self.learning_rate > 0:
                 raise ValueError("learning_rate must be positive")

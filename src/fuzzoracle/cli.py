@@ -14,7 +14,8 @@ commands without a verdict), 1 means Buggy, 2 means error. Flags and
 on the file's section before that section is parsed, so a file value it
 replaces is never checked, and ``--set env.kind`` starts from that kind's
 defaults. The FUZZORACLE_WORKERS environment variable bounds the training
-worker pool; ``--workers`` wins when both are given.
+worker pool; ``--workers`` wins when both are given, and either must be at
+least 1.
 """
 
 from __future__ import annotations
@@ -175,17 +176,20 @@ def _overrides(args) -> list:
 
 
 def _resolve_workers(args) -> int | None:
-    if getattr(args, "workers", None):
-        return args.workers
+    """``--workers``, else FUZZORACLE_WORKERS when it is set and not empty,
+    else None; a count below 1 is refused."""
+    workers, source = args.workers, "--workers"
     env_value = os.environ.get("FUZZORACLE_WORKERS")
-    if env_value:
+    if workers is None and env_value:
         try:
-            return max(1, int(env_value))
+            workers, source = int(env_value), "FUZZORACLE_WORKERS"
         except ValueError:
             raise TraceFormatError(
                 f"FUZZORACLE_WORKERS must be an integer, got {env_value!r}"
             ) from None
-    return None
+    if workers is not None and workers < 1:
+        raise TraceFormatError(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 def _prologue(args) -> tuple:

@@ -162,11 +162,13 @@ def step_compliance_at(policy: IntendedPolicy, state, action) -> tuple[float, fl
 
 
 def fuzzy_reward(state, action, policy: IntendedPolicy, reward_scale: float = 1.0) -> float:
-    """Reward proportional to the step compliance under ``policy``."""
+    """Reward proportional to the step compliance under ``policy``:
+    ``reward_scale * mu_state * mu_action``, multiplied left to right as in
+    training (:func:`make_reward_fn`)."""
     if not reward_scale > 0:
         raise ValueError("reward_scale must be positive")
-    _, _, mu_step = step_compliance_at(policy, state, action)
-    return reward_scale * mu_step
+    mu_state, mu_action, _ = step_compliance_at(policy, state, action)
+    return reward_scale * mu_state * mu_action
 
 
 class _GridMemo(dict):

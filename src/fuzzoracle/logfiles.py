@@ -66,11 +66,13 @@ def config_from_dict(cls, data, where: str):
 
     Lists become tuples, and a missing field takes the dataclass's default.
     A ``kind`` goes to the constructor only when it is one of ``cls``'s
-    fields (a membership shape). An unknown field, an int too large for a
-    float in a float field (kept, not converted), or a value the
-    constructor rejects with a TypeError, ValueError or AttributeError,
-    raises :class:`TraceFormatError` naming the ``where`` section; the
-    constructor's own library errors pass through unchanged.
+    fields (a membership shape). An unknown field, a value other than an
+    int that is no bool in an int field (``None`` too, unless the field is
+    optional), an int too large for a float in a float field (kept, not
+    converted), or a value the constructor rejects with a TypeError,
+    ValueError or AttributeError, raises :class:`TraceFormatError` naming
+    the ``where`` section; the constructor's own library errors pass
+    through unchanged.
     """
     nested = {
         f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)
@@ -83,9 +85,16 @@ def config_from_dict(cls, data, where: str):
     _take(_object(data, where), *allowed, where=where)
     values = {k: _tuples(v) for k, v in data.items() if k != "kind" or kind_field}
     for f in flat:
-        if f.type in ("float", "float | None") and isinstance(values.get(f.name), int):
+        value = values.get(f.name)
+        if f.type in ("int", "int | None") and f.name in values and not (
+            is_int(value) or value is None and f.type == "int | None"
+        ):
+            raise TraceFormatError(
+                f"bad {where} config: {f.name} must be an int, got {data[f.name]!r}"
+            )
+        if f.type in ("float", "float | None") and isinstance(value, int):
             try:
-                float(values[f.name])
+                float(value)
             except OverflowError:
                 raise TraceFormatError(
                     f"bad {where} config: {f.name} is too large for a float"
@@ -608,7 +617,8 @@ def load_run_config(path, overrides=()) -> dict:
 
     Returns a dict with keys env, agent, oracle, output_dir, variants: the
     agent carries the top-level ``bug``, and each variant is a ``(name,
-    buggy, agent)`` whose agent carries the variant's bug instead. Each
+    buggy, agent)`` whose agent carries the variant's bug instead, so a
+    config with ``variants`` names no top-level bug. Each
     ``(section, field, value)`` in ``overrides`` is set on the file's env,
     agent or oracle section, or with section None on its top level, before
     it is parsed, so a file value it replaces is never checked. JSON syntax
@@ -621,28 +631,53 @@ def load_run_config(path, overrides=()) -> dict:
         data, "env", "agent", "oracle", "bug", "output_dir", "variants",
         where="run config",
     )
-    data = {"env": {"kind": "grid"}, "agent": {}, "oracle": {}, "variants": [], **data}
+    data = {"env": {"kind": "grid"}, "agent": {}, "oracle": {}, **data}
     for section, name, value in overrides:
         if section is None:
             data[name] = value
         else:
             data[section] = {**_object(data[section], section), name: value}
+    bug, variants = data.get("bug"), data.get("variants", [])
+    _check(bug is None or isinstance(bug, str), "run", "bug must be a string", bug)
+    output_dir = data.get("output_dir")
+    _check(output_dir is None or isinstance(output_dir, str), "run",
+           "output_dir must be a string", output_dir)
+    _check(isinstance(variants, list), "run", "variants must be a list", variants)
+    _check(bug is None or "variants" not in data, "run",
+           "a config with variants names each bug in its variant, not as the top-level bug",
+           bug)
     env = env_spec_from_dict(data["env"])
     agent = agent_config_from_dict(data["agent"])
     return {
         "env": env,
-        "agent": inject_bug(agent, data.get("bug")),
+        "agent": inject_bug(agent, bug),
         "oracle": config_from_dict(OracleConfig, data["oracle"], "oracle"),
-        "output_dir": data.get("output_dir"),
-        "variants": [_variant(v, agent) for v in data["variants"]],
+        "output_dir": output_dir,
+        "variants": [_variant(v, agent) for v in variants],
     }
 
 
 def _variant(data, agent: AgentConfig) -> tuple:
-    """``(name, buggy, agent with the variant's bug)`` of one corpus variant."""
-    if not isinstance(data, dict) or "name" not in data or "buggy" not in data:
-        raise TraceFormatError("each variant needs at least 'name' and 'buggy' fields")
-    return data["name"], bool(data["buggy"]), inject_bug(agent, data.get("bug"))
+    """``(name, buggy, agent with the variant's bug)`` of one corpus variant:
+    an object of exactly a string ``name``, a boolean ``buggy`` and a
+    ``bug`` that is a string or null."""
+    keys = ("name", "buggy", "bug")
+    _take(_object(data, "variant"), *keys, where="variant")
+    if len(data) < len(keys):
+        raise TraceFormatError("each variant needs the fields 'name', 'buggy' and 'bug'")
+    name, buggy, bug = (data[k] for k in keys)
+    _check(isinstance(name, str), "variant", "name must be a string", name)
+    _check(type(buggy) is bool, f"variant {name!r}", "buggy must be true or false", buggy)
+    _check(bug is None or isinstance(bug, str), f"variant {name!r}",
+           "bug must be a string or null", bug)
+    return name, buggy, inject_bug(agent, bug)
+
+
+def _check(ok: bool, where: str, problem: str, value) -> None:
+    """Raise :class:`TraceFormatError` for ``value`` in the ``where``
+    config unless ``ok``."""
+    if not ok:
+        raise TraceFormatError(f"bad {where} config: {problem}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -333,8 +333,9 @@ def judge_programs(
     callable ``(env_spec, policy, epochs, seed) -> RunLog`` for programs
     that produce their traces elsewhere; the oracle sets each log's
     ``policy_id``. Every (program, policy) run is independent, so all of
-    them are one flat batch of tasks, in program-major order. ``workers`` >
-    1 trains the whole batch on one process pool when every program is an
+    them are one flat batch of tasks, in program-major order. With
+    ``workers`` > 1 and more than one task, the whole batch trains on one
+    process pool of at most one worker per task when every program is an
     :class:`AgentConfig`; a callable, which may be a closure, always runs in
     the calling process. Results are identical either way.
 
@@ -348,7 +349,8 @@ def judge_programs(
         for program in programs
         for pid, policy in enumerate(policies, start=1)
     ]
-    pooled = workers and workers > 1 and all(isinstance(p, AgentConfig) for p in programs)
+    workers = min(workers or 1, len(tasks))
+    pooled = workers > 1 and all(isinstance(p, AgentConfig) for p in programs)
     with (ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext()) as pool:
         results = pool.map(_judge_one_policy, tasks) if pooled else map(_judge_one_policy, tasks)
         outcomes = []

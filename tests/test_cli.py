@@ -44,6 +44,34 @@ class TestBugsAndPolicies:
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("env", ["grid", "hillcar"])
+    def test_policies_generate_writes_the_oracle_policies(self, tmp_path, env):
+        # policies generate --seed S writes the policies test --seed S trains against.
+        cfg = write_config(
+            tmp_path / "cfg.json", env={"kind": env},
+            agent={"algorithm": "tabular_q" if env == "grid" else "linear_actor_critic"},
+        )
+        gen, run = tmp_path / "gen", tmp_path / "run"
+        assert main(["policies", "generate", "--env", env, "--count", "3", "--seed", "5",
+                     "--output", str(gen)]) == 0
+        assert main(["test", "--config", cfg, "--seed", "5", "--policies", "3",
+                     "--epochs", "6", "--emit-traces", "--output", str(run)]) in (0, 1)
+        for i in (1, 2, 3):
+            name = f"policy_{i:03d}.json"
+            assert (gen / name).read_bytes() == (run / name).read_bytes()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--count", "0"], "bad oracle config: need at least one intended policy"),
+        (["--count", "-1"], "bad oracle config: need at least one intended policy"),
+        (["--size", "0"], "bad oracle config: policy_size must be at least 2"),
+        (["--seed", "-1"], "bad oracle config: master_seed must be non-negative"),
+    ])
+    def test_policies_generate_bad_flag_exits_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["policies", "generate", *flags, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_policies_generate_hillcar(self, tmp_path):
         out = tmp_path / "hc"
         assert main(["policies", "generate", "--env", "hillcar", "--count", "2",
@@ -382,11 +410,11 @@ class TestTestCommand:
         assert main(["test", "--config", "/nonexistent.json"]) == 2
 
     @pytest.mark.parametrize("section, message", [
-        ({"env": {"kind": "grid", "rows": "a"}}, "bad env config: '<' not supported"),
+        ({"env": {"kind": "grid", "rows": "a"}}, "bad env config: rows must be an int, got 'a'"),
         ({"env": []}, "bad env config: expected an object, got []"),
         ({"env": {"kind": "grid", "goal": [9]}}, "goal (9,) outside the grid"),
         ({"oracle": {"epsilon": -1}}, "bad oracle config: epsilon must be positive"),
-        ({"oracle": {"policies": None}}, "bad oracle config: '<' not supported"),
+        ({"oracle": {"policies": None}}, "bad oracle config: policies must be an int, got None"),
         ({"oracle": {"window": 0}}, "window must be >= 1, got 0"),
         ({"agent": {"bug": "NO_SUCH_BUG"}}, "bad agent config: agent.bug is not accepted"),
         ({"agent": {"bug": "LR_ZERO"}}, "bad agent config: agent.bug is not accepted"),
@@ -428,6 +456,59 @@ class TestTestCommand:
         assert main([command, "--config", cfg, "--output", str(out), *extra]) == 2
         err = capsys.readouterr().err
         assert err == "error: tabular_q needs a discrete grid environment, got 'hillcar'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["test", "evaluate"])
+    @pytest.mark.parametrize("fields, message", [
+        # Each of these used to run, or exit 1 with a traceback.
+        ({"variants": [{"name": "clean", "bug": None, "buggy": "false"}]},
+         "bad variant 'clean' config: buggy must be true or false, got 'false'"),
+        ({"variants": [{"name": "clean", "bug": None, "buggy": 0}]},
+         "bad variant 'clean' config: buggy must be true or false, got 0"),
+        ({"variants": [{"name": "clean", "bug": None, "buggy": False, "note": "x"}]},
+         "unknown variant fields: note"),
+        ({"variants": [{"name": 7, "bug": None, "buggy": False}]},
+         "bad variant config: name must be a string, got 7"),
+        ({"variants": [{"name": "clean", "buggy": False}]},
+         "each variant needs the fields 'name', 'buggy' and 'bug'"),
+        ({"variants": [3]}, "bad variant config: expected an object, got 3"),
+        ({"variants": [{"name": "lr", "bug": ["LR_ZERO"], "buggy": True}]},
+         "bad variant 'lr' config: bug must be a string or null, got ['LR_ZERO']"),
+        ({"bug": "LR_ZERO", "variants": [{"name": "clean", "bug": None, "buggy": False}]},
+         "bad run config: a config with variants names each bug in its variant"),
+        ({"bug": ["LR_ZERO"]}, "bad run config: bug must be a string, got ['LR_ZERO']"),
+        ({"variants": 5}, "bad run config: variants must be a list, got 5"),
+        ({"output_dir": 7}, "bad run config: output_dir must be a string, got 7"),
+    ], ids=["buggy_string", "buggy_int", "variant_unknown_field", "variant_name_int",
+            "variant_without_bug", "variant_not_object", "variant_bug_list",
+            "top_level_bug_beside_variants", "bug_list", "variants_int", "output_dir_int"])
+    def test_bad_run_config_field_writes_nothing(
+        self, tmp_path, capsys, command, fields, message
+    ):
+        cfg = write_config(tmp_path / "cfg.json", **fields)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("oracle.epochs=10.5", "bad oracle config: epochs must be an int, got 10.5"),
+        ("env.max_steps_per_epoch=20.5",
+         "bad env config: max_steps_per_epoch must be an int, got 20.5"),
+        ("agent.feature_grid=2.5", "bad agent config: feature_grid must be an int, got 2.5"),
+        ("oracle.policies=2.0", "bad oracle config: policies must be an int, got 2.0"),
+        ("agent.seed=1.5", "bad agent config: seed must be an int, got 1.5"),
+        ("oracle.window=true", "bad oracle config: window must be an int, got True"),
+        ("oracle.policy_size=false", "bad oracle config: policy_size must be an int, got False"),
+        ("agent.feature_grid=0", "bad agent config: feature_grid must be at least 1"),
+        ("agent.feature_grid=-1", "bad agent config: feature_grid must be at least 1"),
+    ])
+    def test_int_field_takes_only_an_int(self, tmp_path, capsys, override, message):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["test", "--config", cfg, "--set", override, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_set_agent_bug_exits_2(self, tmp_path, capsys):
@@ -531,6 +612,26 @@ class TestWorkersEnvVar:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["test", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["test", "evaluate"])
+    @pytest.mark.parametrize("flag, env_value, message", [
+        (["--workers", "0"], None, "--workers must be at least 1, got 0"),
+        (["--workers", "-3"], None, "--workers must be at least 1, got -3"),
+        ([], "0", "FUZZORACLE_WORKERS must be at least 1, got 0"),
+        ([], "-2", "FUZZORACLE_WORKERS must be at least 1, got -2"),
+    ], ids=["flag_zero", "flag_negative", "env_zero", "env_negative"])
+    def test_count_below_one_exits_2(
+        self, tmp_path, monkeypatch, capsys, command, flag, env_value, message
+    ):
+        if env_value is not None:
+            monkeypatch.setenv("FUZZORACLE_WORKERS", env_value)
+        cfg = write_config(
+            tmp_path / "cfg.json", variants=[{"name": "clean", "bug": None, "buggy": False}]
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, *flag, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_env_var_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FUZZORACLE_WORKERS", "1")
         cfg = write_config(tmp_path / "cfg.json")
@@ -579,6 +680,38 @@ class TestMeta:
         # Each of the 2 x 2 runs takes at least one step per epoch.
         assert meta["env_steps"] >= 2 * 2 * 10
         assert meta["train_seconds"] > 0 and meta["analyze_seconds"] > 0
+
+
+class TestPoolSize:
+    """A pool has at most one worker per training run."""
+
+    class FakePool:
+        """Stands in for the process pool: records its size, runs in process."""
+
+        sizes: list = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    @pytest.mark.parametrize("policies, workers, sizes", [
+        ("2", "4", [2]), ("3", "2", [2]), ("1", "4", []),
+    ])
+    def test_workers_capped_at_runs(self, tmp_path, monkeypatch, policies, workers, sizes):
+        monkeypatch.setattr(self.FakePool, "sizes", [])
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", self.FakePool)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["test", "--config", cfg, "--policies", policies, "--epochs", "10",
+                     "--workers", workers, "--output", str(tmp_path / "out")]) in (0, 1)
+        assert self.FakePool.sizes == sizes
 
 
 class TestOnePool:

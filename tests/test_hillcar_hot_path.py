@@ -138,3 +138,18 @@ def test_run_logs_match_reference(name):
             assert log == reference_run(config, spec, policy, EPOCHS, seed_path, pid)
         if config is DIVERGING:
             assert 1 < log.aborted_epochs[0] < EPOCHS
+
+
+@pytest.mark.parametrize("scale", [3.0, 0.3])
+def test_scaled_training_rewards_equal_fuzzy_reward(scale):
+    # A scale that is not a power of two rounds differently in
+    # scale * (mu_state * mu_action) than in (scale * mu_state) * mu_action.
+    # The fifth policy's reference states lie where the car starts, so most
+    # steps earn a reward.
+    spec = HillCarSpec()
+    policy = oracle_policies(spec, replace(ORACLE, policies=5))[4]
+    log = run_training_phase(AGENT, spec, policy, EPOCHS, (0, 5), reward_scale=scale)
+    steps = [step for epoch in log.epochs for step in epoch.steps]
+    assert sum(step.reward != 0.0 for step in steps) > 1000
+    for step in steps:
+        assert step.reward == fuzzy_reward(step.state, step.action, policy, scale)

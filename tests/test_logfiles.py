@@ -17,6 +17,7 @@ from fuzzoracle import (
     RunLog,
     TraceStep,
     TrendParams,
+    inject_bug,
 )
 from fuzzoracle import logfiles
 from fuzzoracle.errors import InvalidWindowError, TraceFormatError
@@ -728,7 +729,7 @@ class TestConfigSerialization:
         # library errors pass through unchanged.
         for data, message in (
             ({"epsilon": -1}, "bad oracle config: epsilon must be positive"),
-            ({"policies": None}, "bad oracle config: '<' not supported"),
+            ({"policies": None}, "bad oracle config: policies must be an int, got None"),
             ({"theta_step": [1]}, "bad oracle config: '<=' not supported"),
         ):
             with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}"):
@@ -751,6 +752,22 @@ class TestConfigSerialization:
         message = f"bad {where} config: {name} is too large for a float"
         with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
             config_from_dict(cls, data, where)
+
+    @pytest.mark.parametrize("cls, where, name, value", [
+        (GridSpec, "env", "rows", 4.0),
+        (GridSpec, "env", "max_steps_per_epoch", True),
+        (AgentConfig, "agent", "seed", 1.5),
+        (OracleConfig, "oracle", "window", True),
+        (OracleConfig, "oracle", "policies", None),
+        (OracleConfig, "oracle", "policy_size", 3.0),
+    ])
+    def test_int_field_takes_only_an_int(self, cls, where, name, value):
+        message = f"bad {where} config: {name} must be an int, got {value!r}"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            config_from_dict(cls, {name: value}, where)
+
+    def test_optional_int_field_takes_null(self):
+        assert config_from_dict(OracleConfig, {"policy_size": None}, "oracle") == OracleConfig()
 
     def test_float_field_keeps_an_int(self):
         # The value is checked, not converted, so the config echo keeps it.
@@ -797,6 +814,26 @@ class TestConfigSerialization:
         assert config["env"] == HillCarSpec()
         assert config["oracle"].epochs == 20
         assert config["agent"] == AgentConfig(seed=4)
+
+    def test_run_config_injects_each_bug_where_it_is_read(self, tmp_path):
+        # The top-level bug goes into the agent, each variant's bug into the
+        # clean agent; an override with section None sets the top level.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"bug": "LR_ZERO", "agent": {"seed": 3}}))
+        assert load_run_config(path)["agent"] == inject_bug(AgentConfig(seed=3), "LR_ZERO")
+        config = load_run_config(path, [(None, "bug", "STALE_STATE")])
+        assert config["agent"] == inject_bug(AgentConfig(seed=3), "STALE_STATE")
+        assert config["variants"] == []
+        path.write_text(json.dumps({"agent": {"seed": 3}, "variants": [
+            {"name": "clean", "bug": None, "buggy": False},
+            {"name": "lr_zero", "bug": "LR_ZERO", "buggy": True},
+        ]}))
+        config = load_run_config(path)
+        assert config["agent"] == AgentConfig(seed=3)
+        assert config["variants"] == [
+            ("clean", False, AgentConfig(seed=3)),
+            ("lr_zero", True, inject_bug(AgentConfig(seed=3), "LR_ZERO")),
+        ]
 
     def test_run_config_syntax_error_reports_line(self, tmp_path):
         path = tmp_path / "cfg.json"
