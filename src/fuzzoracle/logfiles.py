@@ -128,9 +128,15 @@ def _tuples(value):
 
 
 def _object(data, where: str) -> dict:
-    if not isinstance(data, dict):
-        raise TraceFormatError(f"bad {where} config: expected an object, got {data!r}")
+    _check(isinstance(data, dict), where, "expected an object", data)
     return data
+
+
+def _check(ok: bool, where: str, problem: str, value) -> None:
+    """Raise :class:`TraceFormatError` for ``value`` in the ``where``
+    config unless ``ok``."""
+    if not ok:
+        raise TraceFormatError(f"bad {where} config: {problem}, got {value!r}")
 
 
 def _take(data: dict, *allowed, where: str) -> dict:
@@ -637,9 +643,8 @@ def load_run_config(path, overrides=()) -> dict:
             data[name] = value
         else:
             data[section] = {**_object(data[section], section), name: value}
-    bug, variants = data.get("bug"), data.get("variants", [])
+    bug, output_dir, variants = data.get("bug"), data.get("output_dir"), data.get("variants", [])
     _check(bug is None or isinstance(bug, str), "run", "bug must be a string", bug)
-    output_dir = data.get("output_dir")
     _check(output_dir is None or isinstance(output_dir, str), "run",
            "output_dir must be a string", output_dir)
     _check(isinstance(variants, list), "run", "variants must be a list", variants)
@@ -671,13 +676,6 @@ def _variant(data, agent: AgentConfig) -> tuple:
     _check(bug is None or isinstance(bug, str), f"variant {name!r}",
            "bug must be a string or null", bug)
     return name, buggy, inject_bug(agent, bug)
-
-
-def _check(ok: bool, where: str, problem: str, value) -> None:
-    """Raise :class:`TraceFormatError` for ``value`` in the ``where``
-    config unless ``ok``."""
-    if not ok:
-        raise TraceFormatError(f"bad {where} config: {problem}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -428,11 +428,24 @@ class TestTestCommand:
          "bad agent config: learning_rate is too large for a float"),
         ({"oracle": {"reward_scale": int("9" * 400)}},
          "bad oracle config: reward_scale is too large for a float"),
+        # An int field takes an int that is no bool.
+        ({"oracle": {"epochs": 10.5}}, "bad oracle config: epochs must be an int, got 10.5"),
+        ({"env": {"kind": "grid", "max_steps_per_epoch": 20.5}},
+         "bad env config: max_steps_per_epoch must be an int, got 20.5"),
+        ({"agent": {"feature_grid": 2.5}},
+         "bad agent config: feature_grid must be an int, got 2.5"),
+        ({"oracle": {"policies": 2.0}}, "bad oracle config: policies must be an int, got 2.0"),
+        ({"agent": {"seed": 1.5}}, "bad agent config: seed must be an int, got 1.5"),
+        ({"oracle": {"window": True}}, "bad oracle config: window must be an int, got True"),
+        ({"agent": {"feature_grid": 0}}, "bad agent config: feature_grid must be at least 1"),
+        ({"agent": {"feature_grid": -1}}, "bad agent config: feature_grid must be at least 1"),
     ], ids=["env_rows", "env_list", "env_goal", "oracle_epsilon", "oracle_policies",
             "oracle_window", "agent_bug_unknown", "agent_bug", "env_goal_bool",
             "env_hole_bool", "env_min_position_overflow", "env_max_speed_overflow",
             "env_gravity_overflow", "agent_learning_rate_overflow",
-            "oracle_reward_scale_overflow"])
+            "oracle_reward_scale_overflow", "oracle_epochs_float", "env_max_steps_float",
+            "agent_feature_grid_float", "oracle_policies_float", "agent_seed_float",
+            "oracle_window_bool", "agent_feature_grid_zero", "agent_feature_grid_negative"])
     def test_malformed_section_exits_2(self, tmp_path, capsys, section, message):
         cfg = write_config(tmp_path / "cfg.json", **section)
         assert main(["test", "--config", cfg, "--output", str(tmp_path / "out")]) == 2
@@ -490,25 +503,6 @@ class TestTestCommand:
         assert main([command, "--config", cfg, "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("override, message", [
-        ("oracle.epochs=10.5", "bad oracle config: epochs must be an int, got 10.5"),
-        ("env.max_steps_per_epoch=20.5",
-         "bad env config: max_steps_per_epoch must be an int, got 20.5"),
-        ("agent.feature_grid=2.5", "bad agent config: feature_grid must be an int, got 2.5"),
-        ("oracle.policies=2.0", "bad oracle config: policies must be an int, got 2.0"),
-        ("agent.seed=1.5", "bad agent config: seed must be an int, got 1.5"),
-        ("oracle.window=true", "bad oracle config: window must be an int, got True"),
-        ("oracle.policy_size=false", "bad oracle config: policy_size must be an int, got False"),
-        ("agent.feature_grid=0", "bad agent config: feature_grid must be at least 1"),
-        ("agent.feature_grid=-1", "bad agent config: feature_grid must be at least 1"),
-    ])
-    def test_int_field_takes_only_an_int(self, tmp_path, capsys, override, message):
-        cfg = write_config(tmp_path / "cfg.json")
-        out = tmp_path / "out"
-        assert main(["test", "--config", cfg, "--set", override, "--output", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_set_agent_bug_exits_2(self, tmp_path, capsys):
@@ -685,33 +679,35 @@ class TestMeta:
 class TestPoolSize:
     """A pool has at most one worker per training run."""
 
-    class FakePool:
-        """Stands in for the process pool: records its size, runs in process."""
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """The size of every pool started, by a fake pool that runs in process."""
+        started = []
 
-        sizes: list = []
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
 
-        def __init__(self, max_workers):
-            self.sizes.append(max_workers)
+            def __enter__(self):
+                return self
 
-        def __enter__(self):
-            return self
+            def __exit__(self, *exc):
+                return False
 
-        def __exit__(self, *exc):
-            return False
+            def map(self, fn, tasks):
+                return map(fn, tasks)
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
+        return started
 
-    @pytest.mark.parametrize("policies, workers, sizes", [
+    @pytest.mark.parametrize("policies, workers, expected", [
         ("2", "4", [2]), ("3", "2", [2]), ("1", "4", []),
     ])
-    def test_workers_capped_at_runs(self, tmp_path, monkeypatch, policies, workers, sizes):
-        monkeypatch.setattr(self.FakePool, "sizes", [])
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", self.FakePool)
+    def test_workers_capped_at_runs(self, tmp_path, sizes, policies, workers, expected):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["test", "--config", cfg, "--policies", policies, "--epochs", "10",
                      "--workers", workers, "--output", str(tmp_path / "out")]) in (0, 1)
-        assert self.FakePool.sizes == sizes
+        assert sizes == expected
 
 
 class TestOnePool:

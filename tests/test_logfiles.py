@@ -766,9 +766,6 @@ class TestConfigSerialization:
         with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
             config_from_dict(cls, {name: value}, where)
 
-    def test_optional_int_field_takes_null(self):
-        assert config_from_dict(OracleConfig, {"policy_size": None}, "oracle") == OracleConfig()
-
     def test_float_field_keeps_an_int(self):
         # The value is checked, not converted, so the config echo keeps it.
         config = agent_config_from_dict({"learning_rate": 1})
