@@ -473,7 +473,6 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("command", ["test", "evaluate"])
     @pytest.mark.parametrize("fields, message", [
-        # Each of these used to run, or exit 1 with a traceback.
         ({"variants": [{"name": "clean", "bug": None, "buggy": "false"}]},
          "bad variant 'clean' config: buggy must be true or false, got 'false'"),
         ({"variants": [{"name": "clean", "bug": None, "buggy": 0}]},
