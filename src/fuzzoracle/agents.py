@@ -226,6 +226,12 @@ class TabularQAgent:
         self.n_actions = 4
         init = float(config.init_value)
         self.q = [[init] * self.n_actions for _ in range(self.n_states)]
+        # The config is frozen, so what every step reads of it is read once;
+        # ε is epsilon_start + span * progress, as in :func:`_epsilon`.
+        self._epsilon_start = config.epsilon_start
+        self._epsilon_span = config.epsilon_end - config.epsilon_start
+        self._discount = config.discount
+        self._learning_rate = config.learning_rate
         self.rng = np.random.default_rng(config.seed if rng is None else rng)
         bit_generator = self.rng.bit_generator
         if type(bit_generator) is np.random.PCG64:
@@ -270,7 +276,7 @@ class TabularQAgent:
         buffered half is stale, so nothing else may draw from it. Any other
         bit generator keeps the ``Generator`` calls.
         """
-        eps = _epsilon(self.config, progress)
+        eps = self._epsilon_start + self._epsilon_span * progress
         if eps > 0.0:
             raws = self._raws
             if raws is None:
@@ -297,19 +303,17 @@ class TabularQAgent:
         return best
 
     def update(self, transition) -> None:
-        config = self.config
-        state, next_state, cols = transition.state, transition.next_state, self.cols
+        state, action, reward, next_state, done, _ = transition
+        q, cols = self.q, self.cols
         s = state[0] * cols + state[1]
         s2 = next_state[0] * cols + next_state[1]
-        bootstrap = 0.0 if transition.done else config.discount * max(self.q[s2])
-        old = self.q[s][transition.action]
-        value = old + config.learning_rate * (transition.reward + bootstrap - old)
+        bootstrap = 0.0 if done else self._discount * max(q[s2])
+        old = q[s][action]
+        value = old + self._learning_rate * (reward + bootstrap - old)
         if not math.isfinite(value):
-            raise NumericalDivergenceError(
-                f"Q value diverged at state {transition.state}, action {transition.action}"
-            )
+            raise NumericalDivergenceError(f"Q value diverged at state {state}, action {action}")
         write_s = self._write_index[s] if self._write_index is not None else s
-        self.q[write_s][transition.action] = value
+        q[write_s][action] = value
 
     def values(self) -> np.ndarray:
         """Copy of the Q table as an (n_states, n_actions) array."""

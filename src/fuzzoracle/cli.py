@@ -21,6 +21,7 @@ least 1.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -67,13 +68,26 @@ EXIT_ERROR = 2
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit status is the return value.
+
+    The handler runs with the cyclic garbage collector paused, and the
+    caller's setting comes back afterwards. A command allocates millions of
+    small acyclic records (transitions, trace steps, parsed JSON objects),
+    which the collector would keep scanning for almost no garbage; forked
+    pool workers inherit the pause.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except (FuzzOracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def build_parser() -> argparse.ArgumentParser:

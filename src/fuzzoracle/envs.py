@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidActionError, InvalidEnvSpecError
+from .errors import InvalidActionError, InvalidEnvSpecError, InvalidStateError
 from .spaces import BoxSpace, DiscreteSpace, GridSpace
 
 # Grid action ids follow the classic frozen-lake order.
@@ -59,8 +59,9 @@ class GridSpec:
             raise InvalidEnvSpecError("goal cell cannot also be a hole")
         if (0, 0) in self.holes or (0, 0) == self.goal:
             raise InvalidEnvSpecError("start cell (0, 0) must be non-terminal")
-        # Every grid step asks whether its successor is terminal.
-        object.__setattr__(self, "_terminal", frozenset(self.holes) | {self.goal})
+        terminal = frozenset(self.holes) | {self.goal}
+        object.__setattr__(self, "_terminal", terminal)
+        object.__setattr__(self, "_moves", _GridMoves(space, terminal))
 
     def state_space(self) -> GridSpace:
         return GridSpace(self.rows, self.cols)
@@ -73,6 +74,37 @@ class GridSpec:
 
     def non_terminal_cells(self) -> list:
         return [c for c in self.state_space().all_cells() if not self.is_terminal(c)]
+
+
+class _GridMoves(dict):
+    """cell -> one ``(next_cell, done)`` per action id, filled on first visit.
+
+    It keeps the grid's space and terminal cells, not the spec, so a large
+    grid costs only the cells stepped from, and it pickles empty. A key that
+    is not a cell of the grid raises :class:`InvalidStateError` here; one
+    equal to a cell already in the table, such as ``(1.0, 0)`` once
+    ``(1, 0)`` was stepped from, reads that cell's moves.
+    """
+
+    def __init__(self, space: GridSpace, terminal: frozenset):
+        super().__init__()
+        self._space, self._terminal = space, terminal
+
+    def __missing__(self, cell):
+        space = self._space
+        if not space.contains(cell):
+            raise InvalidStateError(f"grid state must be a cell of the grid, got {cell!r}")
+        moves = []
+        for action in range(len(GRID_MOVES)):
+            dr, dc = GRID_MOVES[action]
+            nr = min(max(cell[0] + dr, 0), space.rows - 1)
+            nc = min(max(cell[1] + dc, 0), space.cols - 1)
+            moves.append(((nr, nc), (nr, nc) in self._terminal))
+        hit = self[cell] = tuple(moves)
+        return hit
+
+    def __reduce__(self):
+        return type(self), (self._space, self._terminal)
 
 
 @dataclass(frozen=True)
@@ -165,6 +197,10 @@ def _grid_step(spec: GridSpec, state, action, reward_fn, rng) -> Transition:
         or action not in GRID_MOVES
     ):
         raise InvalidActionError(f"grid action must be an int in 0..3, got {action!r}")
+    try:
+        moves = spec._moves[state]
+    except TypeError:
+        raise InvalidStateError(f"grid state must be a cell of the grid, got {state!r}") from None
     effective = action
     if spec.slip_prob > 0.0:
         gen = np.random.default_rng(rng)
@@ -172,20 +208,7 @@ def _grid_step(spec: GridSpec, state, action, reward_fn, rng) -> Transition:
             # Slip to one of the two perpendicular directions.
             sideways = (action + 1, action + 3)
             effective = int(sideways[gen.integers(0, 2)]) % 4
-    dr, dc = GRID_MOVES[effective]
-    # Clamp to the grid; comparisons are several times cheaper than min/max.
-    nr = state[0] + dr
-    if nr < 0:
-        nr = 0
-    elif nr > spec.rows - 1:
-        nr = spec.rows - 1
-    nc = state[1] + dc
-    if nc < 0:
-        nc = 0
-    elif nc > spec.cols - 1:
-        nc = spec.cols - 1
-    next_state = (nr, nc)
-    done = next_state in spec._terminal
+    next_state, done = moves[effective]
     reward = (
         reward_fn(state, action)
         if reward_fn is not None

@@ -57,6 +57,10 @@ class InvalidActionError(FuzzOracleError):
     """Action is not valid for the environment."""
 
 
+class InvalidStateError(FuzzOracleError):
+    """State is not one of the environment's states."""
+
+
 class AlgorithmEnvMismatchError(FuzzOracleError):
     """Agent algorithm cannot run on the given environment kind."""
 

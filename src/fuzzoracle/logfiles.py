@@ -68,10 +68,10 @@ def config_from_dict(cls, data, where: str):
     A ``kind`` goes to the constructor only when it is one of ``cls``'s
     fields (a membership shape). An unknown field, a value other than an
     int that is no bool in an int field (``None`` too, unless the field is
-    optional), an int too large for a float in a float field (kept, not
-    converted), or a value the constructor rejects with a TypeError,
-    ValueError or AttributeError, raises :class:`TraceFormatError` naming
-    the ``where`` section; the constructor's own library errors pass
+    optional), a bool or an int too large for a float in a float field (an
+    int is kept, not converted), or a value the constructor rejects with a
+    TypeError, ValueError or AttributeError, raises :class:`TraceFormatError`
+    naming the ``where`` section; the constructor's own library errors pass
     through unchanged.
     """
     nested = {
@@ -93,6 +93,7 @@ def config_from_dict(cls, data, where: str):
                 f"bad {where} config: {f.name} must be an int, got {data[f.name]!r}"
             )
         if f.type in ("float", "float | None") and isinstance(value, int):
+            _check(not isinstance(value, bool), where, f"{f.name} must be a number", value)
             try:
                 float(value)
             except OverflowError:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -5,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from fuzzoracle import TrendParams, oracle
+from fuzzoracle import TrendParams, cli, oracle
+from fuzzoracle.errors import FuzzOracleError
 from fuzzoracle.logfiles import load_policy, read_trace
 from fuzzoracle.cli import main
 
@@ -439,13 +441,26 @@ class TestTestCommand:
         ({"oracle": {"window": True}}, "bad oracle config: window must be an int, got True"),
         ({"agent": {"feature_grid": 0}}, "bad agent config: feature_grid must be at least 1"),
         ({"agent": {"feature_grid": -1}}, "bad agent config: feature_grid must be at least 1"),
+        # A float field takes no bool.
+        ({"agent": {"learning_rate": True}},
+         "bad agent config: learning_rate must be a number, got True"),
+        ({"oracle": {"theta_oracle": True}},
+         "bad oracle config: theta_oracle must be a number, got True"),
+        ({"oracle": {"epsilon": True}}, "bad oracle config: epsilon must be a number, got True"),
+        ({"env": {"kind": "grid", "slip_prob": False}},
+         "bad env config: slip_prob must be a number, got False"),
+        ({"env": {"kind": "hillcar", "force": True},
+          "agent": {"algorithm": "linear_actor_critic"}},
+         "bad env config: force must be a number, got True"),
     ], ids=["env_rows", "env_list", "env_goal", "oracle_epsilon", "oracle_policies",
             "oracle_window", "agent_bug_unknown", "agent_bug", "env_goal_bool",
             "env_hole_bool", "env_min_position_overflow", "env_max_speed_overflow",
             "env_gravity_overflow", "agent_learning_rate_overflow",
             "oracle_reward_scale_overflow", "oracle_epochs_float", "env_max_steps_float",
             "agent_feature_grid_float", "oracle_policies_float", "agent_seed_float",
-            "oracle_window_bool", "agent_feature_grid_zero", "agent_feature_grid_negative"])
+            "oracle_window_bool", "agent_feature_grid_zero", "agent_feature_grid_negative",
+            "agent_learning_rate_bool", "oracle_theta_oracle_bool", "oracle_epsilon_bool",
+            "env_slip_prob_bool", "env_force_bool"])
     def test_malformed_section_exits_2(self, tmp_path, capsys, section, message):
         cfg = write_config(tmp_path / "cfg.json", **section)
         assert main(["test", "--config", cfg, "--output", str(tmp_path / "out")]) == 2
@@ -768,3 +783,47 @@ class TestOnePool:
         assert main(["test", "--config", cfg, "--workers", "2",
                      "--output", str(tmp_path / "out")]) in (0, 1)
         assert pools == [2]
+
+
+class TestCollectorPause:
+    """A command's handler runs with the cyclic collector paused, and
+    ``main`` gives the caller's setting back however the handler ends."""
+
+    @pytest.fixture(autouse=True)
+    def keep_setting(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @staticmethod
+    def fake_handler(monkeypatch, outcome):
+        seen = []
+
+        def handler(args):
+            seen.append(gc.isenabled())
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(cli, "cmd_bugs_list", handler)
+        return seen
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome, status", [
+        (0, 0), (1, 1), (FuzzOracleError("bad input"), 2),
+    ], ids=["exit_0", "exit_1", "exit_2"])
+    def test_paused_in_the_handler_and_restored(
+        self, monkeypatch, capsys, enabled, outcome, status
+    ):
+        seen = self.fake_handler(monkeypatch, outcome)
+        (gc.enable if enabled else gc.disable)()
+        assert main(["bugs", "list"]) == status
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    def test_restored_when_the_handler_fails(self, monkeypatch):
+        seen = self.fake_handler(monkeypatch, RuntimeError("not a library error"))
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            main(["bugs", "list"])
+        assert seen == [False] and gc.isenabled()

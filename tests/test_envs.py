@@ -1,5 +1,7 @@
 import enum
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from fuzzoracle import (
     env_step,
     native_reward,
 )
-from fuzzoracle.errors import InvalidActionError, InvalidEnvSpecError
+from fuzzoracle.errors import InvalidActionError, InvalidEnvSpecError, InvalidStateError
 
 
 class TestSpecs:
@@ -103,6 +105,63 @@ class TestGridStep:
         assert a == b
         # With certain slip the move is perpendicular to the intent.
         assert a.next_state in ((2, 0), (2, 2))
+
+    @pytest.mark.parametrize("state, action", [
+        ((7, 7), LEFT), ((0.5, 0), RIGHT), ([0, 0], RIGHT),
+    ], ids=["outside", "float_coordinate", "list"])
+    def test_state_not_a_cell_raises(self, grid_spec, state, action):
+        with pytest.raises(InvalidStateError, match=re.escape(repr(state))):
+            env_step(grid_spec, state, action)
+
+
+def clamped_move(spec, state, action):
+    """The successor and terminal flag by the clamp formula."""
+    dr, dc = {LEFT: (0, -1), DOWN: (1, 0), RIGHT: (0, 1), UP: (-1, 0)}[action]
+    cell = (
+        min(max(state[0] + dr, 0), spec.rows - 1),
+        min(max(state[1] + dc, 0), spec.cols - 1),
+    )
+    return cell, cell == spec.goal or cell in spec.holes
+
+
+class TestMoveTable:
+    # Not square, with holes, goal in a corner.
+    spec = GridSpec(rows=3, cols=5, holes=((1, 1), (0, 3), (2, 2)), goal=(2, 4))
+
+    def test_every_cell_and_action_follows_the_clamp_formula(self):
+        for state in self.spec.state_space().all_cells():
+            for action in (LEFT, DOWN, RIGHT, UP):
+                tr = env_step(self.spec, state, action)
+                assert (tr.next_state, tr.done) == clamped_move(self.spec, state, action)
+                assert type(tr.next_state[0]) is int and type(tr.done) is bool
+
+    def test_slip_takes_the_same_seeded_draw(self):
+        spec = GridSpec(rows=3, cols=5, holes=self.spec.holes, goal=(2, 4), slip_prob=0.4)
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        cells = spec.state_space().all_cells()
+        for i in range(400):
+            state, action = cells[i % len(cells)], i % 4
+            effective = action
+            if reference.random() < spec.slip_prob:
+                effective = int((action + 1, action + 3)[reference.integers(0, 2)]) % 4
+            tr = env_step(spec, state, action, rng=rng)
+            assert (tr.next_state, tr.done) == clamped_move(spec, state, effective)
+        assert rng.random() == reference.random()
+
+    def test_large_grid_holds_only_the_cells_stepped_from(self):
+        spec = GridSpec(rows=10_000, cols=10_000, holes=(), goal=(9_999, 9_999))
+        assert len(spec._moves) == 0
+        state = (0, 0)
+        for action in (RIGHT, DOWN, DOWN, LEFT, RIGHT):
+            state = env_step(spec, state, action).next_state
+        assert state == (2, 1)
+        assert sorted(spec._moves) == [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1)]
+        # A pickled spec carries no table.
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and len(copy._moves) == 0
+        assert len(pickle.dumps(spec)) == len(pickle.dumps(GridSpec(
+            rows=10_000, cols=10_000, holes=(), goal=(9_999, 9_999)
+        )))
 
 
 class TestHillCarStep:

@@ -766,6 +766,31 @@ class TestConfigSerialization:
         with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
             config_from_dict(cls, {name: value}, where)
 
+    @pytest.mark.parametrize("cls, where, name, value", [
+        (GridSpec, "env", "slip_prob", False),
+        (HillCarSpec, "env", "gravity", True),
+        (AgentConfig, "agent", "learning_rate", True),
+        (OracleConfig, "oracle", "theta_oracle", True),
+        (OracleConfig, "oracle", "epsilon", True),
+        (MembershipShape, "state_shape", "width", True),
+    ])
+    def test_float_field_refuses_a_bool(self, cls, where, name, value):
+        # A bool is an int to Python, and compared as 0 or 1 it passed every
+        # range check.
+        data = {"kind": "linear"} if cls is MembershipShape else {}
+        data[name] = value
+        message = f"bad {where} config: {name} must be a number, got {value!r}"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            config_from_dict(cls, data, where)
+
+    @pytest.mark.parametrize("section", ["state_shape", "action_shape"])
+    def test_policy_shape_width_refuses_a_bool(self, two_ref_policy, section):
+        data = policy_to_dict(two_ref_policy)
+        data[section]["width"] = True
+        message = f"bad policy file: bad {section} config: width must be a number, got True"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            policy_from_dict(data)
+
     def test_float_field_keeps_an_int(self):
         # The value is checked, not converted, so the config echo keeps it.
         config = agent_config_from_dict({"learning_rate": 1})
