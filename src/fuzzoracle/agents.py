@@ -7,13 +7,14 @@ the hill car. Both are seeded and fully deterministic given their config.
 The bug registry manufactures defective variants on demand, spanning four
 fault categories: training, model, updating the network, and exploring the
 environment. A bug overrides config parameters, changes behaviour, or both;
-:func:`make_agent` layers a behaviour fault on the built learner from
-outside, so the learners stay bug-free reference code apart from the
+:func:`make_agent` layers a behaviour fault on the learner from outside, as
+a subclass, so the learners stay bug-free reference code apart from the
 permuted writes of ``WRONG_FEATURE_MAP``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -306,8 +307,19 @@ class TabularQAgent:
         state, action, reward, next_state, done, _ = transition
         q, cols = self.q, self.cols
         s = state[0] * cols + state[1]
-        s2 = next_state[0] * cols + next_state[1]
-        bootstrap = 0.0 if done else self._discount * max(q[s2])
+        if done:
+            bootstrap = 0.0
+        else:
+            # max(q[s2]) unrolled for the four actions, with the same
+            # comparisons: a later value must be greater to replace it.
+            a, b, c, d = q[next_state[0] * cols + next_state[1]]
+            if b > a:
+                a = b
+            if c > a:
+                a = c
+            if d > a:
+                a = d
+            bootstrap = self._discount * a
         old = q[s][action]
         value = old + self._learning_rate * (reward + bootstrap - old)
         if not math.isfinite(value):
@@ -441,34 +453,79 @@ def make_agent(config: AgentConfig, env_spec, rng=None):
     """Construct the learner named by ``config.algorithm`` for ``env_spec``,
     with the behaviour fault of ``config.bug`` applied."""
     cls = TabularQAgent if config.algorithm == "tabular_q" else LinearActorCriticAgent
-    agent = cls(config, env_spec, rng)
-    _apply_behaviour_fault(agent, config.bug, env_spec.action_space())
-    return agent
+    if config.bug in _FAULTS:
+        cls = _faulted(cls, config.bug)
+    return cls(config, env_spec, rng)
 
 
-def _apply_behaviour_fault(agent, bug, action_space) -> None:
-    """Rebind ``agent.act`` or ``agent.update`` to behave as ``bug`` says.
-    ``tuple.__new__`` builds an altered transition in under half the time of
-    ``Transition(...)`` and a third of ``_replace``, on every step."""
-    act, update = agent.act, agent.update
-    if bug == "REWARD_NEGATED":
-        agent.update = lambda t: update(tuple.__new__(
-            Transition, (t.state, t.action, -t.reward, t.next_state, t.done, t.clamped)
-        ))
-    elif bug == "STALE_STATE":
-        agent.update = lambda t: update(tuple.__new__(
-            Transition, (t.state, t.action, t.reward, t.state, t.done, t.clamped)
-        ))
-    elif bug == "UPDATE_SKIPPED":
-        agent.update = lambda t: None
-    elif bug == "UPDATE_EVERY_OTHER":
-        calls = itertools.count(1)
-        agent.update = lambda t: update(t) if next(calls) % 2 else None
-    elif bug == "ACTION_CLAMP_WRONG" and isinstance(action_space, DiscreteSpace):
-        top = action_space.n // 2 - 1
-        agent.act = lambda state, progress: min(act(state, progress), top)
-    elif bug == "ACTION_CLAMP_WRONG":
-        halves = [(lo / 2, hi / 2) for lo, hi in zip(action_space.lows, action_space.highs)]
-        agent.act = lambda state, progress: tuple(
-            min(max(a, lo), hi) for a, (lo, hi) in zip(act(state, progress), halves)
+@functools.cache
+def _faulted(learner, bug):
+    """Subclass of ``learner`` with the behaviour fault of ``bug``.
+
+    The fault's ``act`` or ``update`` calls the learner's own method, looked
+    up on ``_learner`` at each call, so a wrapper set on the learner class
+    sees every call that reaches it. The agent holds no reference to
+    itself, so it is freed as soon as its run drops it.
+    """
+    return type(f"{learner.__name__}[{bug}]", (_FAULTS[bug], learner), {"_learner": learner})
+
+
+# The behaviour faults, which :func:`_faulted` puts ahead of a learner class.
+# An altered transition is built with ``tuple.__new__``, in under half the
+# time of ``Transition(...)``, on every step.
+
+
+class _RewardNegated:
+    def update(self, t):
+        state, action, reward, next_state, done, clamped = t
+        self._learner.update(
+            self, tuple.__new__(Transition, (state, action, -reward, next_state, done, clamped))
         )
+
+
+class _StaleState:
+    def update(self, t):
+        state, action, reward, _, done, clamped = t
+        self._learner.update(
+            self, tuple.__new__(Transition, (state, action, reward, state, done, clamped))
+        )
+
+
+class _UpdateSkipped:
+    def update(self, t):
+        pass
+
+
+class _UpdateEveryOther:
+    def __init__(self, config, env_spec, rng=None):
+        super().__init__(config, env_spec, rng)
+        self._updates = itertools.count(1)
+
+    def update(self, t):
+        if next(self._updates) % 2:
+            self._learner.update(self, t)
+
+
+class _ActionClampWrong:
+    def __init__(self, config, env_spec, rng=None):
+        super().__init__(config, env_spec, rng)
+        space = env_spec.action_space()
+        if isinstance(space, DiscreteSpace):
+            self._top, self._halves = space.n // 2 - 1, None
+        else:
+            self._halves = [(lo / 2, hi / 2) for lo, hi in zip(space.lows, space.highs)]
+
+    def act(self, state, progress):
+        action = self._learner.act(self, state, progress)
+        if self._halves is None:
+            return min(action, self._top)
+        return tuple(min(max(a, lo), hi) for a, (lo, hi) in zip(action, self._halves))
+
+
+_FAULTS = {
+    "REWARD_NEGATED": _RewardNegated,
+    "STALE_STATE": _StaleState,
+    "UPDATE_SKIPPED": _UpdateSkipped,
+    "UPDATE_EVERY_OTHER": _UpdateEveryOther,
+    "ACTION_CLAMP_WRONG": _ActionClampWrong,
+}

@@ -13,8 +13,8 @@ The chain of degrees, every value in [0, 1]:
 
 :func:`step_compliance_at` and :func:`fuzzy_reward` are the scalar
 reference. Training scores one step at a time through
-:func:`make_reward_fn`, which memoises grid states, and a run log is scored
-in array passes over batches of whole epochs
+:func:`make_reward_fn`, which keeps each grid cell's rewards, and a run log
+is scored in array passes over batches of whole epochs
 (:func:`policy_compliance_series`). Both reproduce the reference bit for
 bit; ``tests/test_grid_hot_path.py`` tests the reward callable and the
 array scorer against it.
@@ -171,42 +171,56 @@ def fuzzy_reward(state, action, policy: IntendedPolicy, reward_scale: float = 1.
     return reward_scale * mu_state * mu_action
 
 
-class _GridMemo(dict):
-    """state -> _state_degree(policy, state), filled on first use."""
-
-    def __init__(self, policy: IntendedPolicy):
-        super().__init__()
-        self._policy = policy
-
-    def __missing__(self, state):
-        hit = self[state] = _state_degree(self._policy, state)
-        return hit
-
-
 def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
-    """Reward callable (state, action) -> float.
-
-    The nearest-reference lookup depends only on the state. Grid states
-    recur, so on a grid its result is memoised per state; continuous states
-    practically never recur, so there a memo would only grow by one entry
-    per step, and they are looked up afresh. The arithmetic is identical to
+    """Reward callable (state, action) -> float, with the arithmetic of
     :func:`fuzzy_reward`.
+
+    Grid states recur. On a grid policy with a discrete action space and
+    int ideal actions, each cell's rewards for every action id are computed
+    once, on its first visit, and a plain int action id reads them. Any
+    other action, such as a bool, a negative int or a float, is scored
+    afresh once its state's row is found, so a bad state raises first, as
+    it would for any action. Continuous states practically never recur, so
+    a memo would only grow by one entry per step; they are scored afresh.
     """
     if not reward_scale > 0:
         raise ValueError("reward_scale must be positive")
-    if isinstance(policy.state_space, GridSpace):
-        lookup = _GridMemo(policy).__getitem__
-    else:
-        lookup = partial(_state_degree, policy)
     action_degree = _action_degree(policy)
 
-    def reward(state, action) -> float:
-        mu_state, ideal = lookup(state)
+    def scored(state, action) -> float:
+        mu_state, ideal = _state_degree(policy, state)
         if mu_state == 0.0:
             return 0.0
         return reward_scale * mu_state * action_degree(action, ideal)
 
+    if not (
+        isinstance(policy.state_space, GridSpace)
+        and isinstance(policy.action_space, DiscreteSpace)
+        and all(type(ideal) is int for _, ideal in policy.entries)
+    ):
+        return scored
+    n = policy.action_space.n
+    rows = _RewardRows(scored, n)
+
+    def reward(state, action) -> float:
+        row = rows[state]
+        if type(action) is int and 0 <= action < n:
+            return row[action]
+        return scored(state, action)
+
     return reward
+
+
+class _RewardRows(dict):
+    """cell -> ``[scored(cell, a) for a in range(n)]``, filled on first use."""
+
+    def __init__(self, scored, n: int):
+        super().__init__()
+        self._scored, self._n = scored, n
+
+    def __missing__(self, cell):
+        row = self[cell] = [self._scored(cell, a) for a in range(self._n)]
+        return row
 
 
 def policy_compliance_series(

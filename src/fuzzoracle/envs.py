@@ -77,7 +77,9 @@ class GridSpec:
 
 
 class _GridMoves(dict):
-    """cell -> one ``(next_cell, done)`` per action id, filled on first visit.
+    """cell -> one ``[next_cell, done, last]`` slot per action id, filled on
+    first visit. ``last`` is the last transition :func:`env_step` built that
+    moved to that slot, or None.
 
     It keeps the grid's space and terminal cells, not the spec, so a large
     grid costs only the cells stepped from, and it pickles empty. A key that
@@ -99,7 +101,7 @@ class _GridMoves(dict):
             dr, dc = GRID_MOVES[action]
             nr = min(max(cell[0] + dr, 0), space.rows - 1)
             nc = min(max(cell[1] + dc, 0), space.cols - 1)
-            moves.append(((nr, nc), (nr, nc) in self._terminal))
+            moves.append([(nr, nc), (nr, nc) in self._terminal, None])
         hit = self[cell] = tuple(moves)
         return hit
 
@@ -154,6 +156,11 @@ class Transition(NamedTuple):
     clamped: bool = False
 
 
+# _new(Transition, fields) skips the argument handling of Transition(...),
+# which every step would pay.
+_new = tuple.__new__
+
+
 def env_reset(spec: EnvSpec, rng) -> tuple:
     """Initial state for one epoch.
 
@@ -182,19 +189,19 @@ def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transiti
     With ``reward_fn`` None the native reward applies. Out-of-range
     hill-car forces are clamped and flagged on the transition rather than
     rejected, so misbehaving learners stay runnable.
+
+    The grid step runs inline, without a call of its own. A grid step whose
+    state, action and reward are the very objects of the last transition
+    to the same move returns that transition again, since building one is
+    the costliest part of a step; grid states and rewards recur as the same
+    objects in training.
     """
-    if spec.kind == "grid":
-        return _grid_step(spec, state, action, reward_fn, rng)
-    return _hillcar_step(spec, state, action, reward_fn)
-
-
-def _grid_step(spec: GridSpec, state, action, reward_fn, rng) -> Transition:
-    # A plain int skips the isinstance checks; int subclasses other than
-    # bool are accepted as before.
-    if (
-        type(action) is not int
-        and (not isinstance(action, int) or isinstance(action, bool))
-        or action not in GRID_MOVES
+    if spec.kind != "grid":
+        return _hillcar_step(spec, state, action, reward_fn)
+    # A plain int action id skips the isinstance checks and GRID_MOVES;
+    # int subclasses other than bool are accepted as before.
+    if not (type(action) is int and 0 <= action <= 3) and (
+        not isinstance(action, int) or isinstance(action, bool) or action not in GRID_MOVES
     ):
         raise InvalidActionError(f"grid action must be an int in 0..3, got {action!r}")
     try:
@@ -208,13 +215,17 @@ def _grid_step(spec: GridSpec, state, action, reward_fn, rng) -> Transition:
             # Slip to one of the two perpendicular directions.
             sideways = (action + 1, action + 3)
             effective = int(sideways[gen.integers(0, 2)]) % 4
-    next_state, done = moves[effective]
+    slot = moves[effective]
+    next_state, done, last = slot
     reward = (
         reward_fn(state, action)
         if reward_fn is not None
         else native_reward(spec, state, action, next_state, done)
     )
-    return tuple.__new__(Transition, (state, action, reward, next_state, done, False))
+    if last is not None and last[2] is reward and last[0] is state and last[1] is action:
+        return last
+    last = slot[2] = _new(Transition, (state, action, reward, next_state, done, False))
+    return last
 
 
 def _hillcar_step(spec: HillCarSpec, state, action, reward_fn) -> Transition:
@@ -249,4 +260,4 @@ def _hillcar_step(spec: HillCarSpec, state, action, reward_fn) -> Transition:
         if reward_fn is not None
         else native_reward(spec, state, action, next_state, done)
     )
-    return tuple.__new__(Transition, (state, action, reward, next_state, done, clamped))
+    return _new(Transition, (state, action, reward, next_state, done, clamped))

@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -214,7 +215,9 @@ def run_training_phase(
     epoch that aborts on its first action has no steps.
 
     The agent's ``act`` and ``update``, and each epoch's ``append``, are
-    looked up once, not once per step.
+    looked up once, not once per step. Each step is recorded as a plain
+    ``(state, action, reward)`` tuple, and an epoch's tuples become
+    :class:`TraceStep` records in one pass at its end.
     """
     seed_path = seed if isinstance(seed, (list, tuple)) else (seed,)
     agent = make_agent(
@@ -223,9 +226,11 @@ def run_training_phase(
     env_rng = child_rng(*seed_path, _NS_ENV)
     reward_fn = make_reward_fn(policy, reward_scale)
     max_steps = env_spec.max_steps_per_epoch
+    last = max_steps - 1
     add_native = reward_mode == "add"
     progress_span = max(epochs - 1, 1)
     act, update = agent.act, agent.update
+    trace_steps = repeat(TraceStep)
     new = tuple.__new__
 
     epoch_traces = []
@@ -245,19 +250,21 @@ def run_training_phase(
                         reward=tr.reward
                         + native_reward(env_spec, state, action, tr.next_state, tr.done),
                     )
-                if tr.clamped:
+                _, _, reward, next_state, done, was_clamped = tr
+                if was_clamped:
                     clamped += 1
-                if not tr.done and t == max_steps - 1:
+                if not done and t == last:
                     tr = tr._replace(done=True)
-                record(new(TraceStep, (state, action, tr.reward)))
+                    done = True
+                record((state, action, reward))
                 update(tr)
             except (NumericalDivergenceError, InvalidActionError):
                 aborted.append(e)
                 break
-            if tr.done:
+            if done:
                 break
-            state = tr.next_state
-        epoch_traces.append(EpochTrace(tuple(steps), e))
+            state = next_state
+        epoch_traces.append(EpochTrace(tuple(map(new, trace_steps, steps)), e))
     return RunLog(policy_id, tuple(epoch_traces), tuple(aborted), clamped)
 
 

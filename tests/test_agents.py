@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from fuzzoracle import (
     AgentConfig,
     BUG_REGISTRY,
+    GridSpec,
     HillCarSpec,
     Transition,
     env_reset,
@@ -14,7 +17,7 @@ from fuzzoracle import (
     inject_bug,
     make_agent,
 )
-from fuzzoracle.agents import _BLOCK
+from fuzzoracle.agents import _BLOCK, TabularQAgent
 from fuzzoracle.errors import (
     AlgorithmEnvMismatchError,
     FuzzOracleError,
@@ -215,6 +218,53 @@ class TestBugRegistry:
     def test_q_init_huge(self, grid_spec):
         agent = make_agent(inject_bug(AgentConfig(), "Q_INIT_HUGE"), grid_spec)
         assert agent.values().max() == 1.0e6
+
+
+# The bugs that change what the learner does rather than its config.
+BEHAVIOUR_BUGS = (
+    "REWARD_NEGATED", "STALE_STATE", "UPDATE_SKIPPED", "UPDATE_EVERY_OTHER", "ACTION_CLAMP_WRONG",
+)
+
+
+class TestBehaviourFaults:
+    @pytest.mark.parametrize("algorithm", ["tabular_q", "linear_actor_critic"])
+    @pytest.mark.parametrize("bug_id", BEHAVIOUR_BUGS)
+    def test_faulted_agent_freed_without_the_collector(self, bug_id, algorithm):
+        spec = GridSpec() if algorithm == "tabular_q" else HillCarSpec()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            agent = make_agent(inject_bug(AgentConfig(algorithm=algorithm), bug_id), spec)
+            state = env_reset(spec, 0)
+            agent.update(env_step(spec, state, agent.act(state, 0.5)))
+            alive = weakref.ref(agent)
+            del agent
+            assert alive() is None
+        finally:
+            if collecting:
+                gc.enable()
+
+    @pytest.mark.parametrize(
+        "bug_id, updates",
+        [("REWARD_NEGATED", 4), ("STALE_STATE", 4), ("UPDATE_SKIPPED", 0),
+         ("UPDATE_EVERY_OTHER", 2), ("ACTION_CLAMP_WRONG", 4)],
+    )
+    def test_learner_class_methods_see_every_call_that_reaches_them(
+        self, grid_spec, monkeypatch, bug_id, updates
+    ):
+        # The agent is built before the class methods are replaced.
+        agent = make_agent(inject_bug(AgentConfig(), bug_id), grid_spec)
+        calls = []
+        for name in ("act", "update"):
+            def counted(self, *args, _name=name, _method=getattr(TabularQAgent, name)):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(TabularQAgent, name, counted)
+        for _ in range(4):
+            agent.update(grid_transition((0, 0), agent.act((0, 0), 0.5), 0.5, (0, 1)))
+        assert calls.count("act") == 4
+        assert calls.count("update") == updates
 
 
 class TestDeterminism:

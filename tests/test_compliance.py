@@ -140,6 +140,38 @@ class TestActionKindChecks:
         with pytest.raises(ActionKindMismatchError):
             make_reward_fn(policy)((0, 0), 2)
 
+    def test_out_of_range_int_actions_score_zero(self):
+        # The ideal action at (0, 0) is UP, the last id, so reading a cell's
+        # rewards at index -1 would give 1.0.
+        policy = IntendedPolicy.build(
+            [((0, 0), 3), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4)
+        )
+        reward = make_reward_fn(policy)
+        assert [reward((0, 0), -1), reward((0, 0), 4)] == [0.0, 0.0]
+        assert reward((0, 0), 3) == 1.0
+        assert [reward((0, 0), -1), reward((0, 0), 4)] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("action", [True, 1.0])
+    def test_non_int_action_at_zero_degree_cell_scores_zero(self, two_ref_policy, action):
+        # (0, 3) is 3 cells from both references, beyond the half-gap of 2,
+        # so the state degree is 0 and the action is never checked.
+        reward = make_reward_fn(two_ref_policy)
+        assert reward((0, 3), action) == 0.0
+        assert reward((0, 3), 1) == 0.0
+        assert reward((0, 3), action) == 0.0
+
+    @pytest.mark.parametrize(
+        "state, error", [([0, 0], TypeError), (None, TypeError), ((0,), IndexError)]
+    )
+    @pytest.mark.parametrize("action", [1, True, -1])
+    def test_non_cell_state_raises_before_the_action_is_checked(
+        self, two_ref_policy, state, error, action
+    ):
+        reward = make_reward_fn(two_ref_policy)
+        reward((0, 0), 1)
+        with pytest.raises(error):
+            reward(state, action)
+
     def test_hillcar_policy_rejects_int_action(self):
         policy = generate_policies(HillCarSpec(), 1, 3, 0)[0]
         state = policy.entries[0][0]

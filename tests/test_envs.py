@@ -163,6 +163,18 @@ class TestMoveTable:
             rows=10_000, cols=10_000, holes=(), goal=(9_999, 9_999)
         )))
 
+    def test_a_reused_transition_holds_the_given_fields(self):
+        # A repeated step may return the transition built before; a step
+        # that differs in its reward, its state object or its action may not.
+        spec = GridSpec(slip_prob=0.5)
+        half = float("0.5")
+        rng = np.random.default_rng(3)
+        steps = [((1, 0), RIGHT, half), ((1, 0), RIGHT, half), ((1, 0), RIGHT, 0.25),
+                 ((1.0, 0), RIGHT, half)] + [((1, 0), a, half) for a in (0, 1, 2, 3) * 20]
+        for state, action, reward in steps:
+            tr = env_step(spec, state, action, lambda s, a: reward, rng)
+            assert tr.state is state and tr.action == action and tr.reward is reward
+
 
 class TestHillCarStep:
     def test_zero_gravity_point(self):
