@@ -462,12 +462,12 @@ def make_agent(config: AgentConfig, env_spec, rng=None):
 def _faulted(learner, bug):
     """Subclass of ``learner`` with the behaviour fault of ``bug``.
 
-    The fault's ``act`` or ``update`` calls the learner's own method, looked
-    up on ``_learner`` at each call, so a wrapper set on the learner class
-    sees every call that reaches it. The agent holds no reference to
+    The fault's ``act`` or ``update`` calls the learner's own method through
+    ``super()``, looked up at each call, so a wrapper set on the learner
+    class sees every call that reaches it. The agent holds no reference to
     itself, so it is freed as soon as its run drops it.
     """
-    return type(f"{learner.__name__}[{bug}]", (_FAULTS[bug], learner), {"_learner": learner})
+    return type(f"{learner.__name__}[{bug}]", (_FAULTS[bug], learner), {})
 
 
 # The behaviour faults, which :func:`_faulted` puts ahead of a learner class.
@@ -478,17 +478,15 @@ def _faulted(learner, bug):
 class _RewardNegated:
     def update(self, t):
         state, action, reward, next_state, done, clamped = t
-        self._learner.update(
-            self, tuple.__new__(Transition, (state, action, -reward, next_state, done, clamped))
+        super().update(
+            tuple.__new__(Transition, (state, action, -reward, next_state, done, clamped))
         )
 
 
 class _StaleState:
     def update(self, t):
         state, action, reward, _, done, clamped = t
-        self._learner.update(
-            self, tuple.__new__(Transition, (state, action, reward, state, done, clamped))
-        )
+        super().update(tuple.__new__(Transition, (state, action, reward, state, done, clamped)))
 
 
 class _UpdateSkipped:
@@ -503,7 +501,7 @@ class _UpdateEveryOther:
 
     def update(self, t):
         if next(self._updates) % 2:
-            self._learner.update(self, t)
+            super().update(t)
 
 
 class _ActionClampWrong:
@@ -516,7 +514,7 @@ class _ActionClampWrong:
             self._halves = [(lo / 2, hi / 2) for lo, hi in zip(space.lows, space.highs)]
 
     def act(self, state, progress):
-        action = self._learner.act(self, state, progress)
+        action = super().act(state, progress)
         if self._halves is None:
             return min(action, self._top)
         return tuple(min(max(a, lo), hi) for a, (lo, hi) in zip(action, self._halves))

@@ -212,7 +212,13 @@ def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
 
 
 class _RewardRows(dict):
-    """cell -> ``[scored(cell, a) for a in range(n)]``, filled on first use."""
+    """cell -> ``[scored(cell, a) for a in range(n)]``, filled on first use.
+
+    A row read returns the same float object at every call. Keep it so:
+    :func:`~fuzzoracle.envs.env_step` returns a grid move's last transition
+    again only when the reward is that very object, so a float computed
+    afresh at each call would keep every byte but lose the reuse.
+    """
 
     def __init__(self, scored, n: int):
         super().__init__()

@@ -13,9 +13,12 @@ from fuzzoracle import (
     UP,
     GridSpec,
     HillCarSpec,
+    OracleConfig,
     env_reset,
     env_step,
+    make_reward_fn,
     native_reward,
+    oracle_policies,
 )
 from fuzzoracle.errors import InvalidActionError, InvalidEnvSpecError, InvalidStateError
 
@@ -174,6 +177,20 @@ class TestMoveTable:
         for state, action, reward in steps:
             tr = env_step(spec, state, action, lambda s, a: reward, rng)
             assert tr.state is state and tr.action == action and tr.reward is reward
+
+    def test_a_repeated_step_with_a_policy_reward_returns_the_same_transition(self):
+        # The reuse needs make_reward_fn to return the same float object for
+        # a repeated (cell, action), nonzero rewards included.
+        spec = GridSpec()
+        policy = oracle_policies(spec, OracleConfig(policies=1, master_seed=3))[0]
+        reward_fn = make_reward_fn(policy)
+        rewards = []
+        for cell in spec.non_terminal_cells():
+            for action in (UP, RIGHT, DOWN, LEFT):
+                first = env_step(spec, cell, action, reward_fn)
+                assert env_step(spec, cell, action, reward_fn) is first
+                rewards.append(first.reward)
+        assert any(r != 0.0 for r in rewards) and 0.0 in rewards
 
 
 class TestHillCarStep:
