@@ -197,10 +197,6 @@ def check_environment(algorithm: str, env_kind: str) -> None:
         raise AlgorithmEnvMismatchError(f"{algorithm} needs {description}, got {env_kind!r}")
 
 
-def _epsilon(config: AgentConfig, progress: float) -> float:
-    return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * progress
-
-
 def _write_permutation(config: AgentConfig, n: int):
     """The permutation of ``n`` parameter rows that ``WRONG_FEATURE_MAP``
     sends updates through, or None for any other config."""
@@ -228,7 +224,7 @@ class TabularQAgent:
         init = float(config.init_value)
         self.q = [[init] * self.n_actions for _ in range(self.n_states)]
         # The config is frozen, so what every step reads of it is read once;
-        # ε is epsilon_start + span * progress, as in :func:`_epsilon`.
+        # ε is epsilon_start + span * progress.
         self._epsilon_start = config.epsilon_start
         self._epsilon_span = config.epsilon_end - config.epsilon_start
         self._discount = config.discount

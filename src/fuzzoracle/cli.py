@@ -8,6 +8,11 @@ Commands:
 * ``policies``  generate intended-policy files (``policies generate``)
 * ``bugs``      inspect the fault registry (``bugs list``)
 
+Every file a command writes is built in :mod:`fuzzoracle.logfiles`; a
+command here parses its flags, runs, and writes what that module built.
+``analyze`` judges its trace with :func:`fuzzoracle.oracle.analyze_log`,
+the judge ``test`` uses for each run log.
+
 Exit status is the machine contract: 0 means NonBuggy (or success for
 commands without a verdict), 1 means Buggy, 2 means error. Flags and
 ``--set`` override config-file fields, which override defaults: each is set
@@ -28,39 +33,25 @@ import sys
 import time
 
 from .agents import BUG_REGISTRY, check_environment
+from .compliance import policy_compliance_series  # unused; bench/layers.py patches it here
 from .errors import FuzzOracleError, TraceFormatError
-from .evaluation import (
-    DEFAULT_ROC_THRESHOLDS,
-    ProgramRecord,
-    confusion_at,
-    confusion_metrics,
-    roc_sweep,
-)
-from .compliance import policy_compliance_series
 from .logfiles import (
-    EVALUATION_FORMAT,
-    FORMAT_VERSION,
+    analysis_report,
     canonical_json,
     config_from_dict,
-    config_to_dict,
-    display,
     env_spec_from_dict,
+    evaluation_report,
     load_policy,
     load_run_config,
+    meta_text,
     read_trace,
     save_policy,
     series_lines,
     verdict_report,
     write_trace,
 )
-from .oracle import (
-    OracleConfig,
-    healthy,
-    judge_programs,
-    oracle_main,
-    oracle_policies,
-)
-from .trend import TrendParams, trend_analysis
+from .oracle import OracleConfig, analyze_log, judge_programs, oracle_main, oracle_policies
+from .trend import trend_analysis  # unused; bench/layers.py patches it here
 
 EXIT_NON_BUGGY = 0
 EXIT_BUGGY = 1
@@ -112,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="judge an external trace log")
     p_an.add_argument("--trace", required=True, help="trace log file")
     p_an.add_argument("--policy", required=True, help="intended policy file")
-    p_an.add_argument("--theta-step", type=float, default=None)
-    p_an.add_argument("--filter-mode", choices=("state", "step"), default=None)
-    p_an.add_argument("--window", type=int, default=None)
-    p_an.add_argument("--epsilon", type=float, default=None)
-    p_an.add_argument("--delta", type=float, default=None)
+    p_an.add_argument("--theta-step", type=float, help="oracle.theta_step")
+    p_an.add_argument("--filter-mode", help="oracle.filter_mode: state or step")
+    p_an.add_argument("--window", type=int, help="oracle.window")
+    p_an.add_argument("--epsilon", type=float, help="oracle.epsilon")
+    p_an.add_argument("--delta", type=float, help="oracle.delta")
     p_an.add_argument("--output", help="write the analysis JSON here instead of stdout")
     p_an.set_defaults(handler=cmd_analyze)
 
@@ -221,23 +212,6 @@ def _write(path, text) -> None:
         fh.write(text)
 
 
-def _meta(elapsed, workers, verdicts) -> str:
-    """meta.json: the wall time, the workers, and each phase's cost summed
-    over every (program, policy) task."""
-    outcomes = [o for verdict in verdicts for o in verdict.per_policy]
-    train_seconds = sum(o.train_seconds for o in outcomes)
-    env_steps = sum(o.env_steps for o in outcomes)
-    meta = {
-        "elapsed_seconds": elapsed,
-        "workers": workers,
-        "train_seconds": train_seconds,
-        "analyze_seconds": sum(o.analyze_seconds for o in outcomes),
-        "env_steps": env_steps,
-        "train_us_per_step": train_seconds / env_steps * 1e6 if env_steps else None,
-    }
-    return json.dumps(meta, indent=2) + "\n"
-
-
 def cmd_test(args) -> int:
     config, out_dir, workers = _prologue(args)
     env_spec, agent_config, oracle_config = config["env"], config["agent"], config["oracle"]
@@ -256,7 +230,7 @@ def cmd_test(args) -> int:
     report = verdict_report(verdict, env_spec, agent_config, oracle_config)
     _write(os.path.join(out_dir, "report.json"), canonical_json(report))
     _write(os.path.join(out_dir, "series.jsonl"), series_lines(verdict))
-    _write(os.path.join(out_dir, "meta.json"), _meta(elapsed, workers, [verdict]))
+    _write(os.path.join(out_dir, "meta.json"), meta_text(elapsed, workers, [verdict]))
     print(
         f"{verdict.label}: {verdict.true_count}/{len(verdict.per_policy)} healthy "
         f"policy trends (threshold {oracle_config.theta_oracle})"
@@ -275,48 +249,22 @@ def cmd_analyze(args) -> int:
             raise TraceFormatError(
                 f"policy {name} space {ours} does not match the trace environment {theirs}"
             )
-    defaults = OracleConfig()
-    theta_step = defaults.theta_step if args.theta_step is None else args.theta_step
-    filter_mode = args.filter_mode or defaults.filter_mode
-    given = {name: getattr(args, name) for name in ("window", "epsilon", "delta")}
-    params = config_from_dict(
-        TrendParams, {k: v for k, v in given.items() if v is not None}, "trend"
-    )
-    series = policy_compliance_series(policy, log, theta_step, filter_mode=filter_mode)
-    report = trend_analysis(series, params)
-    is_healthy = healthy(report, log)
-    verdict_label = "NonBuggy" if is_healthy else "Buggy"
-    analysis = {
-        "format": "fuzzoracle-analysis",
-        "version": FORMAT_VERSION,
-        "trace": os.path.basename(args.trace),
-        "policy_id": log.policy_id,
-        "env": config_to_dict(env_spec),
-        "params": {
-            "theta_step": theta_step,
-            "filter_mode": filter_mode,
-            "window": params.window,
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-        },
-        "series": list(series.values),
-        "series_display": [display(v) for v in series.values],
-        "trend": {
-            "slope": report.slope,
-            "slope_display": display(report.slope),
-            "convergence_index": report.convergence_index,
-            "abnormality_found": report.abnormality_found,
-            "healthy": is_healthy,
-        },
-        "verdict": verdict_label,
+    given = {
+        name: getattr(args, name)
+        for name in ("theta_step", "filter_mode", "window", "epsilon", "delta")
+        if getattr(args, name) is not None
     }
+    # At the trace's epoch count, the oracle's window rule is the trend's.
+    config = config_from_dict(OracleConfig, {**given, "epochs": len(log.epochs)}, "trend")
+    outcome = analyze_log(policy, log, config)
+    analysis = analysis_report(os.path.basename(args.trace), env_spec, config, outcome)
     text = canonical_json(analysis)
     if args.output:
         _write(args.output, text)
     else:
         sys.stdout.write(text)
-    print(f"{verdict_label}: slope {display(report.slope)}", file=sys.stderr)
-    return EXIT_NON_BUGGY if is_healthy else EXIT_BUGGY
+    print(f"{analysis['verdict']}: slope {analysis['trend']['slope_display']}", file=sys.stderr)
+    return EXIT_NON_BUGGY if outcome.healthy else EXIT_BUGGY
 
 
 def cmd_evaluate(args) -> int:
@@ -335,57 +283,18 @@ def cmd_evaluate(args) -> int:
     else:
         # One oracle run per variant, each reported as soon as it is judged.
         verdicts = (oracle_main(a, env_spec, oracle_config) for a in agent_configs)
-    records = []
-    programs = []
     judged = []
-    for (name, buggy, agent), verdict in zip(variants, verdicts):
+    for (name, _, _), verdict in zip(variants, verdicts):
         judged.append(verdict)
-        records.append(
-            ProgramRecord(verdict.true_count, len(verdict.per_policy), buggy, name=name)
-        )
-        programs.append(
-            {
-                "name": name,
-                "bug": agent.bug,
-                "ground_truth_buggy": buggy,
-                "label": verdict.label,
-                "true_count": verdict.true_count,
-                "ratio": verdict.ratio,
-                "ratio_display": display(verdict.ratio),
-            }
-        )
         print(f"{name}: {verdict.label} ({verdict.true_count}/{len(verdict.per_policy)})")
     elapsed = time.monotonic() - started
 
-    matrix = confusion_at(records, oracle_config.theta_oracle)
-    metrics = confusion_metrics(matrix)
-    roc = roc_sweep(records, DEFAULT_ROC_THRESHOLDS)
-    report = {
-        "format": EVALUATION_FORMAT,
-        "version": FORMAT_VERSION,
-        "config": {
-            "env": config_to_dict(env_spec),
-            "agent": config_to_dict(config["agent"]),
-            "oracle": config_to_dict(oracle_config),
-        },
-        "programs": programs,
-        "confusion": {"tp": matrix.tp, "fp": matrix.fp, "tn": matrix.tn, "fn": matrix.fn},
-        "metrics": {
-            "accuracy": metrics.accuracy,
-            "accuracy_display": display(metrics.accuracy),
-            "precision": metrics.precision,
-            "precision_display": display(metrics.precision),
-            "recall": metrics.recall,
-            "recall_display": display(metrics.recall),
-            "f1": metrics.f1,
-            "f1_display": display(metrics.f1),
-        },
-        "roc": [{"theta": t, "fpr": f, "tpr": p} for t, f, p in roc],
-    }
+    report = evaluation_report(variants, judged, env_spec, config["agent"], oracle_config)
     _write(os.path.join(out_dir, "evaluation.json"), canonical_json(report))
-    _write(os.path.join(out_dir, "meta.json"), _meta(elapsed, workers, judged))
+    _write(os.path.join(out_dir, "meta.json"), meta_text(elapsed, workers, judged))
+    c = report["confusion"]
     print(
-        f"confusion TP={matrix.tp} FP={matrix.fp} TN={matrix.tn} FN={matrix.fn}; "
+        f"confusion TP={c['tp']} FP={c['fp']} TN={c['tn']} FN={c['fn']}; "
         f"report in {out_dir}/evaluation.json"
     )
     return EXIT_NON_BUGGY

@@ -131,27 +131,11 @@ def _state_degree(policy: IntendedPolicy, state) -> tuple:
 
 def _action_degree(policy: IntendedPolicy):
     """:func:`action_compliance` under ``policy`` as a callable of
-    (action, ideal action).
-
-    On a discrete action space with int ideal actions, a plain int action
-    scores 1 when it equals the ideal and 0 otherwise. That is exact: the
-    discrete metric gives 0 or inf, and every action shape gives 1 at 0 and
-    0 at inf (a policy's scaled action shape always has a width). Any other
-    action goes through the checked metric, which rejects it as before.
-    """
+    (action, ideal action)."""
     shape = policy.action_shape
     if not isinstance(policy.action_space, DiscreteSpace):
         return lambda action, ideal: shape(continuous_action_distance(action, ideal))
-    checked = partial(action_compliance, metric=policy.action_distance, shape=shape)
-    if not all(type(ideal) is int for _, ideal in policy.entries):
-        return checked
-
-    def degree(action, ideal) -> float:
-        if type(action) is int:
-            return 1.0 if action == ideal else 0.0
-        return checked(action, ideal)
-
-    return degree
+    return partial(action_compliance, metric=policy.action_distance, shape=shape)
 
 
 def step_compliance_at(policy: IntendedPolicy, state, action) -> tuple[float, float, float]:

@@ -12,14 +12,22 @@ Format versions are integers; readers reject versions they do not know.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, is_dataclass
 
 from .agents import AgentConfig, inject_bug
 from .compliance import EpochTrace, RunLog, TraceStep
 from .envs import GridSpec, HillCarSpec
 from .errors import FuzzOracleError, TraceFormatError
+from .evaluation import (
+    DEFAULT_ROC_THRESHOLDS,
+    ProgramRecord,
+    confusion_at,
+    confusion_metrics,
+    roc_sweep,
+)
 from .membership import MembershipShape
-from .oracle import OracleConfig, Verdict
+from .oracle import LABEL_BUGGY, LABEL_NON_BUGGY, OracleConfig, Verdict
 from .policy import IntendedPolicy
 from .spaces import BoxSpace, DiscreteSpace, GridSpace, is_int
 
@@ -27,6 +35,7 @@ TRACE_FORMAT = "fuzzoracle-trace"
 POLICY_FORMAT = "fuzzoracle-policy"
 REPORT_FORMAT = "fuzzoracle-report"
 EVALUATION_FORMAT = "fuzzoracle-evaluation"
+ANALYSIS_FORMAT = "fuzzoracle-analysis"
 FORMAT_VERSION = 1
 
 
@@ -68,11 +77,11 @@ def config_from_dict(cls, data, where: str):
     A ``kind`` goes to the constructor only when it is one of ``cls``'s
     fields (a membership shape). An unknown field, a value other than an
     int that is no bool in an int field (``None`` too, unless the field is
-    optional), a bool or an int too large for a float in a float field (an
-    int is kept, not converted), or a value the constructor rejects with a
-    TypeError, ValueError or AttributeError, raises :class:`TraceFormatError`
-    naming the ``where`` section; the constructor's own library errors pass
-    through unchanged.
+    optional), a bool, an int too large for a float or a float that is not
+    finite in a float field (an int is kept, not converted), or a value the
+    constructor rejects with a TypeError, ValueError or AttributeError,
+    raises :class:`TraceFormatError` naming the ``where`` section; the
+    constructor's own library errors pass through unchanged.
     """
     nested = {
         f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)
@@ -92,6 +101,8 @@ def config_from_dict(cls, data, where: str):
             raise TraceFormatError(
                 f"bad {where} config: {f.name} must be an int, got {data[f.name]!r}"
             )
+        if f.type in ("float", "float | None") and isinstance(value, float):
+            _check(math.isfinite(value), where, f"{f.name} must be finite", value)
         if f.type in ("float", "float | None") and isinstance(value, int):
             _check(not isinstance(value, bool), where, f"{f.name} must be a number", value)
             try:
@@ -680,43 +691,119 @@ def _variant(data, agent: AgentConfig) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Reports: every output file of a command is built here
 
 
 def verdict_report(verdict: Verdict, env_spec, agent_config, oracle_config) -> dict:
+    """report.json of ``test``."""
     return {
         "format": REPORT_FORMAT,
         "version": FORMAT_VERSION,
-        "config": {
-            "env": config_to_dict(env_spec),
-            "agent": config_to_dict(agent_config),
-            "oracle": config_to_dict(oracle_config),
-            "bug": agent_config.bug,
-        },
-        "verdict": {
-            "label": verdict.label,
-            "true_count": verdict.true_count,
-            "policy_count": len(verdict.per_policy),
-            "ratio": verdict.ratio,
-            "ratio_display": display(verdict.ratio),
-        },
+        "config": {**_configs(env_spec, agent_config, oracle_config), "bug": agent_config.bug},
+        "verdict": {**_vote(verdict), "policy_count": len(verdict.per_policy)},
         "policies": [
-            {
-                "policy_id": o.policy_id,
-                "healthy": o.healthy,
-                "slope": o.trend.slope,
-                "slope_display": display(o.trend.slope),
-                "convergence_index": o.trend.convergence_index,
-                "abnormality_found": o.trend.abnormality_found,
-                "aborted_epochs": list(o.aborted_epochs),
-            }
+            {"policy_id": o.policy_id, **_trend(o), "aborted_epochs": list(o.aborted_epochs)}
             for o in verdict.per_policy
         ],
     }
 
 
 def series_lines(verdict: Verdict) -> str:
+    """series.jsonl of ``test``."""
     return "".join(
         canonical_json({"policy_id": o.policy_id, "values": list(o.series.values)})
         for o in verdict.per_policy
     )
+
+
+def analysis_report(trace_name: str, env_spec, config: OracleConfig, outcome) -> dict:
+    """The analysis ``analyze`` writes of the trace file ``trace_name``:
+    ``outcome``, the :class:`~fuzzoracle.oracle.PolicyOutcome` that
+    :func:`~fuzzoracle.oracle.analyze_log` gave under ``config``."""
+    values = outcome.series.values
+    oracle = config_to_dict(config)
+    params = ("theta_step", "filter_mode", "window", "epsilon", "delta")
+    return {
+        "format": ANALYSIS_FORMAT,
+        "version": FORMAT_VERSION,
+        "trace": trace_name,
+        "policy_id": outcome.policy_id,
+        "env": config_to_dict(env_spec),
+        "params": {k: oracle[k] for k in params},
+        "series": list(values),
+        "series_display": [display(v) for v in values],
+        "trend": _trend(outcome),
+        "verdict": LABEL_NON_BUGGY if outcome.healthy else LABEL_BUGGY,
+    }
+
+
+def evaluation_report(variants, verdicts, env_spec, agent_config, oracle_config) -> dict:
+    """evaluation.json of ``evaluate``: each ``(name, buggy, agent)`` variant
+    with its verdict, and the detection quality of the votes at
+    ``oracle_config.theta_oracle`` and over the ROC thresholds."""
+    records = [
+        ProgramRecord(v.true_count, len(v.per_policy), buggy, name=name)
+        for (name, buggy, _), v in zip(variants, verdicts)
+    ]
+    matrix = confusion_at(records, oracle_config.theta_oracle)
+    metrics = confusion_metrics(matrix)
+    scores = {k: getattr(metrics, k) for k in ("accuracy", "precision", "recall", "f1")}
+    return {
+        "format": EVALUATION_FORMAT,
+        "version": FORMAT_VERSION,
+        "config": _configs(env_spec, agent_config, oracle_config),
+        "programs": [
+            {"name": name, "bug": agent.bug, "ground_truth_buggy": buggy, **_vote(v)}
+            for (name, buggy, agent), v in zip(variants, verdicts)
+        ],
+        "confusion": {"tp": matrix.tp, "fp": matrix.fp, "tn": matrix.tn, "fn": matrix.fn},
+        "metrics": {**scores, **{f"{k}_display": display(v) for k, v in scores.items()}},
+        "roc": [
+            {"theta": t, "fpr": f, "tpr": p}
+            for t, f, p in roc_sweep(records, DEFAULT_ROC_THRESHOLDS)
+        ],
+    }
+
+
+def meta_text(elapsed: float, workers, verdicts) -> str:
+    """meta.json: the wall time, the workers, and each phase's cost summed
+    over every (program, policy) task. Not canonical: it holds timings."""
+    outcomes = [o for verdict in verdicts for o in verdict.per_policy]
+    train_seconds = sum(o.train_seconds for o in outcomes)
+    env_steps = sum(o.env_steps for o in outcomes)
+    meta = {
+        "elapsed_seconds": elapsed,
+        "workers": workers,
+        "train_seconds": train_seconds,
+        "analyze_seconds": sum(o.analyze_seconds for o in outcomes),
+        "env_steps": env_steps,
+        "train_us_per_step": train_seconds / env_steps * 1e6 if env_steps else None,
+    }
+    return json.dumps(meta, indent=2) + "\n"
+
+
+def _configs(env_spec, agent_config, oracle_config) -> dict:
+    return {
+        "env": config_to_dict(env_spec),
+        "agent": config_to_dict(agent_config),
+        "oracle": config_to_dict(oracle_config),
+    }
+
+
+def _vote(verdict: Verdict) -> dict:
+    return {
+        "label": verdict.label,
+        "true_count": verdict.true_count,
+        "ratio": verdict.ratio,
+        "ratio_display": display(verdict.ratio),
+    }
+
+
+def _trend(outcome) -> dict:
+    return {
+        "healthy": outcome.healthy,
+        "slope": outcome.trend.slope,
+        "slope_display": display(outcome.trend.slope),
+        "convergence_index": outcome.trend.convergence_index,
+        "abnormality_found": outcome.trend.abnormality_found,
+    }

@@ -79,14 +79,6 @@ class TestAct:
         for c in counts:
             assert abs(c / 10_000 - 0.25) < 0.05
 
-    def test_epsilon_anneals_linearly(self, grid_spec):
-        config = AgentConfig(epsilon_start=1.0, epsilon_end=0.0)
-        from fuzzoracle.agents import _epsilon
-
-        assert _epsilon(config, 0.0) == 1.0
-        assert _epsilon(config, 0.5) == 0.5
-        assert _epsilon(config, 1.0) == 0.0
-
 
 class TestUpdate:
     def test_terminal_update_arithmetic(self, grid_spec):

@@ -27,6 +27,25 @@ def write_config(path, **overrides):
     return str(path)
 
 
+def assert_analyze_reproduces_report(tmp_path, out, policies):
+    """``analyze`` of each trace ``test --emit-traces`` wrote into ``out``
+    judges it as ``report.json`` and ``series.jsonl`` did: one judge serves
+    both commands."""
+    report = json.loads((out / "report.json").read_text())
+    series = [json.loads(line) for line in (out / "series.jsonl").read_text().splitlines()]
+    assert len(report["policies"]) == len(series) == policies
+    for judged, emitted in zip(report["policies"], series):
+        name = f"policy_{judged['policy_id']:03d}"
+        analysis_path = tmp_path / f"{name}.analysis.json"
+        code = main(["analyze", "--trace", str(out / f"{name}.trace.jsonl"),
+                     "--policy", str(out / f"{name}.json"), "--output", str(analysis_path)])
+        assert code == (0 if judged["healthy"] else 1)
+        analysis = json.loads(analysis_path.read_text())
+        assert analysis["series"] == emitted["values"]
+        for key in ("slope", "convergence_index", "abnormality_found", "healthy"):
+            assert analysis["trend"][key] == judged[key], (name, key)
+
+
 class TestBugsAndPolicies:
     def test_bugs_list(self, capsys):
         assert main(["bugs", "list"]) == 0
@@ -217,7 +236,9 @@ class TestAnalyze:
         (None, "bad env config: expected an object, got None"),
         ({"kind": "pendulum"}, "env kind must be 'grid' or 'hillcar', got 'pendulum'"),
         ({"kind": "grid", "goal": [9]}, "goal (9,) outside the grid"),
-    ], ids=["missing", "pendulum", "goal"])
+        ({"kind": "grid", "slip_prob": float("nan")},
+         "bad env config: slip_prob must be finite, got nan"),
+    ], ids=["missing", "pendulum", "goal", "slip_prob_nan"])
     def test_bad_header_env_exits_2(self, tmp_path, capsys, env, message):
         lines = open(HAND_TRACE).read().splitlines()
         header = json.loads(lines[0])
@@ -285,6 +306,39 @@ class TestAnalyze:
                      "--epsilon", "-1"]) == 2
         assert capsys.readouterr().err == "error: bad trend config: epsilon must be positive\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--filter-mode", "bogus"], "filter_mode must be 'state' or 'step'"),
+        (["--theta-step", "1.5"], "theta_step must lie in [0, 1]"),
+        (["--theta-step", "nan"], "theta_step must be finite, got nan"),
+        (["--epsilon", "inf"], "epsilon must be finite, got inf"),
+        (["--window", "3"], "trend window must be at most epochs - 1"),
+    ], ids=["filter_mode", "theta_step", "theta_step_nan", "epsilon_inf", "window"])
+    def test_analyze_flags_follow_the_oracle_rules(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", "--trace", HAND_TRACE, "--policy", HAND_POLICY,
+                     *flags, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bad trend config: {message}\n"
+        assert not out.exists()
+
+    def test_one_epoch_trace_exits_2(self, tmp_path, capsys):
+        lines = open(HAND_TRACE).read().splitlines()
+        header = json.loads(lines[0])
+        header["epochs"] = 1
+        path = tmp_path / "one.trace.jsonl"
+        path.write_text("".join(
+            l + "\n" for l in [json.dumps(header)] + [l for l in lines[1:] if '"epoch":1,' in l]
+        ))
+        assert main(["analyze", "--trace", str(path), "--policy", HAND_POLICY]) == 2
+        assert capsys.readouterr().err == "error: bad trend config: need at least two epochs\n"
+
+    def test_analyze_flags_reach_the_analysis(self, capsys):
+        assert main(["analyze", "--trace", HAND_TRACE, "--policy", HAND_POLICY,
+                     "--theta-step", "0.5", "--filter-mode", "step", "--window", "2",
+                     "--epsilon", "0.05", "--delta", "0.2"]) == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert params == {"theta_step": 0.5, "filter_mode": "step", "window": 2,
+                          "epsilon": 0.05, "delta": 0.2}
+
 
 class TestTestCommand:
     def test_clean_agent_small_run(self, tmp_path, capsys):
@@ -338,20 +392,7 @@ class TestTestCommand:
         out = tmp_path / "out"
         assert main(["test", "--config", cfg, "--policies", "2", "--emit-traces",
                      "--output", str(out)]) in (0, 1)
-        emitted = [
-            json.loads(line)
-            for line in (out / "series.jsonl").read_text().splitlines()
-        ]
-        analysis_path = tmp_path / "re.json"
-        code = main([
-            "analyze",
-            "--trace", str(out / "policy_001.trace.jsonl"),
-            "--policy", str(out / "policy_001.json"),
-            "--output", str(analysis_path),
-        ])
-        assert code in (0, 1)
-        analysis = json.loads(analysis_path.read_text())
-        assert analysis["series"] == emitted[0]["values"]
+        assert_analyze_reproduces_report(tmp_path, out, 2)
 
     def test_emit_traces_with_aborted_epochs_reproducible_by_analyze(self, tmp_path):
         # The learner diverges in epoch 7; epoch 9 aborts on its first
@@ -369,12 +410,7 @@ class TestTestCommand:
         trace = out / "policy_001.trace.jsonl"
         header = json.loads(trace.read_text().splitlines()[0])
         assert header["aborted_epochs"] == [7, 8, 9]
-        analysis_path = tmp_path / "re.json"
-        assert main(["analyze", "--trace", str(trace),
-                     "--policy", str(out / "policy_001.json"),
-                     "--output", str(analysis_path)]) == 1
-        emitted = json.loads((out / "series.jsonl").read_text())
-        assert json.loads(analysis_path.read_text())["series"] == emitted["values"]
+        assert_analyze_reproduces_report(tmp_path, out, 1)
 
     def test_emit_traces_mode_matches_plain_mode(self, tmp_path):
         # Writing traces must not perturb the verdict: both modes derive
@@ -452,6 +488,14 @@ class TestTestCommand:
         ({"env": {"kind": "hillcar", "force": True},
           "agent": {"algorithm": "linear_actor_critic"}},
          "bad env config: force must be a number, got True"),
+        # A float field takes no infinity or NaN.
+        *(({"env": {"kind": "hillcar", name: value},
+            "agent": {"algorithm": "linear_actor_critic"}},
+           f"bad env config: {name} must be finite, got {value!r}")
+          for name, value in (("max_speed", float("inf")), ("min_position", float("-inf")),
+                              ("force", float("nan")), ("gravity", float("nan")))),
+        ({"oracle": {"reward_scale": float("inf")}},
+         "bad oracle config: reward_scale must be finite, got inf"),
     ], ids=["env_rows", "env_list", "env_goal", "oracle_epsilon", "oracle_policies",
             "oracle_window", "agent_bug_unknown", "agent_bug", "env_goal_bool",
             "env_hole_bool", "env_min_position_overflow", "env_max_speed_overflow",
@@ -460,7 +504,9 @@ class TestTestCommand:
             "agent_feature_grid_float", "oracle_policies_float", "agent_seed_float",
             "oracle_window_bool", "agent_feature_grid_zero", "agent_feature_grid_negative",
             "agent_learning_rate_bool", "oracle_theta_oracle_bool", "oracle_epsilon_bool",
-            "env_slip_prob_bool", "env_force_bool"])
+            "env_slip_prob_bool", "env_force_bool", "env_max_speed_inf",
+            "env_min_position_minus_inf", "env_force_nan", "env_gravity_nan",
+            "oracle_reward_scale_inf"])
     def test_malformed_section_exits_2(self, tmp_path, capsys, section, message):
         cfg = write_config(tmp_path / "cfg.json", **section)
         assert main(["test", "--config", cfg, "--output", str(tmp_path / "out")]) == 2

@@ -1,5 +1,6 @@
 import enum
 import json
+import math
 import os
 import re
 
@@ -773,13 +774,25 @@ class TestConfigSerialization:
         (OracleConfig, "oracle", "theta_oracle", True),
         (OracleConfig, "oracle", "epsilon", True),
         (MembershipShape, "state_shape", "width", True),
+        (HillCarSpec, "env", "max_speed", math.inf),
+        (HillCarSpec, "env", "min_position", -math.inf),
+        (HillCarSpec, "env", "force", math.nan),
+        (GridSpec, "env", "slip_prob", math.nan),
+        (AgentConfig, "agent", "learning_rate", math.nan),
+        (OracleConfig, "oracle", "reward_scale", math.inf),
+        (OracleConfig, "trend", "delta", math.inf),
+        (MembershipShape, "state_shape", "width", math.inf),
     ])
     def test_float_field_refuses_a_bool(self, cls, where, name, value):
         # A bool is an int to Python, and compared as 0 or 1 it passed every
-        # range check.
+        # range check. So did an infinity or a NaN in most fields: an
+        # infinite hill-car bound overflowed numpy's uniform draw, a NaN
+        # force judged the clean learner Buggy, and an infinite reward scale
+        # judged it NonBuggy.
         data = {"kind": "linear"} if cls is MembershipShape else {}
         data[name] = value
-        message = f"bad {where} config: {name} must be a number, got {value!r}"
+        problem = "must be a number" if isinstance(value, bool) else "must be finite"
+        message = f"bad {where} config: {name} {problem}, got {value!r}"
         with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
             config_from_dict(cls, data, where)
 
