@@ -349,6 +349,12 @@ class LinearActorCriticAgent:
         self._pos_span = env_spec.max_position - env_spec.min_position
         self._vel_span = 2.0 * env_spec.max_speed
         self.n_features = k * k + 1
+        # The config is frozen, so what every step reads of it is read once.
+        self._action_noise = config.action_noise
+        self._noise_variance = config.action_noise**2
+        self._discount = config.discount
+        self._learning_rate = config.learning_rate
+        self._critic_learning_rate = config.critic_learning_rate
         # One-entry memo: the successor whose features ``update`` needs for
         # its bootstrap is the state the next ``act`` and ``update`` see.
         self._phi_state = None
@@ -398,7 +404,7 @@ class LinearActorCriticAgent:
         """
         mean = float(self.w_mean @ self.features(state))
         self._acted = (state, mean)
-        noisy = mean + self.config.action_noise * next(self._normals)
+        noisy = mean + self._action_noise * next(self._normals)
         return (-1.0 if noisy < -1.0 else 1.0 if noisy > 1.0 else noisy,)
 
     def update(self, transition) -> None:
@@ -417,25 +423,17 @@ class LinearActorCriticAgent:
         it do: divergence raises at the same update as with a scan after
         every update.
         """
-        config = self.config
-        state = transition.state
+        state, action, reward, next_state, done, _ = transition
         phi = self.features(state)
-        if transition.done:
+        if done:
             future = 0.0
         else:
-            future = config.discount * float(
-                self.w_value @ self.features(transition.next_state)
-            )
-        td_error = transition.reward + future - float(self.w_value @ phi)
+            future = self._discount * float(self.w_value @ self.features(next_state))
+        td_error = reward + future - float(self.w_value @ phi)
         acted, self._acted = self._acted, None
         mean = acted[1] if acted is not None and acted[0] is state else float(self.w_mean @ phi)
-        c_value = config.critic_learning_rate * td_error
-        c_mean = (
-            config.learning_rate
-            * td_error
-            * (transition.action[0] - mean)
-            / (config.action_noise**2)
-        )
+        c_value = self._critic_learning_rate * td_error
+        c_mean = self._learning_rate * td_error * (action[0] - mean) / self._noise_variance
         self._coefs[0, 0], self._coefs[1, 0] = c_value, c_mean
         write_phi = phi[self._write_perm] if self._write_perm is not None else phi
         np.multiply(self._coefs, write_phi, out=self._step)

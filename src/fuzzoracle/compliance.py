@@ -33,8 +33,14 @@ import numpy as np
 
 from .errors import EmptyLogError, InvalidDeltaError, InvalidMembershipError
 from .membership import MembershipShape
-from .policy import IntendedPolicy, closest_reference
-from .spaces import DiscreteSpace, GridSpace, continuous_action_distance
+from .policy import IntendedPolicy
+from .spaces import (
+    DiscreteSpace,
+    GridSpace,
+    continuous_action_distance,
+    coordinates,
+    wrong_length,
+)
 
 
 class TraceStep(NamedTuple):
@@ -120,13 +126,27 @@ def step_compliance(mu_state: float, mu_action: float) -> float:
     return mu_state * mu_action
 
 
-def _state_degree(policy: IntendedPolicy, state) -> tuple:
-    """(state compliance, ideal action of the nearest reference) of ``state``."""
-    index, distance = closest_reference(state, policy)
-    return (
-        state_compliance(distance, policy.min_ref_distance, policy.state_shape),
-        policy.entries[index][1],
-    )
+def _state_degree(policy: IntendedPolicy):
+    """Callable ``state -> (state compliance, ideal action of the nearest
+    reference)``, with the arithmetic of :func:`state_compliance`.
+
+    The nearest-reference search, the shape's width and the half-gap are
+    built once; a gap that is not positive raises at the first state scored.
+    """
+    search = policy.state_space.nearest([s for s, _ in policy.entries])
+    ideals = [a for _, a in policy.entries]
+    delta = policy.min_ref_distance
+    half = delta / 2.0
+    shape = policy.state_shape
+    width = shape.width or half
+
+    def degree(state) -> tuple:
+        index, distance = search(state)
+        if not delta > 0:
+            raise InvalidDeltaError(f"delta must be positive, got {delta}")
+        return (0.0 if distance > half else shape(distance, width)), ideals[index]
+
+    return degree
 
 
 def _action_degree(policy: IntendedPolicy):
@@ -140,7 +160,7 @@ def _action_degree(policy: IntendedPolicy):
 
 def step_compliance_at(policy: IntendedPolicy, state, action) -> tuple[float, float, float]:
     """(mu_state, mu_action, mu_step) of one step under ``policy``."""
-    mu_state, ideal = _state_degree(policy, state)
+    mu_state, ideal = _state_degree(policy)(state)
     mu_action = _action_degree(policy)(action, ideal)
     return mu_state, mu_action, step_compliance(mu_state, mu_action)
 
@@ -166,13 +186,15 @@ def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
     afresh once its state's row is found, so a bad state raises first, as
     it would for any action. Continuous states practically never recur, so
     a memo would only grow by one entry per step; they are scored afresh.
+    Either way the policy's nearest-reference search is built once, here.
     """
     if not reward_scale > 0:
         raise ValueError("reward_scale must be positive")
+    state_degree = _state_degree(policy)
     action_degree = _action_degree(policy)
 
     def scored(state, action) -> float:
-        mu_state, ideal = _state_degree(policy, state)
+        mu_state, ideal = state_degree(state)
         if mu_state == 0.0:
             return 0.0
         return reward_scale * mu_state * action_degree(action, ideal)
@@ -304,16 +326,26 @@ def _array_degrees(policy: IntendedPolicy, steps) -> tuple:
 
     The array form of :func:`step_compliance_at`: distances from every
     state to every reference, the nearest by ``argmin`` (the first minimum,
-    so ties go to the lowest index as in :func:`closest_reference`), then the
+    so ties go to the lowest index as in the space's ``nearest``), then the
     state degree, the ideal action and the action degree. Only ``+ - * /``,
     ``abs`` and ``sqrt`` are used, accumulated per dimension in the metrics'
-    order, so every value matches the scalar chain bit for bit. Actions are
-    checked as the scalar metrics check them, with the same exceptions.
+    order, so every value matches the scalar chain bit for bit. States and
+    actions are checked as the scalar chain checks them, with the same
+    exceptions: a state of the wrong length raises
+    :class:`~fuzzoracle.errors.InvalidStateError`.
     """
     delta = policy.min_ref_distance
     if not delta > 0:
         raise InvalidDeltaError(f"delta must be positive, got {delta}")
     states, actions, _ = zip(*steps)
+    state_dim = policy.state_space.dim
+    if set(map(len, states)) != {state_dim}:
+        bad = next(i for i, state in enumerate(states) if len(state) != state_dim)
+        # The steps before it are scored first, so a bad action there is
+        # reported first, as the scalar chain would.
+        if bad:
+            _array_degrees(policy, steps[:bad])
+        raise wrong_length(states[bad], state_dim)
     distances = policy.state_space.distances(states, [s for s, _ in policy.entries])
     nearest = distances.argmin(axis=1)
     distance = distances.min(axis=1)
@@ -336,7 +368,7 @@ def _array_degrees(policy: IntendedPolicy, steps) -> tuple:
             or any(type(a) is not tuple or len(a) != dim for a in ideals)
         ):
             _check_actions(policy, actions, nearest, ideals)
-        taken = np.array(actions, dtype=float)
+        taken = coordinates(actions, dim)
         wanted = np.array(ideals, dtype=float)[nearest]
         total = 0.0
         for k in range(dim):

@@ -113,12 +113,7 @@ def closest_reference(state, policy: IntendedPolicy) -> tuple[int, float]:
     """Index and distance of the reference state nearest to ``state``.
 
     Ties break toward the lowest entry index so repeated runs stay
-    reproducible; distance comparison is exact.
+    reproducible; distance comparison is exact. The search is the state
+    space's (``nearest``), built for this one call.
     """
-    distance = policy.state_space.distance
-    best_index, best_distance = 0, None
-    for i, (ref, _) in enumerate(policy.entries):
-        d = distance(state, ref)
-        if i == 0 or d < best_distance:
-            best_index, best_distance = i, d
-    return best_index, best_distance
+    return policy.state_space.nearest([s for s, _ in policy.entries])(state)

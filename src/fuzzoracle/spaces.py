@@ -11,16 +11,21 @@ metric used by the fuzzy compliance machinery:
 * discrete actions use the exact-match metric (0 when equal, inf otherwise);
 * continuous actions use raw Euclidean distance, paired downstream with a
   membership shape scaled by the space diameter.
+
+A state space also builds the nearest-reference search of a policy
+(``nearest``), which holds the one scalar body of its metric; a state of
+the wrong length is refused there with :class:`InvalidStateError`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import ActionKindMismatchError
+from .errors import ActionKindMismatchError, InvalidStateError
 
 GridCell = tuple[int, int]
 Coords = tuple[float, ...]
@@ -32,6 +37,27 @@ def is_int(value) -> bool:
     return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
+def coordinates(points, dim: int) -> np.ndarray:
+    """``(len(points), dim)`` float array of ``points``, each ``dim`` long;
+    read through one flat iterator, which is quicker than ``np.array``."""
+    flat = np.fromiter(chain.from_iterable(points), float, len(points) * dim)
+    return flat.reshape(len(points), dim)
+
+
+def wrong_length(state, dim: int) -> InvalidStateError:
+    """The error for a state whose length is not the ``dim`` of its space."""
+    return InvalidStateError(f"state {state!r} has length {len(state)}, not {dim}")
+
+
+def _refs(refs, dim: int) -> tuple:
+    """``refs`` as a tuple, refused as states are if one has the wrong length."""
+    refs = tuple(refs)
+    for ref in refs:
+        if len(ref) != dim:
+            raise wrong_length(ref, dim)
+    return refs
+
+
 @dataclass(frozen=True)
 class GridSpace:
     """Discrete rectangular grid of cells addressed as (row, col)."""
@@ -40,6 +66,7 @@ class GridSpace:
     cols: int
 
     kind = "grid"
+    dim = 2
 
     def contains(self, point) -> bool:
         if not (isinstance(point, tuple) and len(point) == 2):
@@ -48,7 +75,27 @@ class GridSpace:
         return is_int(r) and is_int(c) and 0 <= r < self.rows and 0 <= c < self.cols
 
     def distance(self, a: GridCell, b: GridCell) -> float:
-        return float(abs(a[0] - b[0]) + abs(a[1] - b[1]))
+        return self.nearest((b,))(a)[1]
+
+    def nearest(self, refs):
+        """Callable ``state -> (index, distance)`` of the first of ``refs``
+        nearest to ``state``: the Manhattan distance, summed in integers and
+        then made a float. A state that is not two coordinates long raises
+        :class:`InvalidStateError`."""
+        cells = tuple(enumerate(_refs(refs, 2)))
+
+        def search(state):
+            if len(state) != 2:
+                raise wrong_length(state, 2)
+            r, c = state
+            best_index, best = 0, None
+            for i, (ref_r, ref_c) in cells:
+                d = float(abs(r - ref_r) + abs(c - ref_c))
+                if best is None or d < best:
+                    best_index, best = i, d
+            return best_index, best
+
+        return search
 
     def distances(self, points, refs) -> np.ndarray:
         """:meth:`distance` from every point (rows) to every reference
@@ -77,8 +124,7 @@ class BoxSpace:
         for lo, hi in zip(self.lows, self.highs):
             if not lo < hi:
                 raise ValueError(f"bounds must satisfy low < high, got [{lo}, {hi}]")
-        # Per-dimension widths for the normalized metric, which runs once
-        # per reference state on every scored step.
+        # Per-dimension widths for the normalized metric.
         object.__setattr__(
             self, "_spans", tuple(hi - lo for lo, hi in zip(self.lows, self.highs))
         )
@@ -97,17 +143,47 @@ class BoxSpace:
 
     def distance(self, a: Coords, b: Coords) -> float:
         """Euclidean distance after scaling each dimension to [0, 1]."""
-        total = 0.0
-        for x, y, span in zip(a, b, self._spans):
-            d = (x - y) / span
-            total += d * d
-        return math.sqrt(total)
+        return self.nearest((b,))(a)[1]
+
+    def nearest(self, refs):
+        """Callable ``state -> (index, distance)`` of the first of ``refs``
+        nearest to ``state`` under :meth:`distance`.
+
+        Per dimension in order, ``(x - y) / span`` is squared and added to a
+        total that starts at 0.0, whose ``sqrt`` is the distance. Each
+        reference is bound once as its ``(dimension, coordinate, span)``
+        terms. A state whose length is not :attr:`dim` raises
+        :class:`InvalidStateError`.
+        """
+        dim = self.dim
+        terms = tuple(
+            (i, tuple(zip(range(dim), ref, self._spans)))
+            for i, ref in enumerate(_refs(refs, dim))
+        )
+        sqrt = math.sqrt
+
+        def search(state):
+            if len(state) != dim:
+                raise wrong_length(state, dim)
+            best_index, best = 0, None
+            for i, ref in terms:
+                total = 0.0
+                for k, y, span in ref:
+                    d = (state[k] - y) / span
+                    total += d * d
+                d = sqrt(total)
+                if best is None or d < best:
+                    best_index, best = i, d
+            return best_index, best
+
+        return search
 
     def distances(self, points, refs) -> np.ndarray:
         """:meth:`distance` from every point (rows) to every reference
         (columns), accumulated per dimension in the same order, so each
-        entry matches the scalar metric bit for bit."""
-        p = np.array(points, dtype=float)
+        entry matches the scalar metric bit for bit. Every point must have
+        :attr:`dim` coordinates."""
+        p = coordinates(points, self.dim)
         r = np.array(refs, dtype=float)
         total = 0.0
         for k, span in enumerate(self._spans):

@@ -29,6 +29,7 @@ from fuzzoracle.errors import (
     EmptyLogError,
     InvalidDeltaError,
     InvalidMembershipError,
+    InvalidStateError,
 )
 from fuzzoracle.membership import MembershipShape
 from fuzzoracle.spaces import DiscreteSpace, GridSpace, continuous_action_distance
@@ -161,7 +162,7 @@ class TestActionKindChecks:
         assert reward((0, 3), action) == 0.0
 
     @pytest.mark.parametrize(
-        "state, error", [([0, 0], TypeError), (None, TypeError), ((0,), IndexError)]
+        "state, error", [([0, 0], TypeError), (None, TypeError), ((0,), InvalidStateError)]
     )
     @pytest.mark.parametrize("action", [1, True, -1])
     def test_non_cell_state_raises_before_the_action_is_checked(

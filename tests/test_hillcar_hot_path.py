@@ -4,13 +4,16 @@ reference.
 ``reference_run`` replays a linear actor-critic run step by step with no
 feature memo, no fault layer and no fast paths: it reads ``config.bug`` at
 every step, maps each state to its radial basis features afresh, moves the
-car with the classic control equations, and scores every step with
-:func:`fuzzy_reward`. The program's run logs must equal it bit for bit for
-the clean learner and for each bug that applies to ``linear_actor_critic``.
+car with the classic control equations, and scores every step with its own
+straight-line scorer (``straight_reward``), which shares no code with the
+package's nearest-reference search. The program's run logs must equal it
+bit for bit for the clean learner and for each bug that applies to
+``linear_actor_critic``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -32,6 +35,7 @@ from fuzzoracle import (
     oracle_policies,
     run_training_phase,
 )
+from fuzzoracle.membership import MembershipShape
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "hillcar_clean.json")
 with open(CONFIG, encoding="utf-8") as _fh:
@@ -48,6 +52,46 @@ CONFIGS = {
     **{bug: inject_bug(AGENT, bug) for bug in BUGS},
     "diverging": DIVERGING,
 }
+
+
+def straight_reward(policy, state, action) -> float:
+    """Fuzzy reward of one hill-car step, written out: the normalised
+    Euclidean distance, added up in dimension order, to the first nearest
+    reference; a linear state shape over half the smallest reference gap;
+    a linear action shape over the action box's diagonal."""
+    lows, highs = policy.state_space.lows, policy.state_space.highs
+    assert policy.state_shape == MembershipShape("linear")
+    assert policy.action_shape.kind == "linear"
+
+    def metric(a, b):
+        total = 0.0
+        for x, y, lo, hi in zip(a, b, lows, highs):
+            d = (x - y) / (hi - lo)
+            total += d * d
+        return math.sqrt(total)
+
+    refs = [s for s, _ in policy.entries]
+    assert len(state) == len(lows)
+    best_i, best_d = 0, metric(state, refs[0])
+    for i in range(1, len(refs)):
+        d = metric(state, refs[i])
+        if d < best_d:
+            best_i, best_d = i, d
+    half = min(metric(a, b) for a, b in itertools.combinations(refs, 2)) / 2.0
+    if best_d >= half:
+        return 0.0
+    mu_state = 1.0 - best_d / half
+    total = 0.0
+    for x, y in zip(action, policy.entries[best_i][1]):
+        d = x - y
+        total += d * d
+    distance = math.sqrt(total)
+    total = 0.0
+    for lo, hi in zip(policy.action_space.lows, policy.action_space.highs):
+        total += (hi - lo) * (hi - lo)
+    width = math.sqrt(total)
+    mu_action = 0.0 if distance >= width else 1.0 - distance / width
+    return 1.0 * mu_state * mu_action
 
 
 def reference_run(config, spec, policy, epochs, seed_path, policy_id) -> RunLog:
@@ -93,7 +137,7 @@ def reference_run(config, spec, policy, epochs, seed_path, policy_id) -> RunLog:
             next_state = (position, velocity)
             terminal = position >= spec.goal_position
             done = terminal or t == spec.max_steps_per_epoch - 1
-            reward = fuzzy_reward(state, (force,), policy)
+            reward = straight_reward(policy, state, (force,))
             steps.append(TraceStep(state, (force,), reward))
 
             learn = config.bug != "UPDATE_SKIPPED"

@@ -1,15 +1,33 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fuzzoracle import IntendedPolicy, closest_reference, min_reference_distance
+from fuzzoracle import (
+    EpochTrace,
+    HillCarSpec,
+    IntendedPolicy,
+    RunLog,
+    TraceStep,
+    closest_reference,
+    fuzzy_reward,
+    generate_policies,
+    make_reward_fn,
+    min_reference_distance,
+    policy_compliance_series,
+    step_compliance_at,
+)
 from fuzzoracle.errors import (
     ActionKindMismatchError,
     DuplicateReferenceStateError,
+    InvalidDeltaError,
+    InvalidStateError,
     PolicyTooSmallError,
 )
+from fuzzoracle.membership import MembershipShape
 from fuzzoracle.spaces import (
     BoxSpace,
     DiscreteSpace,
@@ -186,3 +204,222 @@ class TestPolicyBuild:
         )
         assert policy.action_shape.kind == "linear"
         assert policy.action_shape.width == pytest.approx(2.0)
+
+
+def straight_distance(space, a, b) -> float:
+    """The metrics as plain per-dimension loops: Manhattan as a float on a
+    grid; on a box, ``((x - y) / span)**2`` added to 0.0 in dimension order,
+    then ``sqrt``."""
+    if isinstance(space, GridSpace):
+        return float(abs(a[0] - b[0]) + abs(a[1] - b[1]))
+    total = 0.0
+    for x, y, lo, hi in zip(a, b, space.lows, space.highs):
+        d = (x - y) / (hi - lo)
+        total += d * d
+    return math.sqrt(total)
+
+
+def straight_scan(space, refs, state) -> tuple:
+    """Index and distance of the first nearest reference, one by one."""
+    best_index, best = 0, None
+    for i, ref in enumerate(refs):
+        d = straight_distance(space, state, ref)
+        if i == 0 or d < best:
+            best_index, best = i, d
+    return best_index, best
+
+
+def bits(found) -> tuple:
+    index, distance = found
+    return index, distance.hex()
+
+
+@st.composite
+def boxes(draw):
+    """A 1-, 2- or 3-dimensional box with dyadic bounds, so that lattice
+    points on it have exact coordinate differences."""
+    dim = draw(st.integers(1, 3))
+    lows = [draw(st.integers(-40, 40)) / 4 for _ in range(dim)]
+    spans = [draw(st.integers(1, 80)) / 4 for _ in range(dim)]
+    return BoxSpace(tuple(lows), tuple(lo + w for lo, w in zip(lows, spans)))
+
+
+def box_lattice(space):
+    """Points ``lo + k * span / 16`` of ``space``."""
+    return st.tuples(*(
+        st.integers(0, 16).map(lambda k, lo=lo, hi=hi: lo + k * (hi - lo) / 16)
+        for lo, hi in zip(space.lows, space.highs)
+    ))
+
+
+def midpoints(refs) -> list:
+    """(i, j, midpoint of references i < j), for the pairs whose midpoint
+    is a point of the same lattice: exactly as far from both."""
+    mids = []
+    for (i, a), (j, b) in itertools.combinations(enumerate(refs), 2):
+        if all(type(x) is int for x in a) and any((x + y) % 2 for x, y in zip(a, b)):
+            continue
+        mid = tuple((x + y) // 2 if type(x) is int else (x + y) / 2 for x, y in zip(a, b))
+        mids.append((i, j, mid))
+    return mids
+
+
+@st.composite
+def nearest_cases(draw, lattice=False):
+    """(space, references, states) on a grid or a box. The states include
+    every reference and every midpoint; ``lattice`` keeps box points on a
+    lattice, where the midpoints tie exactly."""
+    if draw(st.booleans()):
+        space = GridSpace(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        point = st.tuples(st.integers(0, space.rows - 1), st.integers(0, space.cols - 1))
+    else:
+        space = draw(boxes())
+        point = box_lattice(space)
+        if not lattice:
+            point = point | st.tuples(*(st.floats(lo, hi) for lo, hi in zip(space.lows, space.highs)))
+    refs = draw(st.lists(point, min_size=1, max_size=5, unique=True))
+    states = draw(st.lists(point, max_size=10)) + refs + [m for _, _, m in midpoints(refs)]
+    return space, refs, states
+
+
+class TestNearest:
+    """``space.nearest(refs)`` against a straight scan over the old
+    per-dimension loops, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=nearest_cases())
+    def test_matches_straight_scan(self, case):
+        space, refs, states = case
+        search = space.nearest(refs)
+        for state in states:
+            assert bits(search(state)) == bits(straight_scan(space, refs, state))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=nearest_cases(lattice=True))
+    def test_exact_ties_go_to_the_lowest_index(self, case):
+        space, refs, _ = case
+        search = space.nearest(refs)
+        for i, ref in enumerate(refs):
+            assert bits(search(ref)) == (i, (0.0).hex())
+        for i, j, mid in midpoints(refs):
+            tie = straight_distance(space, mid, refs[i])
+            assert tie == straight_distance(space, mid, refs[j])
+            index, distance = search(mid)
+            assert bits((index, distance)) == bits(straight_scan(space, refs, mid))
+            if distance == tie:
+                # Reference j is as near as i, so it never wins.
+                assert index <= i
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=nearest_cases())
+    def test_distance_is_unchanged(self, case):
+        space, refs, states = case
+        for a, b in itertools.product(states[:6], refs):
+            assert space.distance(a, b).hex() == straight_distance(space, a, b).hex()
+
+    def test_grid_tie_on_a_midpoint(self):
+        # (2, 2) is 2 cells from (0, 2), (2, 0) and (4, 2).
+        search = GridSpace(5, 5).nearest([(4, 2), (0, 2), (2, 0)])
+        assert search((2, 2)) == (0, 2.0)
+        assert GridSpace(5, 5).nearest([(0, 2), (4, 2)])((2, 2)) == (0, 2.0)
+
+    def test_search_keeps_the_references_it_was_built_with(self):
+        refs = [(0, 0), (3, 3)]
+        search = GridSpace(4, 4).nearest(refs)
+        refs.append((1, 1))
+        assert search((1, 1)) == (0, 2.0)
+
+
+def hill_policy():
+    return generate_policies(HillCarSpec(), 1, 3, 0)[0]
+
+
+def grid_policy():
+    return IntendedPolicy.build([((0, 0), 2), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4))
+
+
+class TestWrongLengthStates:
+    """A state of the wrong length raises InvalidStateError wherever it is
+    scored, instead of being read as its first coordinates."""
+
+    @pytest.mark.parametrize("state", [(-0.5,), (-0.5, 0.0, 0.0), ()])
+    def test_box_state(self, state):
+        policy = hill_policy()
+        with pytest.raises(InvalidStateError, match="length"):
+            closest_reference(state, policy)
+        with pytest.raises(InvalidStateError):
+            fuzzy_reward(state, (0.0,), policy)
+        with pytest.raises(InvalidStateError):
+            step_compliance_at(policy, state, (0.0,))
+        with pytest.raises(InvalidStateError):
+            make_reward_fn(policy)(state, (0.0,))
+        with pytest.raises(InvalidStateError):
+            policy.state_space.distance(state, policy.entries[0][0])
+
+    @pytest.mark.parametrize("state", [(0, 0, 7), (0,)])
+    def test_grid_state(self, state):
+        policy = grid_policy()
+        with pytest.raises(InvalidStateError, match="length"):
+            step_compliance_at(policy, state, 1)
+        with pytest.raises(InvalidStateError):
+            closest_reference(state, policy)
+        with pytest.raises(InvalidStateError):
+            make_reward_fn(policy)(state, 1)
+        with pytest.raises(InvalidStateError):
+            GridSpace(4, 4).distance((0, 0), state)
+
+    @pytest.mark.parametrize("policy, good, bad, action", [
+        (hill_policy(), (-0.5, 0.0), (-0.5,), (0.0,)),
+        (grid_policy(), (0, 1), (0, 1, 7), 2),
+    ], ids=["box", "grid"])
+    def test_array_scorer(self, policy, good, bad, action):
+        steps = (TraceStep(good, action), TraceStep(bad, action))
+        log = RunLog(1, (EpochTrace(steps, 1),))
+        with pytest.raises(InvalidStateError, match=re.escape(f"state {bad!r} has length")):
+            policy_compliance_series(policy, log, 0.3)
+
+    @pytest.mark.parametrize("policy, good, bad, action", [
+        (hill_policy(), (-0.5, 0.0), (-0.5,), 1),
+        (grid_policy(), (0, 1), (0, 1, 7), (0.5,)),
+    ], ids=["box", "grid"])
+    def test_array_scorer_reports_an_earlier_bad_action_first(self, policy, good, bad, action):
+        # The scalar chain meets the bad action of the first step first.
+        steps = (TraceStep(good, action), TraceStep(bad, action))
+        log = RunLog(1, (EpochTrace(steps, 1),))
+        with pytest.raises(ActionKindMismatchError):
+            step_compliance_at(policy, good, action)
+        with pytest.raises(ActionKindMismatchError):
+            policy_compliance_series(policy, log, 0.3)
+
+    def test_reference_of_the_wrong_length(self):
+        with pytest.raises(InvalidStateError):
+            BoxSpace((0.0, 0.0), (1.0, 1.0)).nearest([(0.5, 0.5), (0.5,)])
+        with pytest.raises(InvalidStateError):
+            GridSpace(4, 4).nearest([(0, 0), (1, 1, 1)])
+
+
+class TestZeroGap:
+    """A hand-built policy whose ``min_ref_distance`` is 0 builds a reward
+    callable, which raises InvalidDeltaError at its first scored step."""
+
+    @pytest.mark.parametrize("make", [grid_policy, hill_policy], ids=["grid", "box"])
+    def test_raises_at_the_first_scored_step(self, make):
+        built = make()
+        policy = IntendedPolicy(
+            built.entries, built.state_space, built.action_space,
+            action_shape=built.action_shape,
+        )
+        assert policy.min_ref_distance == 0.0
+        reward = make_reward_fn(policy)
+        state, action = built.entries[0]
+        with pytest.raises(InvalidDeltaError):
+            reward(state, action)
+        with pytest.raises(InvalidDeltaError):
+            step_compliance_at(policy, state, action)
+
+    def test_a_bad_state_is_reported_before_the_gap(self):
+        built = hill_policy()
+        policy = IntendedPolicy(built.entries, built.state_space, built.action_space,
+                                action_shape=MembershipShape("linear", 2.0))
+        with pytest.raises(InvalidStateError):
+            make_reward_fn(policy)((0.0,), (0.0,))
