@@ -13,7 +13,7 @@ from fuzzoracle.spaces import DiscreteSpace, GridSpace
 ARROWS = {0: "<", 1: "v", 2: ">", 3: "^"}
 
 spec = GridSpec()
-policy = IntendedPolicy.build(
+policy = IntendedPolicy(
     [((0, 2), 1), ((2, 0), 2), ((3, 2), 3)],
     GridSpace(spec.rows, spec.cols),
     DiscreteSpace(4),

@@ -24,7 +24,7 @@ from fuzzoracle.logfiles import load_policy, read_trace, save_policy, write_trac
 from fuzzoracle.spaces import DiscreteSpace, GridSpace
 
 spec = GridSpec()
-policy = IntendedPolicy.build(
+policy = IntendedPolicy(
     [((0, 0), 2), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4)
 )
 

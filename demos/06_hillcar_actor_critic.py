@@ -26,7 +26,7 @@ from fuzzoracle import (
 spec = HillCarSpec(max_steps_per_epoch=150)
 # Hand-designed intended policy: full push to the right at three spots
 # along the rightward swing.
-policy = IntendedPolicy.build(
+policy = IntendedPolicy(
     [((-0.9, 0.0), (1.0,)), ((-0.5, 0.02), (1.0,)), ((-0.1, 0.04), (1.0,))],
     spec.state_space(),
     spec.action_space(),

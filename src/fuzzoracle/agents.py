@@ -202,7 +202,7 @@ def _write_permutation(config: AgentConfig, n: int):
     sends updates through, or None for any other config."""
     if config.bug != "WRONG_FEATURE_MAP":
         return None
-    return np.random.default_rng([max(config.seed, 0), 97]).permutation(n)
+    return np.random.default_rng([config.seed, 97]).permutation(n)
 
 
 def _draws(draw):

@@ -131,19 +131,16 @@ def _state_degree(policy: IntendedPolicy):
     reference)``, with the arithmetic of :func:`state_compliance`.
 
     The nearest-reference search, the shape's width and the half-gap are
-    built once; a gap that is not positive raises at the first state scored.
+    built once.
     """
     search = policy.state_space.nearest([s for s, _ in policy.entries])
     ideals = [a for _, a in policy.entries]
-    delta = policy.min_ref_distance
-    half = delta / 2.0
+    half = policy.min_ref_distance / 2.0
     shape = policy.state_shape
     width = shape.width or half
 
     def degree(state) -> tuple:
         index, distance = search(state)
-        if not delta > 0:
-            raise InvalidDeltaError(f"delta must be positive, got {delta}")
         return (0.0 if distance > half else shape(distance, width)), ideals[index]
 
     return degree
@@ -179,14 +176,14 @@ def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
     """Reward callable (state, action) -> float, with the arithmetic of
     :func:`fuzzy_reward`.
 
-    Grid states recur. On a grid policy with a discrete action space and
-    int ideal actions, each cell's rewards for every action id are computed
-    once, on its first visit, and a plain int action id reads them. Any
-    other action, such as a bool, a negative int or a float, is scored
-    afresh once its state's row is found, so a bad state raises first, as
-    it would for any action. Continuous states practically never recur, so
-    a memo would only grow by one entry per step; they are scored afresh.
-    Either way the policy's nearest-reference search is built once, here.
+    Grid states recur. On a grid policy with a discrete action space, each
+    cell's rewards for every action id are computed once, on its first
+    visit, and a plain int action id reads them. Any other action, such as
+    a bool, a negative int or a float, is scored afresh once its state's
+    row is found, so a bad state raises first, as it would for any action.
+    Continuous states practically never recur, so a memo would only grow by
+    one entry per step; they are scored afresh. Either way the policy's
+    nearest-reference search is built once, here.
     """
     if not reward_scale > 0:
         raise ValueError("reward_scale must be positive")
@@ -202,7 +199,6 @@ def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
     if not (
         isinstance(policy.state_space, GridSpace)
         and isinstance(policy.action_space, DiscreteSpace)
-        and all(type(ideal) is int for _, ideal in policy.entries)
     ):
         return scored
     n = policy.action_space.n
@@ -334,9 +330,6 @@ def _array_degrees(policy: IntendedPolicy, steps) -> tuple:
     exceptions: a state of the wrong length raises
     :class:`~fuzzoracle.errors.InvalidStateError`.
     """
-    delta = policy.min_ref_distance
-    if not delta > 0:
-        raise InvalidDeltaError(f"delta must be positive, got {delta}")
     states, actions, _ = zip(*steps)
     state_dim = policy.state_space.dim
     if set(map(len, states)) != {state_dim}:
@@ -349,24 +342,20 @@ def _array_degrees(policy: IntendedPolicy, steps) -> tuple:
     distances = policy.state_space.distances(states, [s for s, _ in policy.entries])
     nearest = distances.argmin(axis=1)
     distance = distances.min(axis=1)
-    half = delta / 2.0
+    half = policy.min_ref_distance / 2.0
     shape = policy.state_shape
     mu_state = np.where(distance > half, 0.0, shape.degrees(distance, shape.width or half))
 
     ideals = [a for _, a in policy.entries]
     if isinstance(policy.action_space, DiscreteSpace):
-        if not set(map(type, actions)) <= {int} or not all(type(a) is int for a in ideals):
+        if not set(map(type, actions)) <= {int}:
             _check_actions(policy, actions, nearest, ideals)
         # The discrete metric gives 0 or inf, and every action shape gives 1
         # at 0 and 0 at inf (a scaled one always has a width).
         mu_action = np.where(np.array(actions) == np.array(ideals)[nearest], 1.0, 0.0)
     else:
-        dim = len(ideals[0])
-        if (
-            set(map(type, actions)) != {tuple}
-            or set(map(len, actions)) != {dim}
-            or any(type(a) is not tuple or len(a) != dim for a in ideals)
-        ):
+        dim = policy.action_space.dim
+        if set(map(type, actions)) != {tuple} or set(map(len, actions)) != {dim}:
             _check_actions(policy, actions, nearest, ideals)
         taken = coordinates(actions, dim)
         wanted = np.array(ideals, dtype=float)[nearest]

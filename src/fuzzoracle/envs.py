@@ -246,10 +246,18 @@ def _hillcar_step(spec: HillCarSpec, state, action, reward_fn) -> Transition:
     elif force > 1.0:
         force, clamped = 1.0, True
 
-    position, velocity = state
+    top, low, high = spec.max_speed, spec.min_position, spec.max_position
+    try:
+        position, velocity = state
+        inside = low <= position <= high and -top <= velocity <= top
+    except (TypeError, ValueError):
+        inside = False
+    if not inside:
+        raise InvalidStateError(
+            f"hill-car state must be a (position, velocity) pair in the state space, got {state!r}"
+        )
     velocity = velocity + force * spec.force - spec.gravity * math.cos(3.0 * position)
     # Clamp to the track; comparisons are several times cheaper than min/max.
-    top, low, high = spec.max_speed, spec.min_position, spec.max_position
     velocity = -top if velocity < -top else top if velocity > top else velocity
     position += velocity
     position = low if position < low else high if position > high else position

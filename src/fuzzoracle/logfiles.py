@@ -281,7 +281,7 @@ def policy_from_dict(data: dict) -> IntendedPolicy:
     try:
         state_of, action_of = map(_point_reader, spaces)
         entries = [(state_of(e["state"])[0], action_of(e["action"])[0]) for e in data["entries"]]
-        policy = IntendedPolicy.build(entries, *spaces, *shapes)
+        policy = IntendedPolicy(entries, *spaces, *shapes)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise TraceFormatError(f"bad policy file: {exc}") from exc
     stored = data.get("min_ref_distance")

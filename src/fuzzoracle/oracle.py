@@ -174,7 +174,7 @@ def generate_policies(
                 for _ in range(policy_size)
             ]
         policies.append(
-            IntendedPolicy.build(list(zip(refs, actions)), state_space, action_space)
+            IntendedPolicy(list(zip(refs, actions)), state_space, action_space)
         )
     return policies
 

@@ -44,8 +44,11 @@ class IntendedPolicy:
     """Reference states, their ideal actions, and the scoring apparatus.
 
     ``entries`` is an ordered tuple of (reference state, ideal action)
-    pairs. ``min_ref_distance`` caches the minimum pairwise state distance;
-    use :meth:`build` to compute and validate it.
+    pairs. Construction checks each entry against both spaces and computes
+    ``min_ref_distance``, the minimum pairwise state distance. The default
+    action shape is the exact-match indicator for discrete action spaces
+    and a linear ramp scaled by the space diameter for continuous ones.
+    Ideal actions are stored as plain ints or tuples of floats.
     """
 
     entries: tuple
@@ -53,52 +56,34 @@ class IntendedPolicy:
     action_space: DiscreteSpace | BoxSpace
     state_shape: MembershipShape = field(default=MembershipShape("linear"))
     action_shape: MembershipShape | None = None
-    min_ref_distance: float = 0.0
+    min_ref_distance: float = field(init=False)
 
     def __post_init__(self):
-        # A scaled action shape gets no width at scoring time, unlike the
-        # state shape, which falls back to half the reference gap.
-        shape = self.action_shape
-        if shape is not None and shape.kind != "indicator" and shape.width is None:
-            raise ValueError(f"action shape {shape.kind!r} needs a width")
-
-    @classmethod
-    def build(
-        cls,
-        entries,
-        state_space,
-        action_space,
-        state_shape=MembershipShape("linear"),
-        action_shape=None,
-    ) -> "IntendedPolicy":
-        """Validate entries, derive defaults, and cache the reference gap.
-
-        The default action shape is the exact-match indicator for discrete
-        action spaces and a linear ramp scaled by the space diameter for
-        continuous ones.
-        """
-        entries = tuple((state, action) for state, action in entries)
+        entries = tuple((state, action) for state, action in self.entries)
         for state, action in entries:
-            if not state_space.contains(state):
+            if not self.state_space.contains(state):
                 raise ValueError(f"reference state {state!r} outside the state space")
-            if not action_space.contains(action):
+            if not self.action_space.contains(action):
                 raise ValueError(f"ideal action {action!r} outside the action space")
-        delta = min_reference_distance(
-            [s for s, _ in entries], state_space.distance
-        )
-        if action_shape is None:
-            if isinstance(action_space, DiscreteSpace):
-                action_shape = MembershipShape("indicator")
+        delta = min_reference_distance([s for s, _ in entries], self.state_space.distance)
+        discrete = isinstance(self.action_space, DiscreteSpace)
+        shape = self.action_shape
+        if shape is None:
+            if discrete:
+                shape = MembershipShape("indicator")
             else:
-                action_shape = MembershipShape("linear", width=action_space.diameter)
-        return cls(
-            entries=entries,
-            state_space=state_space,
-            action_space=action_space,
-            state_shape=state_shape,
-            action_shape=action_shape,
-            min_ref_distance=delta,
+                shape = MembershipShape("linear", width=self.action_space.diameter)
+        elif shape.kind != "indicator" and shape.width is None:
+            # Unlike the state shape, which falls back to half the reference
+            # gap, a scaled action shape gets no width at scoring time.
+            raise ValueError(f"action shape {shape.kind!r} needs a width")
+        entries = tuple(
+            (state, int(action) if discrete else tuple(map(float, action)))
+            for state, action in entries
         )
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "action_shape", shape)
+        object.__setattr__(self, "min_ref_distance", delta)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -137,7 +137,7 @@ class BoxSpace:
         if not (isinstance(point, tuple) and len(point) == self.dim):
             return False
         return all(
-            isinstance(x, (int, float)) and lo <= x <= hi
+            (isinstance(x, float) or is_int(x)) and lo <= x <= hi
             for x, lo, hi in zip(point, self.lows, self.highs)
         )
 

@@ -31,7 +31,7 @@ def grid_spec():
 @pytest.fixture
 def two_ref_policy():
     """Reference states (0,0) -> RIGHT and (2,2) -> DOWN on the 4x4 grid."""
-    return IntendedPolicy.build(
+    return IntendedPolicy(
         [((0, 0), 2), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4)
     )
 

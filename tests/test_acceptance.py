@@ -121,7 +121,7 @@ def test_criterion_2_series_matches_brute_force():
         picks = rng.choice(len(cells), size=size, replace=False)
         refs = [cells[int(p)] for p in picks]
         ideals = [int(a) for a in rng.integers(0, 4, size)]
-        policy = IntendedPolicy.build(list(zip(refs, ideals)), space, actions)
+        policy = IntendedPolicy(list(zip(refs, ideals)), space, actions)
         epochs = []
         for e in range(1, int(rng.integers(1, 6)) + 1):
             steps = tuple(

@@ -129,7 +129,7 @@ class TestActionKindChecks:
         # A scaled action shape has nothing to fall back on, so the policy
         # is rejected when it is built, before anything is scored.
         with pytest.raises(ValueError):
-            IntendedPolicy.build(
+            IntendedPolicy(
                 [((0, 0), 2), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4),
                 action_shape=MembershipShape("linear"),
             )
@@ -137,14 +137,13 @@ class TestActionKindChecks:
             replace(two_ref_policy, action_shape=MembershipShape("quadratic"))
 
     def test_non_int_ideal_action_still_rejected(self, two_ref_policy):
-        policy = replace(two_ref_policy, entries=(((0, 0), 2.0), ((2, 2), 1)))
-        with pytest.raises(ActionKindMismatchError):
-            make_reward_fn(policy)((0, 0), 2)
+        with pytest.raises(ValueError, match="ideal action 2.0 outside the action space"):
+            replace(two_ref_policy, entries=(((0, 0), 2.0), ((2, 2), 1)))
 
     def test_out_of_range_int_actions_score_zero(self):
         # The ideal action at (0, 0) is UP, the last id, so reading a cell's
         # rewards at index -1 would give 1.0.
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [((0, 0), 3), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4)
         )
         reward = make_reward_fn(policy)
@@ -209,7 +208,7 @@ class TestFuzzyReward:
         assert fuzzy_reward((0, 3), 2, two_ref_policy) == 0.0
 
     def test_linear_in_scale(self):
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [((0, 0), 2), ((0, 2), 1), ((2, 0), 3), ((2, 2), 0)],
             GridSpace(4, 4),
             DiscreteSpace(4),
@@ -219,7 +218,7 @@ class TestFuzzyReward:
         assert r10 == pytest.approx(10.0 * r1)
 
     def test_scale_applied_to_partial_compliance(self):
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [((0, 0), 2), ((0, 4), 1)], GridSpace(5, 5), DiscreteSpace(4)
         )
         # delta 4, half 2: distance 1 with the ideal action gives
@@ -228,7 +227,7 @@ class TestFuzzyReward:
 
     @given(data=st.data())
     def test_monotone_in_step_compliance(self, data):
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [((0, 0), 2), ((0, 4), 1), ((4, 0), 0)], GridSpace(5, 5), DiscreteSpace(4)
         )
         cells = GridSpace(5, 5).all_cells()
@@ -256,7 +255,7 @@ def make_log(epoch_steps):
 
 class TestComplianceSeries:
     def test_worked_single_epoch(self):
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [((0, 0), 2), ((3, 3), 1)], GridSpace(4, 4), DiscreteSpace(4)
         )
         # Step on the reference with its ideal action scores 1 and passes
@@ -322,7 +321,7 @@ def random_policy_and_log(draw):
     actions = draw(
         st.lists(st.integers(0, 3), min_size=len(refs), max_size=len(refs))
     )
-    policy = IntendedPolicy.build(
+    policy = IntendedPolicy(
         list(zip(refs, actions)), GridSpace(4, 4), DiscreteSpace(4)
     )
     epochs = draw(
@@ -438,7 +437,7 @@ def grid_case(draw):
         ideals = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
         state_shape = MembershipShape(state_shape.kind, draw(st.floats(1.5, 4.0)))
         pool = [(r, c), (r, c - 1), (r, c + 1)]
-    policy = IntendedPolicy.build(
+    policy = IntendedPolicy(
         list(zip(refs, ideals)), space, DiscreteSpace(4),
         state_shape, draw(action_shapes(st.floats(0.5, 3.0))),
     )
@@ -459,7 +458,7 @@ def hillcar_case(draw):
     else:
         refs = draw(st.lists(st.sampled_from(BOX_LATTICE), min_size=2, max_size=5, unique=True))
         ideals = [(draw(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0])),) for _ in refs]
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             list(zip(refs, ideals)), HILLCAR.state_space(), HILLCAR.action_space(),
             draw(state_shapes()), draw(action_shapes(st.floats(0.1, 3.0))),
         )
@@ -539,7 +538,7 @@ class TestArrayScorerAgainstBruteForce:
     def test_equidistant_states_take_the_lowest_reference(self):
         # (1, 1) is 2 cells from both references; the first one's ideal
         # action 2 is the one that scores.
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [((0, 0), 2), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4),
             MembershipShape("linear", width=4.0),
         )

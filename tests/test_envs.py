@@ -236,6 +236,15 @@ class TestHillCarStep:
         with pytest.raises(InvalidActionError):
             env_step(spec, (-0.5, 0.0), (math.nan,))
 
+    @pytest.mark.parametrize("state", [
+        (-0.5,), (-0.5, 0.0, 0.0), -0.5, (5.0, 0.0), (-1.3, 0.0), (-0.5, 0.08),
+        (math.nan, 0.0), (-0.5, math.nan), ("-0.5", 0.0),
+    ], ids=["short", "long", "scalar", "past_the_top", "past_the_bottom", "too_fast",
+            "nan_position", "nan_velocity", "string"])
+    def test_state_outside_the_state_space_raises(self, state):
+        with pytest.raises(InvalidStateError, match=re.escape(repr(state))):
+            env_step(HillCarSpec(), state, (0.0,))
+
     def test_native_reward_penalizes_effort(self):
         spec = HillCarSpec()
         assert native_reward(spec, (-0.5, 0.0), (0.5,), (-0.5, 0.001), False) == (

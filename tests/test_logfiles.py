@@ -607,7 +607,7 @@ class TestPolicyFiles:
     def test_continuous_round_trip(self, tmp_path):
         space = HillCarSpec().state_space()
         actions = HillCarSpec().action_space()
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [((-0.51, 0.013), (0.25,)), ((0.1, -0.06), (-0.8,))], space, actions
         )
         path = tmp_path / "p.json"
@@ -617,7 +617,7 @@ class TestPolicyFiles:
     def test_box_policy_bytes(self, tmp_path):
         space = HillCarSpec().state_space()
         actions = HillCarSpec().action_space()
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [((-0.51, 0.013), (0.25,)), ((0.1, -0.06), (-0.8,))], space, actions
         )
         path = tmp_path / "p.json"
@@ -681,7 +681,7 @@ class TestPolicyFiles:
     def test_bad_box_state_rejected(self, state):
         space = HillCarSpec().state_space()
         actions = HillCarSpec().action_space()
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [((-0.51, 0.013), (0.25,)), ((0.1, -0.06), (-0.8,))], space, actions
         )
         data = policy_to_dict(policy)

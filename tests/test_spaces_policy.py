@@ -1,6 +1,8 @@
+import enum
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzoracle import (
     EpochTrace,
+    GridSpec,
     HillCarSpec,
     IntendedPolicy,
     RunLog,
@@ -23,7 +26,6 @@ from fuzzoracle import (
 from fuzzoracle.errors import (
     ActionKindMismatchError,
     DuplicateReferenceStateError,
-    InvalidDeltaError,
     InvalidStateError,
     PolicyTooSmallError,
 )
@@ -34,6 +36,10 @@ from fuzzoracle.spaces import (
     GridSpace,
     continuous_action_distance,
 )
+
+
+GRID = (GridSpace(4, 4), DiscreteSpace(4))
+HILL = (HillCarSpec().state_space(), HillCarSpec().action_space())
 
 
 def abs_metric(a, b):
@@ -53,6 +59,12 @@ class TestSpaces:
         space = GridSpace(4, 4)
         assert not space.contains((True, 0))
         assert not space.contains((0, False))
+
+    def test_box_refuses_bool_coordinates(self):
+        space = BoxSpace((0.0, 0.0), (1.0, 1.0))
+        assert not space.contains((True, 0.5))
+        assert not space.contains((0.5, False))
+        assert space.contains((1, 0.5))
 
     def test_manhattan(self):
         space = GridSpace(4, 4)
@@ -113,7 +125,7 @@ class TestMinReferenceDistance:
 class TestClosestReference:
     def make_policy(self, refs):
         entries = [(r, 0) for r in refs]
-        return IntendedPolicy.build(entries, GridSpace(8, 8), DiscreteSpace(4))
+        return IntendedPolicy(entries, GridSpace(8, 8), DiscreteSpace(4))
 
     def test_exact_hit(self):
         policy = self.make_policy([(0, 0), (2, 5), (4, 1), (7, 7)])
@@ -158,7 +170,7 @@ class TestClosestReference:
             r[:dim]
             for r in [(0.75, 0.375, 1.5), (0.5, 0.0, 0.0), (-0.5, 0.0, 0.0), (-0.75, -0.375, -1.5)]
         ]
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [(r, (0.0,)) for r in refs], space, BoxSpace((-1.0,), (1.0,))
         )
         rng = np.random.default_rng(8)
@@ -176,22 +188,22 @@ class TestClosestReference:
 class TestPolicyBuild:
     def test_rejects_out_of_space_entries(self):
         with pytest.raises(ValueError):
-            IntendedPolicy.build(
+            IntendedPolicy(
                 [((0, 0), 0), ((9, 9), 1)], GridSpace(4, 4), DiscreteSpace(4)
             )
         with pytest.raises(ValueError):
-            IntendedPolicy.build(
+            IntendedPolicy(
                 [((0, 0), 0), ((1, 1), 7)], GridSpace(4, 4), DiscreteSpace(4)
             )
 
     def test_rejects_bool_grid_state(self):
         with pytest.raises(ValueError, match="outside the state space"):
-            IntendedPolicy.build(
+            IntendedPolicy(
                 [((True, 0), 1), ((2, 2), 0)], GridSpace(4, 4), DiscreteSpace(4)
             )
 
     def test_caches_min_reference_distance(self):
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [((0, 0), 0), ((0, 2), 1), ((3, 3), 2)], GridSpace(4, 4), DiscreteSpace(4)
         )
         assert policy.min_ref_distance == 2.0
@@ -199,11 +211,63 @@ class TestPolicyBuild:
     def test_default_action_shape_for_continuous_space(self):
         space = BoxSpace(lows=(-1.2, -0.07), highs=(0.6, 0.07))
         actions = BoxSpace(lows=(-1.0,), highs=(1.0,))
-        policy = IntendedPolicy.build(
+        policy = IntendedPolicy(
             [((-0.5, 0.0), (0.3,)), ((0.1, 0.01), (-0.2,))], space, actions
         )
         assert policy.action_shape.kind == "linear"
         assert policy.action_shape.width == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("entries, spaces, shape, error, message", [
+        ([((0, 0), 0), ((9, 9), 1)], GRID, None, ValueError,
+         "reference state (9, 9) outside the state space"),
+        ([((0, 0), 0), ((1, 1), 7)], GRID, None, ValueError,
+         "ideal action 7 outside the action space"),
+        ([((-0.5, 0.0), (0.3,)), ((0.1, 0.01), (True,))], HILL, None, ValueError,
+         "ideal action (True,) outside the action space"),
+        ([((0, 0), 0)], GRID, None, PolicyTooSmallError,
+         "need at least 2 reference states, got 1"),
+        ([((0, 0), 0), ((2, 2), 1), ((0, 0), 3)], GRID, None, DuplicateReferenceStateError,
+         "reference states 0 and 2 coincide"),
+        ([((0, 0), 0), ((2, 2), 1)], GRID, MembershipShape("quadratic"), ValueError,
+         "action shape 'quadratic' needs a width"),
+    ], ids=["state_outside", "action_outside", "bool_force", "single_entry", "duplicates",
+            "shape_without_width"])
+    def test_refuses_a_bad_policy(self, entries, spaces, shape, error, message):
+        with pytest.raises(error) as raised:
+            IntendedPolicy(entries, *spaces, action_shape=shape)
+        assert type(raised.value) is error and str(raised.value) == message
+
+    def test_the_gap_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            IntendedPolicy([((0, 0), 2), ((2, 2), 1)], *GRID, min_ref_distance=40.0)
+
+    def test_replace_validates_again(self):
+        policy = IntendedPolicy([((0, 0), 2), ((2, 2), 1)], *GRID)
+        assert replace(policy, entries=(((0, 0), 2), ((0, 1), 1))).min_ref_distance == 1.0
+        with pytest.raises(ValueError, match=re.escape("reference state (9, 9) outside")):
+            replace(policy, entries=(((0, 0), 2), ((9, 9), 1)))
+        with pytest.raises(ValueError, match="ideal action 7 outside"):
+            replace(policy, action_space=DiscreteSpace(7), entries=(((0, 0), 7), ((2, 2), 1)))
+
+    def test_ideal_actions_are_stored_plain(self):
+        class Move(enum.IntEnum):
+            DOWN = 1
+
+        grid = IntendedPolicy([((0, 0), Move.DOWN), ((2, 2), 1)], *GRID)
+        assert [type(a) for _, a in grid.entries] == [int, int]
+        hill = IntendedPolicy([((-0.5, 0.0), (1,)), ((0.1, 0.01), (-0.2,))], *HILL)
+        assert hill.entries[0][1] == (1.0,) and type(hill.entries[0][1][0]) is float
+
+    @pytest.mark.parametrize("spec", [GridSpec(), HillCarSpec()], ids=["grid", "hillcar"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generated_policies_build_again_equal(self, spec, seed):
+        for policy in generate_policies(spec, 3, 4, seed):
+            again = IntendedPolicy(
+                policy.entries, policy.state_space, policy.action_space,
+                policy.state_shape, policy.action_shape,
+            )
+            assert again == policy
+            assert again.min_ref_distance == policy.min_ref_distance
 
 
 def straight_distance(space, a, b) -> float:
@@ -335,7 +399,7 @@ def hill_policy():
 
 
 def grid_policy():
-    return IntendedPolicy.build([((0, 0), 2), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4))
+    return IntendedPolicy([((0, 0), 2), ((2, 2), 1)], GridSpace(4, 4), DiscreteSpace(4))
 
 
 class TestWrongLengthStates:
@@ -399,23 +463,15 @@ class TestWrongLengthStates:
 
 
 class TestZeroGap:
-    """A hand-built policy whose ``min_ref_distance`` is 0 builds a reward
-    callable, which raises InvalidDeltaError at its first scored step."""
+    """A policy with a zero reference gap cannot be built, so the scorers
+    never meet one."""
 
     @pytest.mark.parametrize("make", [grid_policy, hill_policy], ids=["grid", "box"])
-    def test_raises_at_the_first_scored_step(self, make):
+    def test_a_zero_gap_cannot_be_built(self, make):
         built = make()
-        policy = IntendedPolicy(
-            built.entries, built.state_space, built.action_space,
-            action_shape=built.action_shape,
-        )
-        assert policy.min_ref_distance == 0.0
-        reward = make_reward_fn(policy)
-        state, action = built.entries[0]
-        with pytest.raises(InvalidDeltaError):
-            reward(state, action)
-        with pytest.raises(InvalidDeltaError):
-            step_compliance_at(policy, state, action)
+        (state, action), (_, other) = built.entries[:2]
+        with pytest.raises(DuplicateReferenceStateError):
+            IntendedPolicy(((state, action), (state, other)), built.state_space, built.action_space)
 
     def test_a_bad_state_is_reported_before_the_gap(self):
         built = hill_policy()
