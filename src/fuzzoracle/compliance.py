@@ -14,10 +14,10 @@ The chain of degrees, every value in [0, 1]:
 :func:`step_compliance_at` and :func:`fuzzy_reward` are the scalar
 reference. Training scores one step at a time through
 :func:`make_reward_fn`, which keeps each grid cell's rewards, and a run log
-is scored in array passes over batches of whole epochs
-(:func:`policy_compliance_series`). Both reproduce the reference bit for
-bit; ``tests/test_grid_hot_path.py`` tests the reward callable and the
-array scorer against it.
+is scored in batches of whole epochs (:func:`policy_compliance_series`):
+a box policy's in one array pass, any other through the scalar chain.
+Both reproduce the reference bit for bit; ``tests/test_grid_hot_path.py``
+tests the reward callable and the series against it.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from .errors import EmptyLogError, InvalidDeltaError, InvalidMembershipError
 from .membership import MembershipShape
 from .policy import IntendedPolicy
 from .spaces import (
+    BoxSpace,
     DiscreteSpace,
     GridSpace,
     continuous_action_distance,
     coordinates,
-    wrong_length,
 )
 
 
@@ -247,10 +247,11 @@ def policy_compliance_series(
     step: ``"state"`` gates on state compliance (the default), ``"step"``
     gates on the product instead.
 
-    Steps are scored in array passes over batches of whole epochs (see
-    :func:`_step_degrees`) whose values match the scalar chain of
-    :func:`step_compliance_at` bit for bit. Epoch sums use exactly rounded
-    summation so the result is independent of step order within an epoch.
+    Steps are scored in batches of whole epochs (see :func:`_step_degrees`),
+    a well-formed box log's in one array pass that matches the scalar chain
+    of :func:`step_compliance_at` bit for bit, any other through that chain.
+    Epoch sums use exactly rounded summation so the result is independent
+    of step order within an epoch.
     """
     if not 0.0 <= theta_step <= 1.0:
         raise InvalidMembershipError(f"theta_step {theta_step} outside [0, 1]")
@@ -279,7 +280,7 @@ def policy_compliance_series(
     return ComplianceSeries(tuple(values))
 
 
-# Steps scored per array pass by :func:`policy_compliance_series`.
+# Steps scored per batch by :func:`policy_compliance_series`.
 _BATCH = 4096
 
 
@@ -300,45 +301,52 @@ def _epoch_values(policy: IntendedPolicy, steps: list, offsets: list, theta_step
 def _step_degrees(policy: IntendedPolicy, steps: list) -> tuple:
     """(state compliance, step compliance) arrays of ``steps``.
 
-    Grid steps recur, so on a grid each distinct step is scored once and
-    its degrees are spread back to every step equal to it. Steps that
-    compare equal score equally once every action is a plain int (an action
-    ``True`` or ``1.0`` equals ``1`` but is rejected), so a log with any
-    other action has all its steps scored in the array pass.
+    A box policy's batch whose states and actions are tuples of their
+    spaces' lengths goes to the array pass; any other goes through the
+    scalar chain, so a bad step raises what :func:`step_compliance_at`
+    raises. Steps that compare equal score equally once every action is a
+    plain int (an action ``True`` or ``1.0`` equals ``1`` but is rejected),
+    so then each distinct step is scored once and its degrees are spread
+    back; otherwise every step is scored in order.
     """
-    if isinstance(policy.state_space, GridSpace) and set(map(type, map(_action, steps))) <= {int}:
+    if isinstance(policy.state_space, BoxSpace) and isinstance(policy.action_space, BoxSpace):
+        states, actions, _ = zip(*steps)
+        if _fits(states, policy.state_space) and _fits(actions, policy.action_space):
+            return _array_degrees(policy, states, actions)
+    state_degree, action_degree = _state_degree(policy), _action_degree(policy)
+
+    def degrees(step) -> tuple:
+        mu_state, ideal = state_degree(step[0])
+        return mu_state, mu_state * action_degree(step[1], ideal)
+
+    if set(map(type, map(_action, steps))) <= {int}:
         first = {}  # distinct step -> index of its first occurrence
         firsts = np.fromiter(map(first.setdefault, steps, count()), np.intp, len(steps))
-        mu_state, mu_step = _array_degrees(policy, list(first))
+        mu_state, mu_step = np.array(list(map(degrees, first))).T
         row = np.empty(len(steps), np.intp)  # first occurrence -> row of its degrees
         row[list(first.values())] = np.arange(len(first))
         rows = row[firsts]
         return mu_state[rows], mu_step[rows]
-    return _array_degrees(policy, steps)
+    mu_state, mu_step = np.array(list(map(degrees, steps))).T
+    return mu_state, mu_step
 
 
-def _array_degrees(policy: IntendedPolicy, steps) -> tuple:
-    """(state compliance, step compliance) arrays of ``steps``.
+def _fits(points, space: BoxSpace) -> bool:
+    """Whether every one of ``points`` is a tuple of ``space``'s length."""
+    return set(map(type, points)) == {tuple} and set(map(len, points)) == {space.dim}
+
+
+def _array_degrees(policy: IntendedPolicy, states, actions) -> tuple:
+    """(state compliance, step compliance) arrays of a box policy's
+    ``states`` and ``actions``, each a tuple of its space's length.
 
     The array form of :func:`step_compliance_at`: distances from every
     state to every reference, the nearest by ``argmin`` (the first minimum,
     so ties go to the lowest index as in the space's ``nearest``), then the
-    state degree, the ideal action and the action degree. Only ``+ - * /``,
-    ``abs`` and ``sqrt`` are used, accumulated per dimension in the metrics'
-    order, so every value matches the scalar chain bit for bit. States and
-    actions are checked as the scalar chain checks them, with the same
-    exceptions: a state of the wrong length raises
-    :class:`~fuzzoracle.errors.InvalidStateError`.
+    state degree, the ideal action and the action degree. Only ``+ - * /``
+    and ``sqrt`` are used, accumulated per dimension in the metrics' order,
+    so every value matches the scalar chain bit for bit.
     """
-    states, actions, _ = zip(*steps)
-    state_dim = policy.state_space.dim
-    if set(map(len, states)) != {state_dim}:
-        bad = next(i for i, state in enumerate(states) if len(state) != state_dim)
-        # The steps before it are scored first, so a bad action there is
-        # reported first, as the scalar chain would.
-        if bad:
-            _array_degrees(policy, steps[:bad])
-        raise wrong_length(states[bad], state_dim)
     distances = policy.state_space.distances(states, [s for s, _ in policy.entries])
     nearest = distances.argmin(axis=1)
     distance = distances.min(axis=1)
@@ -346,28 +354,12 @@ def _array_degrees(policy: IntendedPolicy, steps) -> tuple:
     shape = policy.state_shape
     mu_state = np.where(distance > half, 0.0, shape.degrees(distance, shape.width or half))
 
-    ideals = [a for _, a in policy.entries]
-    if isinstance(policy.action_space, DiscreteSpace):
-        if not set(map(type, actions)) <= {int}:
-            _check_actions(policy, actions, nearest, ideals)
-        # The discrete metric gives 0 or inf, and every action shape gives 1
-        # at 0 and 0 at inf (a scaled one always has a width).
-        mu_action = np.where(np.array(actions) == np.array(ideals)[nearest], 1.0, 0.0)
-    else:
-        dim = policy.action_space.dim
-        if set(map(type, actions)) != {tuple} or set(map(len, actions)) != {dim}:
-            _check_actions(policy, actions, nearest, ideals)
-        taken = coordinates(actions, dim)
-        wanted = np.array(ideals, dtype=float)[nearest]
-        total = 0.0
-        for k in range(dim):
-            d = taken[:, k] - wanted[:, k]
-            total = total + d * d
-        mu_action = policy.action_shape.degrees(np.sqrt(total))
+    dim = policy.action_space.dim
+    taken = coordinates(actions, dim)
+    wanted = np.array([a for _, a in policy.entries], dtype=float)[nearest]
+    total = 0.0
+    for k in range(dim):
+        d = taken[:, k] - wanted[:, k]
+        total = total + d * d
+    mu_action = policy.action_shape.degrees(np.sqrt(total))
     return mu_state, mu_state * mu_action
-
-
-def _check_actions(policy: IntendedPolicy, actions, nearest, ideals) -> None:
-    """Raises what the scalar metric raises for the first step it rejects."""
-    for action, k in zip(actions, nearest.tolist()):
-        policy.action_distance(action, ideals[k])

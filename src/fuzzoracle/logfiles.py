@@ -282,7 +282,7 @@ def policy_from_dict(data: dict) -> IntendedPolicy:
         state_of, action_of = map(_point_reader, spaces)
         entries = [(state_of(e["state"])[0], action_of(e["action"])[0]) for e in data["entries"]]
         policy = IntendedPolicy(entries, *spaces, *shapes)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, FuzzOracleError) as exc:
         raise TraceFormatError(f"bad policy file: {exc}") from exc
     stored = data.get("min_ref_distance")
     if stored is not None and stored != policy.min_ref_distance:
@@ -440,6 +440,11 @@ def read_trace(path):
             env_spec = env_spec_from_dict(header.get("env"))
         except FuzzOracleError as exc:
             raise TraceFormatError(str(exc), record_index=1) from exc
+        for name in ("policy_id", "epochs"):
+            if name in header and not is_int(header[name]):
+                raise TraceFormatError(
+                    f"header {name} must be an int, got {header[name]!r}", record_index=1
+                )
         declared_epochs = header.get("epochs")
         aborted = _aborted_epochs(header)
 

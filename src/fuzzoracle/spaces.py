@@ -15,6 +15,8 @@ metric used by the fuzzy compliance machinery:
 A state space also builds the nearest-reference search of a policy
 (``nearest``), which holds the one scalar body of its metric; a state of
 the wrong length is refused there with :class:`InvalidStateError`.
+:class:`BoxSpace` alone adds an array form (``distances``), for the array
+pass over box run logs.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ class GridSpace:
     cols: int
 
     kind = "grid"
-    dim = 2
 
     def contains(self, point) -> bool:
         if not (isinstance(point, tuple) and len(point) == 2):
@@ -96,14 +97,6 @@ class GridSpace:
             return best_index, best
 
         return search
-
-    def distances(self, points, refs) -> np.ndarray:
-        """:meth:`distance` from every point (rows) to every reference
-        (columns), summed in integers as there."""
-        p = np.array(points)
-        r = np.array(refs)
-        total = np.abs(p[:, None, 0] - r[None, :, 0]) + np.abs(p[:, None, 1] - r[None, :, 1])
-        return total.astype(float)
 
     def all_cells(self) -> list[GridCell]:
         return [(r, c) for r in range(self.rows) for c in range(self.cols)]

@@ -232,6 +232,17 @@ class TestAnalyze:
         assert main(["analyze", "--trace", HAND_TRACE, "--policy", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: bad policy file: ")
 
+    def test_policy_with_coinciding_states_exits_2(self, tmp_path, capsys):
+        # The library's DuplicateReferenceStateError was printed bare.
+        policy = json.loads(open(HAND_POLICY).read())
+        policy["entries"][1]["state"] = policy["entries"][0]["state"]
+        path = tmp_path / "coinciding.policy.json"
+        path.write_text(json.dumps(policy))
+        assert main(["analyze", "--trace", HAND_TRACE, "--policy", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad policy file: reference states 0 and 1 coincide\n"
+        )
+
     @pytest.mark.parametrize("env, message", [
         (None, "bad env config: expected an object, got None"),
         ({"kind": "pendulum"}, "env kind must be 'grid' or 'hillcar', got 'pendulum'"),

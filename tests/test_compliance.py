@@ -388,7 +388,7 @@ class TestSeriesAgainstBruteForce:
 
 
 # ---------------------------------------------------------------------------
-# The array scorer against the straight-line brute force
+# The series scorer against the straight-line brute force
 
 
 SHAPE_KINDS = ["linear", "quadratic", "indicator"]
@@ -403,6 +403,7 @@ HILLCAR = HillCarSpec()
 # references are frequent and their distances tie exactly.
 GRID_CELLS = [(r, c) for r in range(5) for c in range(5)]
 BOX_LATTICE = [(p / 4, v / 64) for p in range(-4, 3) for v in range(-4, 5)]
+FORCES = [-1.0, -0.5, 0.0, 0.25, 1.0]
 
 
 @st.composite
@@ -457,7 +458,7 @@ def hillcar_case(draw):
         )
     else:
         refs = draw(st.lists(st.sampled_from(BOX_LATTICE), min_size=2, max_size=5, unique=True))
-        ideals = [(draw(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0])),) for _ in refs]
+        ideals = [(draw(st.sampled_from(FORCES)),) for _ in refs]
         policy = IntendedPolicy(
             list(zip(refs, ideals)), HILLCAR.state_space(), HILLCAR.action_space(),
             draw(state_shapes()), draw(action_shapes(st.floats(0.1, 3.0))),
@@ -465,13 +466,36 @@ def hillcar_case(draw):
     lows, highs = HILLCAR.state_space().lows, HILLCAR.state_space().highs
     anywhere = st.tuples(st.floats(lows[0], highs[0]), st.floats(lows[1], highs[1]))
     state = st.sampled_from(BOX_LATTICE) | st.sampled_from([s for s, _ in policy.entries]) | anywhere
-    action = st.tuples(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]) | st.floats(-1.0, 1.0))
+    action = st.tuples(st.sampled_from(FORCES) | st.floats(-1.0, 1.0))
+    return policy, st.tuples(state, action)
+
+
+@st.composite
+def mixed_case(draw):
+    """A box-state/discrete-action or a grid-state/box-action policy, which
+    only the library API builds."""
+    if draw(st.booleans()):
+        refs = draw(st.lists(st.sampled_from(BOX_LATTICE), min_size=2, max_size=5, unique=True))
+        ideals = draw(st.lists(st.integers(0, 3), min_size=len(refs), max_size=len(refs)))
+        spaces = HILLCAR.state_space(), DiscreteSpace(4)
+        state = st.sampled_from(BOX_LATTICE) | st.sampled_from(refs)
+        action = draw(st.sampled_from([st.integers(0, 3)] * 3 + [st.sampled_from(list(Compass))]))
+    else:
+        refs = draw(st.lists(st.sampled_from(GRID_CELLS), min_size=2, max_size=5, unique=True))
+        ideals = [(draw(st.sampled_from(FORCES)),) for _ in refs]
+        spaces = GridSpace(5, 5), HILLCAR.action_space()
+        state = st.sampled_from(GRID_CELLS)
+        action = st.tuples(st.sampled_from(FORCES) | st.floats(-1.0, 1.0))
+    policy = IntendedPolicy(
+        list(zip(refs, ideals)), *spaces,
+        draw(state_shapes()), draw(action_shapes(st.floats(0.1, 3.0))),
+    )
     return policy, st.tuples(state, action)
 
 
 @st.composite
 def scoring_case(draw):
-    policy, step = draw(grid_case() | hillcar_case())
+    policy, step = draw(grid_case() | hillcar_case() | mixed_case())
     epochs = draw(st.lists(st.lists(step, max_size=12), min_size=1, max_size=6))
     log = make_log(epochs)
     empty = [e.epoch_index for e in log.epochs if not e.steps]
@@ -494,9 +518,9 @@ def step_by_step(policy, log, theta, mode):
 
 
 class TestArrayScorerAgainstBruteForce:
-    """The one-pass scorer gives the straight-line values bit for bit, on
-    grid and hill-car policies, every shape, ties, aborted epochs and the
-    same exceptions."""
+    """The series scorer gives the straight-line values bit for bit, on
+    grid, hill-car and mixed-space policies, every shape, ties, aborted
+    epochs and the same exceptions."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=scoring_case(), batch=st.sampled_from([1, 7, compliance._BATCH]))

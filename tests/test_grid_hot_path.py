@@ -7,7 +7,7 @@ terminal cells are looked up in the spec's fields, and every reward is
 scored by the brute-force scorer of ``conftest``, through the checked
 action metric. The program's run logs, rewards and compliance series must
 equal it bit for bit on every corpus variant. Its rewards must also equal
-:func:`fuzzy_reward`, and the array scorer's step degrees
+:func:`fuzzy_reward`, and the series scorer's step degrees
 :func:`step_compliance_at`. Further cases pin the loop's additive native
 reward and its budget-truncated final step against the same reference.
 """

@@ -190,6 +190,35 @@ class TestTraceValidation:
             read_trace(path)
         assert err.value.record_index == 1
 
+    @pytest.mark.parametrize("name, value", [
+        ("policy_id", "abc"), ("policy_id", True), ("policy_id", [1]), ("policy_id", 1.5),
+        ("policy_id", None), ("epochs", 3.0), ("epochs", "3"), ("epochs", False),
+        ("epochs", None),
+    ], ids=repr)
+    def test_header_ints(self, tmp_path, name, value):
+        # Each was taken: a policy_id was echoed into the analysis, 3.0
+        # epochs matched 3, and "3" was answered "header declares 3 epochs,
+        # file has 3".
+        header = json.loads(self.header(3))
+        header[name] = value
+        path = self.write_lines(
+            tmp_path, [json.dumps(header)] + [self.step(e, 1) for e in (1, 2, 3)]
+        )
+        message = f"header {name} must be an int, got {value!r}"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$") as err:
+            read_trace(path)
+        assert err.value.record_index == 1
+
+    @pytest.mark.parametrize("name", ["policy_id", "epochs"])
+    def test_header_ints_may_be_absent(self, tmp_path, name):
+        header = json.loads(self.header(3))
+        del header[name]
+        path = self.write_lines(
+            tmp_path, [json.dumps(header)] + [self.step(e, 1) for e in (1, 2, 3)]
+        )
+        log = read_trace(path)[0]
+        assert (log.policy_id, len(log)) == (1, 3)
+
     @pytest.mark.parametrize("env", [
         None, [], {"kind": "pendulum"}, {"kind": "grid", "rows": "a"},
         {"kind": "grid", "goal": [9]}, {"kind": "grid", "rowz": 4},
@@ -687,6 +716,23 @@ class TestPolicyFiles:
         data = policy_to_dict(policy)
         data["entries"][1]["state"] = state
         with pytest.raises(TraceFormatError, match="got"):
+            policy_from_dict(data)
+
+    @pytest.mark.parametrize("entry, field, value, message", [
+        (1, "state", [0, 0], "reference states 0 and 1 coincide"),
+        (1, None, None, "need at least 2 reference states, got 1"),
+        (0, "state", 5, "point must be a list, got 5"),
+        (0, "action", True, "discrete action must be an int, got True"),
+    ], ids=["coinciding", "one_entry", "state_5", "action_true"])
+    def test_entry_faults_are_bad_policy_files(self, entry, field, value, message):
+        # The library's own errors passed through with no "bad policy
+        # file:" prefix.
+        data = json.loads(open(os.path.join(DATA, "hand3epoch.policy.json")).read())
+        if field is None:
+            del data["entries"][entry]
+        else:
+            data["entries"][entry][field] = value
+        with pytest.raises(TraceFormatError, match=f"^bad policy file: {re.escape(message)}$"):
             policy_from_dict(data)
 
     def test_wrong_format_rejected(self, two_ref_policy):

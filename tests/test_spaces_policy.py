@@ -444,8 +444,9 @@ class TestWrongLengthStates:
 
     @pytest.mark.parametrize("policy, good, bad, action", [
         (hill_policy(), (-0.5, 0.0), (-0.5,), 1),
+        (hill_policy(), (-0.5, 0.0), (-0.5,), (0.0, 0.0)),
         (grid_policy(), (0, 1), (0, 1, 7), (0.5,)),
-    ], ids=["box", "grid"])
+    ], ids=["box", "box_tuple", "grid"])
     def test_array_scorer_reports_an_earlier_bad_action_first(self, policy, good, bad, action):
         # The scalar chain meets the bad action of the first step first.
         steps = (TraceStep(good, action), TraceStep(bad, action))
