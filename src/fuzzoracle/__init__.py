@@ -84,7 +84,7 @@ from .oracle import (
     oracle_policies,
     run_training_phase,
 )
-from .policy import IntendedPolicy, closest_reference, min_reference_distance
+from .policy import IntendedPolicy, min_reference_distance
 from .spaces import BoxSpace, DiscreteSpace, GridSpace
 from .trend import TrendParams, TrendReport, convergence_start, linreg_slope, trend_analysis
 
@@ -119,7 +119,6 @@ __all__ = [
     "Verdict",
     "action_compliance",
     "assemble_verdict",
-    "closest_reference",
     "confusion_at",
     "confusion_metrics",
     "convergence_start",

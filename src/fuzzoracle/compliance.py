@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import count
+from itertools import chain, count
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -302,12 +302,13 @@ def _step_degrees(policy: IntendedPolicy, steps: list) -> tuple:
     """(state compliance, step compliance) arrays of ``steps``.
 
     A box policy's batch whose states and actions are tuples of their
-    spaces' lengths goes to the array pass; any other goes through the
-    scalar chain, so a bad step raises what :func:`step_compliance_at`
-    raises. Steps that compare equal score equally once every action is a
-    plain int (an action ``True`` or ``1.0`` equals ``1`` but is rejected),
-    so then each distinct step is scored once and its degrees are spread
-    back; otherwise every step is scored in order.
+    spaces' lengths, every coordinate a float or an int that is no bool,
+    goes to the array pass; any other goes through the scalar chain, so a
+    bad step raises what :func:`step_compliance_at` raises. Steps that
+    compare equal score equally once every action is a plain int (an
+    action ``True`` or ``1.0`` equals ``1`` but is rejected), so then each
+    distinct step is scored once and its degrees are spread back;
+    otherwise every step is scored in order.
     """
     if isinstance(policy.state_space, BoxSpace) and isinstance(policy.action_space, BoxSpace):
         states, actions, _ = zip(*steps)
@@ -332,8 +333,13 @@ def _step_degrees(policy: IntendedPolicy, steps: list) -> tuple:
 
 
 def _fits(points, space: BoxSpace) -> bool:
-    """Whether every one of ``points`` is a tuple of ``space``'s length."""
-    return set(map(type, points)) == {tuple} and set(map(len, points)) == {space.dim}
+    """Whether every one of ``points`` is a tuple of ``space``'s length
+    whose coordinates are floats or ints (no bools)."""
+    return (
+        set(map(type, points)) == {tuple}
+        and set(map(len, points)) == {space.dim}
+        and set(map(type, chain.from_iterable(points))) <= {float, int}
+    )
 
 
 def _array_degrees(policy: IntendedPolicy, states, actions) -> tuple:

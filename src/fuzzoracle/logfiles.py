@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields, is_dataclass
+from itertools import chain
 
 from .agents import AgentConfig, inject_bug
 from .compliance import EpochTrace, RunLog, TraceStep
@@ -210,21 +211,7 @@ def _point_reader(space):
                 return (r, c), 0 <= r < rows and 0 <= c < cols
             raise _bad_point("grid coordinates must be two ints", value, index)
     else:
-        bounds = tuple(zip(space.lows, space.highs))
-        dim = len(bounds)
-
         def point(value, index=None):
-            if type(value) is list and len(value) == dim:
-                # Plain floats, as a trace holds them, in one pass.
-                inside = True
-                for k, v in enumerate(value):
-                    lo, hi = bounds[k]
-                    if type(v) is not float:
-                        break
-                    if not lo <= v <= hi:
-                        inside = False
-                else:
-                    return tuple(value), inside
             if not isinstance(value, (list, tuple)):
                 raise _bad_point("point must be a list", value, index)
             if not all(is_int(v) or isinstance(v, float) for v in value):
@@ -323,10 +310,16 @@ def write_trace(path, log: RunLog, env_spec) -> None:
 
     An epoch that aborted on its first action has no steps and so no
     records; the header lists the aborted epochs (only when there are any)
-    so the reader can tell such an epoch from a missing one. Each record is
-    formatted directly in canonical key order; a record holding a value that
-    path cannot render as :func:`canonical_json` does (anything but a finite
-    float or a plain int) is written by :func:`canonical_json` itself.
+    so the reader can tell such an epoch from a missing one.
+
+    Records are the bytes :func:`canonical_json` writes. One ``%`` record
+    template per trace, built from the two spaces (:func:`_plain_point`)
+    with the keys in canonical order, formats a whole epoch in one call when
+    its records are plain: the epoch index is an int, every point has its
+    space's length, every coordinate has its JSON type exactly (a float in
+    a box, an int on a grid or as a discrete action), every reward is a
+    float, and the text holds no NaN or infinity. Any other epoch is
+    written by :func:`canonical_json`, one call per record.
     """
     header = {
         "format": TRACE_FORMAT,
@@ -339,73 +332,67 @@ def write_trace(path, log: RunLog, env_spec) -> None:
         header["aborted_epochs"] = list(log.aborted_epochs)
     state_space = env_spec.state_space()
     action_space = env_spec.action_space()
-    state_text = _json_text(state_space)
-    action_text = _json_text(action_space)
+    state_form, action_form = _plain_point(state_space), _plain_point(action_space)
+    # The record template, split around the epoch index.
+    head = '{"action":' + action_form[0] + ',"epoch":'
+    tail = ',"reward":%r,"state":' + state_form[0] + ',"step":%d}\n'
+    discrete = isinstance(action_space, DiscreteSpace)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(header))
         for epoch in log.epochs:
-            e = epoch.epoch_index
-            lines = []
-            for j, (state, action, reward) in enumerate(epoch.steps, start=1):
-                try:
-                    if type(e) is not int:
-                        raise TypeError
-                    line = (
-                        f'{{"action":{action_text(action)},"epoch":{e},'
-                        f'"reward":{_float_text(reward)},'
-                        f'"state":{state_text(state)},"step":{j}}}\n'
-                    )
-                except (TypeError, ValueError):
-                    line = canonical_json(
-                        {
-                            "epoch": e,
-                            "step": j,
-                            "state": _point_to_json(state, state_space),
-                            "action": _point_to_json(action, action_space),
-                            "reward": reward,
-                        }
-                    )
-                lines.append(line)
-            fh.write("".join(lines))
+            e, steps = epoch.epoch_index, epoch.steps
+            text = ""
+            if steps and type(e) is int:
+                states, actions, rewards = zip(*steps)
+                if discrete:
+                    actions = tuple(zip(actions))  # a move as a point of one coordinate
+                if (
+                    set(map(type, rewards)) == {float}
+                    and _is_plain(states, state_form)
+                    and _is_plain(actions, action_form)
+                ):
+                    # The template's arguments, record after record.
+                    values = zip(*zip(*actions), rewards, *zip(*states), range(1, len(steps) + 1))
+                    text = (f"{head}{e}{tail}" * len(steps)) % tuple(chain.from_iterable(values))
+            # Each record holds one "n", in "action"; a NaN or an infinity adds one.
+            if text.count("n") != len(steps):
+                text = "".join([
+                    canonical_json({
+                        "epoch": e,
+                        "step": j,
+                        "state": _point_to_json(s, state_space),
+                        "action": _point_to_json(a, action_space),
+                        "reward": r,
+                    })
+                    for j, (s, a, r) in enumerate(steps, 1)
+                ])
+            fh.write(text)
 
 
-def _float_text(x) -> str:
-    """JSON text of a finite float, as ``json`` writes it (``float.__repr__``,
-    which numpy floats share); TypeError or ValueError for anything else."""
-    text = float.__repr__(x)
-    if "n" in text:  # nan, inf
-        raise ValueError(text)
-    return text
-
-
-def _floats_text(point) -> str:
-    """JSON text of a sequence of finite floats, as :func:`_float_text`."""
-    text = ",".join(map(float.__repr__, point))
-    if "n" in text:
-        raise ValueError(text)
-    return f"[{text}]"
-
-
-def _ints_text(point) -> str:
-    """JSON text of a sequence of ints that are no bools, as ``json``
-    writes it; TypeError for anything else."""
-    if bool in map(type, point):
-        raise TypeError("bool")
-    return f"[{','.join(map(int.__repr__, point))}]"
-
-
-def _int_text(x) -> str:
-    """JSON text of an int of exactly type int; TypeError for anything else."""
-    if type(x) is not int:
-        raise TypeError(type(x).__name__)
-    return int.__repr__(x)
-
-
-def _json_text(space):
-    """Formatter of the points of ``space`` for :func:`write_trace`."""
+def _plain_point(space) -> tuple:
+    """``(template, type, ranges)`` of a plain point of ``space`` in a trace
+    record: one coordinate of exactly ``type`` per ``(low, high)`` in
+    ``ranges``, and between the two, in a list, or bare in a discrete
+    space; the ``%`` template writes it."""
     if isinstance(space, DiscreteSpace):
-        return _int_text
-    return _ints_text if isinstance(space, GridSpace) else _floats_text
+        return "%r", int, ((0, space.n - 1),)
+    if isinstance(space, GridSpace):
+        kind, ranges = int, ((0, space.rows - 1), (0, space.cols - 1))
+    else:
+        kind, ranges = float, tuple(zip(space.lows, space.highs))
+    return "[" + ",".join(["%r"] * len(ranges)) + "]", kind, ranges
+
+
+def _is_plain(points, form) -> bool:
+    """Whether every one of ``points`` has one coordinate per range of the
+    plain point ``form``, each of its type (the ranges aside)."""
+    _, kind, ranges = form
+    try:
+        return set(map(len, points)) == {len(ranges)} and set(
+            map(type, chain.from_iterable(points))
+        ) == {kind}
+    except TypeError:  # a point without a length
+        return False
 
 
 def read_trace(path):
@@ -416,9 +403,9 @@ def read_trace(path):
     without records is accepted only when the header lists it among the
     aborted epochs; it is read back as an epoch with no steps.
 
-    The file is read one line at a time, and each line is parsed on its own
-    (:func:`_parse_record`) and checked by the one record reader
-    (:func:`_record_reader`). A line ends only at a newline; text mode
+    The header is parsed by :func:`_parse_record`; one loop,
+    :func:`_read_records`, then parses and checks the records one line at
+    a time, each line on its own. A line ends only at a newline; text mode
     reads CR LF and a lone CR as one, while U+2028, U+2029, U+0085 and
     form feeds stay inside their line. A byte that is not UTF-8 is read as
     a lone surrogate and rejected with the index of the record holding it.
@@ -448,11 +435,9 @@ def read_trace(path):
         declared_epochs = header.get("epochs")
         aborted = _aborted_epochs(header)
 
-        grouped = _Epochs(frozenset(aborted))
-        read = _record_reader(env_spec.state_space(), env_spec.action_space())
-        for index, line in enumerate(fh, start=2):
-            read(_parse_record(line, index), index, grouped)
-    epochs = grouped.close()
+        epochs = _read_records(
+            fh, env_spec.state_space(), env_spec.action_space(), frozenset(aborted)
+        )
 
     if not epochs:
         raise TraceFormatError("trace contains no steps", record_index=1)
@@ -469,70 +454,45 @@ def read_trace(path):
     return RunLog(header.get("policy_id", 1), tuple(epochs), aborted), env_spec
 
 
-class _Epochs:
-    """Trace records grouped into epochs, checked to be contiguous."""
-
-    def __init__(self, aborted: frozenset):
-        self.aborted = aborted
-        self.done: list = []
-        self.current: list = []  # steps of epoch ``number``
-        self.number = 0
-
-    def open(self, e, j, index: int) -> None:
-        """Check that record ``index``, step ``j`` of epoch ``e``, may come
-        next, and start its epoch when it is the epoch's first step."""
-        skipped = range(self.number + 1, e) if type(e) is int and j == 1 else ()
-        if skipped and all(k in self.aborted for k in skipped):
-            # The epochs before this one aborted on their first action.
-            self._finish()
-            self.done.extend(EpochTrace((), k) for k in skipped)
-            self.number = e - 1
-        if e == self.number + 1 and j == 1:
-            if not is_int(e):
-                raise TraceFormatError(
-                    f"record {index}: epoch must be an int, got {e!r}", record_index=index
-                )
-            self._finish()
-            self.number = e
-        elif e != self.number or j != len(self.current) + 1:
-            raise TraceFormatError(
-                f"record {index}: expected epoch {self.number} step "
-                f"{len(self.current) + 1} or epoch {self.number + 1} step 1, "
-                f"got epoch {e} step {j}",
-                record_index=index,
-            )
-
-    def _finish(self) -> None:
-        if self.current:
-            self.done.append(EpochTrace(tuple(self.current), self.number))
-            self.current = []
-
-    def close(self) -> list:
-        """All epochs, with trailing aborted epochs that wrote no record."""
-        self._finish()
-        while len(self.done) + 1 in self.aborted:
-            self.done.append(EpochTrace((), len(self.done) + 1))
-        return self.done
-
-
 _FIELDS = ("epoch", "step", "state", "action", "reward")
+_scan_json = json.JSONDecoder().scan_once
 
 
-def _record_reader(state_space, action_space):
-    """Callable ``(rec, index, epochs)`` that checks the trace record ``rec``,
-    an object as :func:`_parse_record` gives it, and adds its step to
-    ``epochs``; any fault raises :class:`TraceFormatError` at record
-    ``index``.
+def _read_records(lines, state_space, action_space, aborted: frozenset) -> list:
+    """The epochs of the trace records on ``lines``, records 2 on, with the
+    ``aborted`` epochs that wrote no record; any fault raises
+    :class:`TraceFormatError` at its record's index.
 
-    The checks run in this order: the five fields are present, the record
-    may come next in its epoch, the state and then the action are points of
-    their spaces (:func:`_point_reader`), the state and then the action lie
-    inside them, and the reward is a number. An int reward becomes a float;
-    other fields are ignored.
+    A line the JSON scanner takes whole as one object, as every canonical
+    record is, is parsed here; any other goes to :func:`_parse_record`. The
+    checks run in this order: the five fields are present, the record is
+    the next step of its epoch or the first step of the next one (after any
+    that aborted), the state and then the action are points of their
+    spaces, the state and then the action lie inside them, and the reward
+    is a number. Every trace env has a state of two coordinates and an
+    action of one, bare (a grid move) or in a list (a hill-car force). When
+    both points have that shape, and each coordinate has its JSON type
+    exactly and lies in its range, the pair is checked here; any other goes
+    to :func:`_point_reader`, which gives every error. An int reward becomes
+    a float; other fields are ignored.
     """
     state_of, action_of = _point_reader(state_space), _point_reader(action_space)
-
-    def read(rec, index: int, epochs: _Epochs) -> None:
+    _, state_kind, ((x0, x1), (y0, y1)) = _plain_point(state_space)
+    _, action_kind, ((a0, a1),) = _plain_point(action_space)
+    discrete = isinstance(action_space, DiscreteSpace)
+    scan, step = _scan_json, tuple.__new__
+    done: list = []
+    current: list = []  # steps of epoch ``number``
+    number = 0
+    for index, line in enumerate(lines, start=2):
+        rec = end = None
+        if line.isascii():
+            try:
+                rec, end = scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                pass
+        if type(rec) is not dict or line[end:] not in ("", "\n"):
+            rec = _parse_record(line, index)
         try:
             e, j, state, action, reward = (
                 rec["epoch"], rec["step"], rec["state"], rec["action"], rec["reward"]
@@ -542,20 +502,56 @@ def _record_reader(state_space, action_space):
             raise TraceFormatError(
                 f"record {index} missing fields: {missing}", record_index=index
             ) from None
-        if e != epochs.number or j != len(epochs.current) + 1:
-            epochs.open(e, j, index)
-        state, state_inside = state_of(state, index)
-        action, action_inside = action_of(action, index)
-        if not state_inside:
-            raise TraceFormatError(
-                f"record {index}: state {state!r} outside the environment",
-                record_index=index,
-            )
-        if not action_inside:
-            raise TraceFormatError(
-                f"record {index}: action {action!r} outside the action space",
-                record_index=index,
-            )
+        if e != number or j != len(current) + 1:
+            if type(e) is int and j == 1 and e > number and all(
+                k in aborted for k in range(number + 1, e)
+            ):
+                # The epochs in between aborted on their first action.
+                if current:
+                    done.append(EpochTrace(tuple(current), number))
+                done.extend(EpochTrace((), k) for k in range(number + 1, e))
+                current, number = [], e
+            elif e == number + 1 and j == 1:
+                raise TraceFormatError(
+                    f"record {index}: epoch must be an int, got {e!r}", record_index=index
+                )
+            else:
+                raise TraceFormatError(
+                    f"record {index}: expected epoch {number} step "
+                    f"{len(current) + 1} or epoch {number + 1} step 1, "
+                    f"got epoch {e} step {j}",
+                    record_index=index,
+                )
+        if discrete:
+            a = action
+        else:
+            a = action[0] if type(action) is list and len(action) == 1 else None
+        if (
+            type(state) is list
+            and len(state) == 2
+            and type(x := state[0]) is state_kind
+            and type(y := state[1]) is state_kind
+            and type(a) is action_kind
+            and x0 <= x <= x1
+            and y0 <= y <= y1
+            and a0 <= a <= a1
+        ):
+            state = (x, y)
+            if not discrete:
+                action = (a,)
+        else:
+            state, state_inside = state_of(state, index)
+            action, action_inside = action_of(action, index)
+            if not state_inside:
+                raise TraceFormatError(
+                    f"record {index}: state {state!r} outside the environment",
+                    record_index=index,
+                )
+            if not action_inside:
+                raise TraceFormatError(
+                    f"record {index}: action {action!r} outside the action space",
+                    record_index=index,
+                )
         if type(reward) is not float:
             if not (is_int(reward) or isinstance(reward, float)):
                 raise TraceFormatError(
@@ -567,9 +563,12 @@ def _record_reader(state_space, action_space):
                 raise TraceFormatError(
                     f"record {index}: reward too large for a float", record_index=index
                 ) from None
-        epochs.current.append(TraceStep(state, action, reward))
-
-    return read
+        current.append(step(TraceStep, (state, action, reward)))
+    if current:
+        done.append(EpochTrace(tuple(current), number))
+    while len(done) + 1 in aborted:
+        done.append(EpochTrace((), len(done) + 1))
+    return done
 
 
 def _aborted_epochs(header: dict) -> tuple:
@@ -587,17 +586,12 @@ def _aborted_epochs(header: dict) -> tuple:
     return tuple(value)
 
 
-_scan_json = json.JSONDecoder().scan_once
-
-
 def _parse_record(line: str, index: int) -> dict:
     """The JSON object on ``line``, record ``index`` of a trace, with or
     without the line's newline.
 
-    The JSON decoder's own scanner parses a record that is one object from
-    the line's first character to its end, as every canonical record is.
-    Any other line goes to :func:`json.loads` (without its newline), so it
-    gives the value, or the error and message, that ``json.loads`` gives:
+    The line goes to :func:`json.loads` without its newline, so it gives
+    the value, or the error and message, that ``json.loads`` gives:
     surrounding whitespace is allowed, while a BOM, extra data, bad JSON,
     an int too long to convert or nesting too deep is invalid JSON. A line
     read with ``surrogateescape`` that held bytes not in UTF-8 is refused.
@@ -610,12 +604,6 @@ def _parse_record(line: str, index: int) -> dict:
             raise TraceFormatError(
                 f"record {index}: invalid UTF-8 byte 0x{byte:02x}", record_index=index
             ) from None
-    try:
-        rec, end = _scan_json(line, 0)
-        if type(rec) is dict and line[end:] in ("", "\n"):
-            return rec
-    except (StopIteration, ValueError, RecursionError):
-        pass
     try:
         rec = json.loads(line.removesuffix("\n"))
     except (ValueError, RecursionError) as exc:

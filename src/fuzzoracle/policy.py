@@ -93,12 +93,3 @@ class IntendedPolicy:
             return self.action_space.distance(a, b)
         return continuous_action_distance(a, b)
 
-
-def closest_reference(state, policy: IntendedPolicy) -> tuple[int, float]:
-    """Index and distance of the reference state nearest to ``state``.
-
-    Ties break toward the lowest entry index so repeated runs stay
-    reproducible; distance comparison is exact. The search is the state
-    space's (``nearest``), built for this one call.
-    """
-    return policy.state_space.nearest([s for s, _ in policy.entries])(state)

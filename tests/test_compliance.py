@@ -181,6 +181,23 @@ class TestActionKindChecks:
         with pytest.raises(ActionKindMismatchError):
             policy_compliance_series(policy, log, 0.3)
 
+    @pytest.mark.parametrize("coordinate", [None, "a"])
+    @pytest.mark.parametrize("where", ["state", "action"])
+    def test_hillcar_series_rejects_a_coordinate_that_is_no_number(self, coordinate, where):
+        # The box array pass read an action (None,) as NaN and raised a
+        # ValueError for "a"; the scalar metric raises a TypeError for both.
+        policy = generate_policies(HillCarSpec(), 1, 3, 0)[0]
+        state, action = policy.entries[0]
+        if where == "state":
+            bad = TraceStep((state[0], coordinate), action)
+        else:
+            bad = TraceStep(state, (coordinate,))
+        log = RunLog(1, (EpochTrace((TraceStep(state, action), bad), 1),))
+        with pytest.raises(TypeError):
+            step_compliance_at(policy, bad.state, bad.action)
+        with pytest.raises(TypeError):
+            policy_compliance_series(policy, log, 0.3)
+
 
 class TestStepCompliance:
     def test_both_full(self):

@@ -164,6 +164,14 @@ class TestTraceValidation:
             read_trace(path)
         assert err.value.record_index == 3
 
+    @pytest.mark.parametrize("epochs", [[(1, 1), (1, 2), (1, 1)], [(1, 1), (2, 1), (1, 1)]],
+                             ids=["restart", "back"])
+    def test_epoch_cannot_restart_or_go_back(self, tmp_path, epochs):
+        path = self.write_lines(tmp_path, [self.header(2)] + [self.step(*e) for e in epochs])
+        with pytest.raises(TraceFormatError, match="^record 4: expected epoch ") as err:
+            read_trace(path)
+        assert err.value.record_index == 4
+
     def test_epochs_must_start_at_one(self, tmp_path):
         path = self.write_lines(tmp_path, [self.header(), self.step(2, 1)])
         with pytest.raises(TraceFormatError):
@@ -359,6 +367,58 @@ class TestTraceWriterBytes:
             path = tmp_path / f"{spec.kind}.trace.jsonl"
             write_trace(path, log, spec)
             assert path.read_text(encoding="utf-8") == canonical_trace(log, spec)
+
+
+class TestTraceWriterInputs:
+    """Inputs the writer's strategy never draws: the bytes of one
+    canonical_json call per record, or the exception it raises."""
+
+    HILL_STEP = TraceStep((-0.5, 0.01), (0.5,), 0.25)
+    GRID_STEP = TraceStep((0, 1), 2, 0.25)
+
+    # name -> (env, [(epoch index, steps), ...])
+    OFF_TEMPLATE = {
+        # Three state coordinates and no action: as many values as a
+        # hill-car record holds, in the wrong places.
+        "3d_state_empty_action": (
+            HillCarSpec(), [(1, [HILL_STEP, TraceStep((-0.5, 0.01, 0.2), (), 0.5)])],
+        ),
+        "1d_state_2d_action": (HillCarSpec(), [(1, [TraceStep((-0.5,), (0.5, 0.1), 0.5)])]),
+        "box_lists": (HillCarSpec(), [(1, [HILL_STEP, TraceStep([-0.5, 0.01], [0.5], 0.0)])]),
+        "grid_lists": (GridSpec(), [(1, [TraceStep([0, 1], 2, 0.0), GRID_STEP])]),
+        "np_int64_grid_action": (
+            GridSpec(), [(1, [GRID_STEP, TraceStep((0, 1), np.int64(2), 0.0)])],
+        ),
+        "int_enum_grid_action": (
+            GridSpec(), [(1, [GRID_STEP, TraceStep((0, 1), Move.DOWN, 0.0)])],
+        ),
+        "bool_grid_action": (GridSpec(), [(1, [GRID_STEP, TraceStep((0, 1), True, 0.0)])]),
+        "float_epoch": (GridSpec(), [(1.0, [GRID_STEP])]),
+        "bool_epoch": (HillCarSpec(), [(True, [HILL_STEP])]),
+        "np_int64_epoch": (HillCarSpec(), [(np.int64(1), [HILL_STEP])]),
+        "nan_in_the_last_record": (HillCarSpec(), [
+            (1, [HILL_STEP] * 3),
+            (2, [HILL_STEP] * 3 + [HILL_STEP._replace(reward=math.nan)]),
+        ]),
+        "inf_in_the_last_record": (GridSpec(), [
+            (1, [GRID_STEP] * 2 + [GRID_STEP._replace(reward=-math.inf)]),
+            (2, [GRID_STEP]),
+        ]),
+    }
+
+    @pytest.mark.parametrize("name", list(OFF_TEMPLATE))
+    def test_records_the_strategy_never_draws(self, tmp_path, name):
+        spec, epochs = self.OFF_TEMPLATE[name]
+        log = RunLog(1, tuple(EpochTrace(tuple(steps), e) for e, steps in epochs))
+        path = tmp_path / "t.trace.jsonl"
+        try:
+            expected = canonical_trace(log, spec)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                write_trace(path, log, spec)
+            return
+        write_trace(path, log, spec)
+        assert path.read_text(encoding="utf-8") == expected
 
 
 class TestTraceReaderChunks:
@@ -624,6 +684,49 @@ class TestBoxRecords:
             with pytest.raises(TraceFormatError, match=f"^record 3: .*{expected}") as err:
                 read_trace(path)
             assert err.value.record_index == 3
+
+
+class TestActionRecords:
+    """Actions read from a trace: a grid move is an int in 0..3, a hill-car
+    force a list of one number (not a bool) inside [-1, 1]."""
+
+    CASES = [
+        (GridSpec(), 3, 3),
+        (GridSpec(), 4, "outside the action space"),
+        (GridSpec(), -1, "outside the action space"),
+        (HillCarSpec(), [1], (1.0,)),
+        (HillCarSpec(), [-1.0], (-1.0,)),
+        (HillCarSpec(), [1.5], "outside the action space"),
+        (HillCarSpec(), [float("nan")], "outside the action space"),
+        (HillCarSpec(), [0.5, 0.5], "outside the action space"),
+        (HillCarSpec(), [], "outside the action space"),
+        (HillCarSpec(), [True], "box coordinates must be numbers"),
+        (HillCarSpec(), 0.5, "point must be a list"),
+    ]
+
+    @pytest.mark.parametrize("spec, action, expected", CASES,
+                             ids=[f"{spec.kind}-{action!r}" for spec, action, _ in CASES])
+    def test_action(self, tmp_path, spec, action, expected):
+        if spec.kind == "grid":
+            step = TraceStep((0, 0), 0, 0.0)
+        else:
+            step = TraceStep((0.0, 0.0), (0.5,), 0.0)
+        path = tmp_path / "t.trace.jsonl"
+        write_trace(path, RunLog(1, (EpochTrace((step,) * 3, 1),)), spec)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["action"] = action
+        lines[2] = json.dumps(rec)
+        path.write_text("".join(l + "\n" for l in lines))
+        if isinstance(expected, str):
+            with pytest.raises(TraceFormatError, match=f"^record 3: .*{expected}") as err:
+                read_trace(path)
+            assert err.value.record_index == 3
+            return
+        got = read_trace(path)[0].epochs[0].steps[1].action
+        assert got == expected
+        assert type(got) is type(expected)
+        assert spec.kind == "grid" or all(type(x) is float for x in got)
 
 
 class TestPolicyFiles:

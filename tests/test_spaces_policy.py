@@ -15,7 +15,6 @@ from fuzzoracle import (
     IntendedPolicy,
     RunLog,
     TraceStep,
-    closest_reference,
     fuzzy_reward,
     generate_policies,
     make_reward_fn,
@@ -120,69 +119,6 @@ class TestMinReferenceDistance:
         )
         assert got == expected
         assert got > 0
-
-
-class TestClosestReference:
-    def make_policy(self, refs):
-        entries = [(r, 0) for r in refs]
-        return IntendedPolicy(entries, GridSpace(8, 8), DiscreteSpace(4))
-
-    def test_exact_hit(self):
-        policy = self.make_policy([(0, 0), (2, 5), (4, 1), (7, 7)])
-        assert closest_reference((4, 1), policy) == (2, 0.0)
-
-    def test_tie_breaks_to_lowest_index(self):
-        # (1, 0) is at distance 1 from both (0, 0) and (2, 0).
-        policy = self.make_policy([(0, 0), (5, 5), (2, 0)])
-        assert closest_reference((1, 0), policy) == (0, 1.0)
-
-    def test_matches_linear_scan(self):
-        rng = np.random.default_rng(11)
-        cells = [(int(r), int(c)) for r, c in rng.integers(0, 8, size=(30, 2))]
-        refs = []
-        for cell in cells:
-            if cell not in refs:
-                refs.append(cell)
-            if len(refs) == 10:
-                break
-        policy = self.make_policy(refs)
-        space = GridSpace(8, 8)
-        for _ in range(50):
-            state = (int(rng.integers(0, 8)), int(rng.integers(0, 8)))
-            idx, dist = closest_reference(state, policy)
-            distances = [space.distance(state, r) for r in refs]
-            assert dist == min(distances)
-            assert idx == distances.index(min(distances))
-
-
-    @pytest.mark.parametrize("lows, highs", [
-        ((-1.0,), (1.3,)),
-        ((-1.0, -0.5), (1.0, 0.5)),
-        ((-1.1, -0.7), (1.0, 0.6)),
-        ((-1.1, -0.5, -2.0), (1.0, 0.6, 1.7)),
-    ], ids=["1d", "2d", "2d_uneven", "3d"])
-    def test_box_matches_linear_scan_with_exact_ties(self, lows, highs):
-        space = BoxSpace(lows, highs)
-        dim = space.dim
-        # Dyadic coordinates: states with x = 0 are exactly as far from the
-        # mirrored references 1 and 2, whatever the spans.
-        refs = [
-            r[:dim]
-            for r in [(0.75, 0.375, 1.5), (0.5, 0.0, 0.0), (-0.5, 0.0, 0.0), (-0.75, -0.375, -1.5)]
-        ]
-        policy = IntendedPolicy(
-            [(r, (0.0,)) for r in refs], space, BoxSpace((-1.0,), (1.0,))
-        )
-        rng = np.random.default_rng(8)
-        ties = [(0.0, v, -2.0 * v)[:dim] for v in (0.0, 0.125, -0.125, 0.25, -0.25)]
-        states = ties + [tuple(map(float, row)) for row in rng.uniform(-1, 1, size=(200, dim)) / 2]
-        for state in states:
-            distances = [space.distance(state, r) for r in refs]
-            best = min(distances)
-            assert closest_reference(state, policy) == (distances.index(best), best)
-        for state in ties:
-            assert space.distance(state, refs[1]) == space.distance(state, refs[2])
-            assert closest_reference(state, policy)[0] == 1
 
 
 class TestPolicyBuild:
@@ -393,6 +329,33 @@ class TestNearest:
         refs.append((1, 1))
         assert search((1, 1)) == (0, 2.0)
 
+    @pytest.mark.parametrize("lows, highs", [
+        ((-1.0,), (1.3,)),
+        ((-1.0, -0.5), (1.0, 0.5)),
+        ((-1.1, -0.7), (1.0, 0.6)),
+        ((-1.1, -0.5, -2.0), (1.0, 0.6, 1.7)),
+    ], ids=["1d", "2d", "2d_uneven", "3d"])
+    def test_box_matches_linear_scan_with_exact_ties(self, lows, highs):
+        space = BoxSpace(lows, highs)
+        dim = space.dim
+        # Dyadic coordinates: states with x = 0 are exactly as far from the
+        # mirrored references 1 and 2, whatever the spans.
+        refs = [
+            r[:dim]
+            for r in [(0.75, 0.375, 1.5), (0.5, 0.0, 0.0), (-0.5, 0.0, 0.0), (-0.75, -0.375, -1.5)]
+        ]
+        search = space.nearest(refs)
+        rng = np.random.default_rng(8)
+        ties = [(0.0, v, -2.0 * v)[:dim] for v in (0.0, 0.125, -0.125, 0.25, -0.25)]
+        states = ties + [tuple(map(float, row)) for row in rng.uniform(-1, 1, size=(200, dim)) / 2]
+        for state in states:
+            distances = [space.distance(state, r) for r in refs]
+            best = min(distances)
+            assert search(state) == (distances.index(best), best)
+        for state in ties:
+            assert space.distance(state, refs[1]) == space.distance(state, refs[2])
+            assert search(state)[0] == 1
+
 
 def hill_policy():
     return generate_policies(HillCarSpec(), 1, 3, 0)[0]
@@ -410,7 +373,7 @@ class TestWrongLengthStates:
     def test_box_state(self, state):
         policy = hill_policy()
         with pytest.raises(InvalidStateError, match="length"):
-            closest_reference(state, policy)
+            policy.state_space.nearest([s for s, _ in policy.entries])(state)
         with pytest.raises(InvalidStateError):
             fuzzy_reward(state, (0.0,), policy)
         with pytest.raises(InvalidStateError):
@@ -426,7 +389,7 @@ class TestWrongLengthStates:
         with pytest.raises(InvalidStateError, match="length"):
             step_compliance_at(policy, state, 1)
         with pytest.raises(InvalidStateError):
-            closest_reference(state, policy)
+            policy.state_space.nearest([s for s, _ in policy.entries])(state)
         with pytest.raises(InvalidStateError):
             make_reward_fn(policy)(state, 1)
         with pytest.raises(InvalidStateError):
