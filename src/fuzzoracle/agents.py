@@ -332,7 +332,9 @@ class LinearActorCriticAgent:
     """Gaussian-policy actor-critic on radial basis features.
 
     Every float operation of a training step, and its order, is that of the
-    straight-line step, so a run is bit for bit the same.
+    straight-line step, so a run is bit for bit the same. Dot products go
+    through ``ndarray.dot``, which reaches the same BLAS ``ddot`` as ``@``
+    without the gufunc dispatch.
     """
 
     def __init__(self, config: AgentConfig, env_spec, rng=None):
@@ -345,7 +347,10 @@ class LinearActorCriticAgent:
         self._center_y = np.tile(centers, k)
         bandwidth = 1.0 / max(k - 1, 1)
         # Dividing by the negated divisor is exactly negating the quotient.
-        self._neg_two_bandwidth_sq = -(2.0 * bandwidth**2)
+        # The scalar operands of the feature map are 0-d arrays: numpy
+        # converts a Python float operand at every call.
+        self._neg_two_bandwidth_sq = np.array(-(2.0 * bandwidth**2))
+        self._pos, self._vel = np.zeros(()), np.zeros(())
         self._pos_span = env_spec.max_position - env_spec.min_position
         self._vel_span = 2.0 * env_spec.max_speed
         self.n_features = k * k + 1
@@ -382,10 +387,14 @@ class LinearActorCriticAgent:
         if state == self._phi_state:
             return self._phi
         spec = self.spec
-        pos = (state[0] - spec.min_position) / self._pos_span
-        vel = (state[1] + spec.max_speed) / self._vel_span
-        sq = np.square(self._center_x - pos)
-        sq += np.square(self._center_y - vel)
+        self._pos[()] = (state[0] - spec.min_position) / self._pos_span
+        self._vel[()] = (state[1] + spec.max_speed) / self._vel_span
+        # ``x *= x`` is ``np.square(x)``, without a second array.
+        sq = self._center_x - self._pos
+        sq *= sq
+        dy = self._center_y - self._vel
+        dy *= dy
+        sq += dy
         sq /= self._neg_two_bandwidth_sq
         phi = np.empty(self.n_features)
         np.exp(sq, out=phi[:-1])
@@ -402,7 +411,7 @@ class LinearActorCriticAgent:
         (:func:`_draws`), so the agent owns its generator and nothing else
         may draw from it.
         """
-        mean = float(self.w_mean @ self.features(state))
+        mean = float(self.w_mean.dot(self.features(state)))
         self._acted = (state, mean)
         noisy = mean + self._action_noise * next(self._normals)
         return (-1.0 if noisy < -1.0 else 1.0 if noisy > 1.0 else noisy,)
@@ -428,10 +437,10 @@ class LinearActorCriticAgent:
         if done:
             future = 0.0
         else:
-            future = self._discount * float(self.w_value @ self.features(next_state))
-        td_error = reward + future - float(self.w_value @ phi)
+            future = self._discount * float(self.w_value.dot(self.features(next_state)))
+        td_error = reward + future - float(self.w_value.dot(phi))
         acted, self._acted = self._acted, None
-        mean = acted[1] if acted is not None and acted[0] is state else float(self.w_mean @ phi)
+        mean = acted[1] if acted is not None and acted[0] is state else float(self.w_mean.dot(phi))
         c_value = self._critic_learning_rate * td_error
         c_mean = self._learning_rate * td_error * (action[0] - mean) / self._noise_variance
         self._coefs[0, 0], self._coefs[1, 0] = c_value, c_mean

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, count
 from operator import itemgetter
 from typing import NamedTuple
@@ -39,7 +38,6 @@ from .spaces import (
     DiscreteSpace,
     GridSpace,
     continuous_action_distance,
-    coordinates,
 )
 
 
@@ -130,29 +128,47 @@ def _state_degree(policy: IntendedPolicy):
     """Callable ``state -> (state compliance, ideal action of the nearest
     reference)``, with the arithmetic of :func:`state_compliance`.
 
-    The nearest-reference search, the shape's width and the half-gap are
-    built once.
+    The nearest-reference search, the half-gap and the shape at its width
+    are built once.
     """
     search = policy.state_space.nearest([s for s, _ in policy.entries])
     ideals = [a for _, a in policy.entries]
     half = policy.min_ref_distance / 2.0
     shape = policy.state_shape
-    width = shape.width or half
+    ramp = shape.at(shape.width or half)
 
     def degree(state) -> tuple:
         index, distance = search(state)
-        return (0.0 if distance > half else shape(distance, width)), ideals[index]
+        return (0.0 if distance > half else ramp(distance)), ideals[index]
 
     return degree
 
 
 def _action_degree(policy: IntendedPolicy):
     """:func:`action_compliance` under ``policy`` as a callable of
-    (action, ideal action)."""
-    shape = policy.action_shape
-    if not isinstance(policy.action_space, DiscreteSpace):
-        return lambda action, ideal: shape(continuous_action_distance(action, ideal))
-    return partial(action_compliance, metric=policy.action_distance, shape=shape)
+    (action, ideal action), with the shape bound at its width once.
+
+    A box policy measures a plain tuple action of the ideal's length
+    inline, with the arithmetic of
+    :func:`~fuzzoracle.spaces.continuous_action_distance`; any other action
+    goes through that function, so it raises what the function raises.
+    """
+    ramp = policy.action_shape.at()
+    if isinstance(policy.action_space, DiscreteSpace):
+        metric = policy.action_space.distance
+        return lambda action, ideal: ramp(metric(action, ideal))
+    sqrt = math.sqrt
+
+    def degree(action, ideal) -> float:
+        if type(action) is tuple and len(action) == len(ideal):
+            total = 0.0
+            for x, y in zip(action, ideal):
+                d = x - y
+                total += d * d
+            return ramp(sqrt(total))
+        return ramp(continuous_action_distance(action, ideal))
+
+    return degree
 
 
 def step_compliance_at(policy: IntendedPolicy, state, action) -> tuple[float, float, float]:
@@ -312,8 +328,11 @@ def _step_degrees(policy: IntendedPolicy, steps: list) -> tuple:
     """
     if isinstance(policy.state_space, BoxSpace) and isinstance(policy.action_space, BoxSpace):
         states, actions, _ = zip(*steps)
-        if _fits(states, policy.state_space) and _fits(actions, policy.action_space):
-            return _array_degrees(policy, states, actions)
+        visited = _coordinates(states, policy.state_space)
+        if visited is not None:
+            taken = _coordinates(actions, policy.action_space)
+            if taken is not None:
+                return _array_degrees(policy, visited, taken)
     state_degree, action_degree = _state_degree(policy), _action_degree(policy)
 
     def degrees(step) -> tuple:
@@ -332,19 +351,23 @@ def _step_degrees(policy: IntendedPolicy, steps: list) -> tuple:
     return mu_state, mu_step
 
 
-def _fits(points, space: BoxSpace) -> bool:
-    """Whether every one of ``points`` is a tuple of ``space``'s length
-    whose coordinates are floats or ints (no bools)."""
-    return (
-        set(map(type, points)) == {tuple}
-        and set(map(len, points)) == {space.dim}
-        and set(map(type, chain.from_iterable(points))) <= {float, int}
-    )
+def _coordinates(points, space: BoxSpace):
+    """``(len(points), dim)`` float array of ``points`` if every one is a
+    tuple of ``space``'s length whose coordinates are floats or ints (no
+    bools), else None. The points are flattened once, into a tuple whose
+    types are checked and which is then converted."""
+    dim = space.dim
+    if set(map(type, points)) != {tuple} or set(map(len, points)) != {dim}:
+        return None
+    flat = tuple(chain.from_iterable(points))
+    if not set(map(type, flat)) <= {float, int}:
+        return None
+    return np.fromiter(flat, float, len(flat)).reshape(len(points), dim)
 
 
-def _array_degrees(policy: IntendedPolicy, states, actions) -> tuple:
+def _array_degrees(policy: IntendedPolicy, states: np.ndarray, actions: np.ndarray) -> tuple:
     """(state compliance, step compliance) arrays of a box policy's
-    ``states`` and ``actions``, each a tuple of its space's length.
+    ``states`` and ``actions``, each an array of one point per row.
 
     The array form of :func:`step_compliance_at`: distances from every
     state to every reference, the nearest by ``argmin`` (the first minimum,
@@ -360,12 +383,10 @@ def _array_degrees(policy: IntendedPolicy, states, actions) -> tuple:
     shape = policy.state_shape
     mu_state = np.where(distance > half, 0.0, shape.degrees(distance, shape.width or half))
 
-    dim = policy.action_space.dim
-    taken = coordinates(actions, dim)
     wanted = np.array([a for _, a in policy.entries], dtype=float)[nearest]
     total = 0.0
-    for k in range(dim):
-        d = taken[:, k] - wanted[:, k]
+    for k in range(policy.action_space.dim):
+        d = actions[:, k] - wanted[:, k]
         total = total + d * d
     mu_action = policy.action_shape.degrees(np.sqrt(total))
     return mu_state, mu_state * mu_action

@@ -1,4 +1,6 @@
 import enum
+import struct
+from collections import namedtuple
 from dataclasses import replace
 from unittest import mock
 
@@ -100,6 +102,17 @@ class TestActionCompliance:
             action_compliance((0.4,), 2, metric, INDICATOR)
 
 
+Force = namedtuple("Force", "force")
+
+
+def outcome(fn, *args):
+    """The bits of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except Exception as error:
+        return type(error), str(error)
+
+
 class TestActionKindChecks:
     """Plain int grid actions are scored without the metric's checks; every
     other action still goes through them."""
@@ -180,6 +193,21 @@ class TestActionKindChecks:
             make_reward_fn(policy)(state, 1)
         with pytest.raises(ActionKindMismatchError):
             policy_compliance_series(policy, log, 0.3)
+
+    @pytest.mark.parametrize(
+        "action",
+        [Force(0.25), [0.25], (0.25, 0.5), (), (None,), ("a",), (True,), (0.25,), (1,)],
+        ids=["namedtuple", "list", "arity", "empty", "none", "str", "bool", "float", "int"],
+    )
+    def test_hillcar_reward_takes_what_the_metric_takes(self, action):
+        # At a reference state the state degree is exactly 1, so the reward
+        # is the action degree through the action metric.
+        policy = generate_policies(HillCarSpec(), 1, 3, 0)[0]
+        state, ideal = policy.entries[0]
+        shape = policy.action_shape
+        expected = outcome(action_compliance, action, ideal, continuous_action_distance, shape)
+        assert outcome(make_reward_fn(policy), state, action) == expected
+        assert outcome(fuzzy_reward, state, action, policy) == expected
 
     @pytest.mark.parametrize("coordinate", [None, "a"])
     @pytest.mark.parametrize("where", ["state", "action"])

@@ -1,5 +1,7 @@
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,3 +69,43 @@ def test_shapes_bounded_and_non_increasing(kind, width, distances):
 @given(kind=st.sampled_from(["linear", "quadratic"]), width=st.floats(0.01, 50.0))
 def test_scaled_shapes_start_at_one(kind, width):
     assert MembershipShape(kind, width=width)(0.0) == 1.0
+
+
+class TestBoundShape:
+    """``shape.at(width)`` is ``shape(distance, width)`` bit for bit, and so
+    is the array form, and it refuses what the call refuses."""
+
+    WIDTH = 1.5
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic", "indicator"])
+    @pytest.mark.parametrize(
+        "distance",
+        [0.0, math.nextafter(WIDTH, 0.0), WIDTH, 2.0, math.inf, math.nan],
+        ids=["zero", "below", "at", "above", "inf", "nan"],
+    )
+    def test_equals_the_call(self, kind, distance):
+        own = MembershipShape(kind, width=self.WIDTH)
+        given_at_call = MembershipShape(kind)
+        pairs = [
+            (own.at()(distance), own(distance)),
+            (given_at_call.at(self.WIDTH)(distance), given_at_call(distance, self.WIDTH)),
+            (own.at(0.5)(distance), own(distance, 0.5)),
+        ]
+        array = own.degrees(np.array([distance]))[0]
+        for bound, called in pairs + [(own.at()(distance), array)]:
+            assert struct.pack("<d", bound) == struct.pack("<d", called)
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    @pytest.mark.parametrize("width", [None, 0.0, -1.0])
+    def test_missing_width_raises_like_the_call(self, kind, width):
+        shape = MembershipShape(kind)
+        with pytest.raises(ValueError) as called:
+            shape(0.5, width)
+        with pytest.raises(ValueError) as bound:
+            shape.at(width)
+        assert str(bound.value) == str(called.value) == f"shape {kind!r} needs a positive width"
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic", "indicator"])
+    def test_negative_distance_rejected(self, kind):
+        with pytest.raises(ValueError, match="distance must be non-negative"):
+            MembershipShape(kind, width=1.0).at()(-0.1)
