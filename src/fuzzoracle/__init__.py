@@ -20,11 +20,9 @@ from .compliance import (
     EpochTrace,
     RunLog,
     TraceStep,
-    action_compliance,
     fuzzy_reward,
     make_reward_fn,
     policy_compliance_series,
-    state_compliance,
     step_compliance,
     step_compliance_at,
 )
@@ -51,7 +49,6 @@ from .errors import (
     FuzzOracleError,
     InapplicableBugError,
     InvalidActionError,
-    InvalidDeltaError,
     InvalidEnvSpecError,
     InvalidMembershipError,
     InvalidStateError,
@@ -117,7 +114,6 @@ __all__ = [
     "TrendParams",
     "TrendReport",
     "Verdict",
-    "action_compliance",
     "assemble_verdict",
     "confusion_at",
     "confusion_metrics",
@@ -138,7 +134,6 @@ __all__ = [
     "policy_compliance_series",
     "roc_sweep",
     "run_training_phase",
-    "state_compliance",
     "step_compliance",
     "step_compliance_at",
     "trend_analysis",

@@ -30,8 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyLogError, InvalidDeltaError, InvalidMembershipError
-from .membership import MembershipShape
+from .errors import EmptyLogError, InvalidMembershipError
 from .policy import IntendedPolicy
 from .spaces import (
     BoxSpace,
@@ -92,28 +91,6 @@ class ComplianceSeries:
         return iter(self.values)
 
 
-def state_compliance(distance: float, delta: float, shape: MembershipShape) -> float:
-    """Membership of a state given its distance to the nearest reference.
-
-    Hard zero beyond half the minimum reference gap; inside, the shape is
-    evaluated with that half-gap as its scale unless it carries one of its
-    own.
-    """
-    if not delta > 0:
-        raise InvalidDeltaError(f"delta must be positive, got {delta}")
-    if distance < 0:
-        raise ValueError("distance must be non-negative")
-    half = delta / 2.0
-    if distance > half:
-        return 0.0
-    return shape(distance, width=shape.width or half)
-
-
-def action_compliance(action, ideal_action, metric, shape: MembershipShape) -> float:
-    """Membership of the taken action relative to the ideal one."""
-    return shape(metric(action, ideal_action))
-
-
 def step_compliance(mu_state: float, mu_action: float) -> float:
     """Product of state and action compliance."""
     for name, value in (("state", mu_state), ("action", mu_action)):
@@ -126,10 +103,9 @@ def step_compliance(mu_state: float, mu_action: float) -> float:
 
 def _state_degree(policy: IntendedPolicy):
     """Callable ``state -> (state compliance, ideal action of the nearest
-    reference)``, with the arithmetic of :func:`state_compliance`.
-
-    The nearest-reference search, the half-gap and the shape at its width
-    are built once.
+    reference)``: hard zero beyond half the minimum reference gap, inside it
+    the state shape at its own width, or at the half-gap if it has none.
+    The search, the half-gap and the shape at its width are built once.
     """
     search = policy.state_space.nearest([s for s, _ in policy.entries])
     ideals = [a for _, a in policy.entries]
@@ -145,8 +121,8 @@ def _state_degree(policy: IntendedPolicy):
 
 
 def _action_degree(policy: IntendedPolicy):
-    """:func:`action_compliance` under ``policy`` as a callable of
-    (action, ideal action), with the shape bound at its width once.
+    """Callable ``(action, ideal action) -> action compliance`` under
+    ``policy``, with the action shape bound at its width once.
 
     A box policy measures a plain tuple action of the ideal's length
     inline, with the arithmetic of

@@ -7,8 +7,7 @@ Two deterministic testbeds with pluggable reward functions:
 
 The reward passed to the learner is whatever callable the caller injects,
 which is how intended-policy rewards replace the native goal reward during
-oracle runs. Native rewards remain available for the additive mode and for
-standalone demos.
+oracle runs. Without one, the native reward (:func:`native_reward`) applies.
 """
 
 from __future__ import annotations
@@ -140,9 +139,6 @@ class HillCarSpec:
     def action_space(self) -> BoxSpace:
         return BoxSpace(lows=(-1.0,), highs=(1.0,))
 
-    def is_terminal(self, state) -> bool:
-        return state[0] >= self.goal_position
-
 
 EnvSpec = GridSpec | HillCarSpec
 
@@ -233,6 +229,10 @@ def _hillcar_step(spec: HillCarSpec, state, action, reward_fn) -> Transition:
         if len(action) != 1:
             raise InvalidActionError(f"hill-car action must be scalar, got {action!r}")
         force = action[0]
+        if type(force) is not float and (
+            not isinstance(force, (int, float)) or isinstance(force, bool)
+        ):
+            raise InvalidActionError(f"hill-car action must be numeric, got {action!r}")
     elif isinstance(action, (int, float)) and not isinstance(action, bool):
         force = float(action)
     else:

@@ -25,10 +25,6 @@ class SamplingExhaustedError(FuzzOracleError):
     """Rejection sampling failed to place reference states."""
 
 
-class InvalidDeltaError(FuzzOracleError):
-    """Minimum reference distance must be strictly positive."""
-
-
 class ActionKindMismatchError(FuzzOracleError):
     """Compared a discrete action with a continuous one."""
 

@@ -29,7 +29,7 @@ from .compliance import (
     make_reward_fn,
     policy_compliance_series,
 )
-from .envs import EnvSpec, env_reset, env_step, native_reward
+from .envs import EnvSpec, env_reset, env_step
 from .errors import (
     InvalidActionError,
     NumericalDivergenceError,
@@ -69,6 +69,7 @@ class OracleConfig:
     policy_size: int | None = None
     master_seed: int = 0
     reward_scale: float = 1.0
+    # The only mode; it stays a field because every report writes it.
     reward_mode: str = "replace"
     filter_mode: str = "state"
 
@@ -87,8 +88,8 @@ class OracleConfig:
             raise ValueError("master_seed must be non-negative")
         if not self.reward_scale > 0:
             raise ValueError("reward_scale must be positive")
-        if self.reward_mode not in ("replace", "add"):
-            raise ValueError("reward_mode must be 'replace' or 'add'")
+        if self.reward_mode != "replace":
+            raise ValueError("reward_mode must be 'replace'")
         if self.filter_mode not in ("state", "step"):
             raise ValueError("filter_mode must be 'state' or 'step'")
         if not self.trend.window <= self.epochs - 1:
@@ -202,7 +203,6 @@ def run_training_phase(
     epochs: int,
     seed,
     reward_scale: float = 1.0,
-    reward_mode: str = "replace",
     policy_id: int = 1,
 ) -> RunLog:
     """Train one agent against one intended policy and log every step.
@@ -212,7 +212,8 @@ def run_training_phase(
     the learner treats the epoch as finished. An epoch whose update
     diverges, or whose learner emits an action the environment rejects
     (such as NaN), is logged as far as it got and training moves on; an
-    epoch that aborts on its first action has no steps.
+    epoch that aborts on its first action has no steps. Numpy's overflow
+    and invalid-value warnings, which such a learner sets off, are silenced.
 
     The agent's ``act`` and ``update``, and each epoch's ``append``, are
     looked up once, not once per step. Each step is recorded as a plain
@@ -227,7 +228,6 @@ def run_training_phase(
     reward_fn = make_reward_fn(policy, reward_scale)
     max_steps = env_spec.max_steps_per_epoch
     last = max_steps - 1
-    add_native = reward_mode == "add"
     progress_span = max(epochs - 1, 1)
     act, update = agent.act, agent.update
     trace_steps = repeat(TraceStep)
@@ -236,35 +236,31 @@ def run_training_phase(
     epoch_traces = []
     aborted = []
     clamped = 0
-    for e in range(1, epochs + 1):
-        progress = (e - 1) / progress_span
-        state = env_reset(env_spec, env_rng)
-        steps = []
-        record = steps.append
-        for t in range(max_steps):
-            try:
-                action = act(state, progress)
-                tr = env_step(env_spec, state, action, reward_fn, env_rng)
-                if add_native:
-                    tr = tr._replace(
-                        reward=tr.reward
-                        + native_reward(env_spec, state, action, tr.next_state, tr.done),
-                    )
-                _, _, reward, next_state, done, was_clamped = tr
-                if was_clamped:
-                    clamped += 1
-                if not done and t == last:
-                    tr = tr._replace(done=True)
-                    done = True
-                record((state, action, reward))
-                update(tr)
-            except (NumericalDivergenceError, InvalidActionError):
-                aborted.append(e)
-                break
-            if done:
-                break
-            state = next_state
-        epoch_traces.append(EpochTrace(tuple(map(new, trace_steps, steps)), e))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in range(1, epochs + 1):
+            progress = (e - 1) / progress_span
+            state = env_reset(env_spec, env_rng)
+            steps = []
+            record = steps.append
+            for t in range(max_steps):
+                try:
+                    action = act(state, progress)
+                    tr = env_step(env_spec, state, action, reward_fn, env_rng)
+                    _, _, reward, next_state, done, was_clamped = tr
+                    if was_clamped:
+                        clamped += 1
+                    if not done and t == last:
+                        tr = tr._replace(done=True)
+                        done = True
+                    record((state, action, reward))
+                    update(tr)
+                except (NumericalDivergenceError, InvalidActionError):
+                    aborted.append(e)
+                    break
+                if done:
+                    break
+                state = next_state
+            epoch_traces.append(EpochTrace(tuple(map(new, trace_steps, steps)), e))
     return RunLog(policy_id, tuple(epoch_traces), tuple(aborted), clamped)
 
 
@@ -300,7 +296,6 @@ def _judge_one_policy(task):
             config.epochs,
             seed,
             reward_scale=config.reward_scale,
-            reward_mode=config.reward_mode,
             policy_id=policy_id,
         )
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .errors import DuplicateReferenceStateError, PolicyTooSmallError
 from .membership import MembershipShape
-from .spaces import BoxSpace, DiscreteSpace, GridSpace, continuous_action_distance
+from .spaces import BoxSpace, DiscreteSpace, GridSpace
 
 
 def min_reference_distance(ref_states, metric) -> float:
@@ -87,9 +87,4 @@ class IntendedPolicy:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def action_distance(self, a, b) -> float:
-        if isinstance(self.action_space, DiscreteSpace):
-            return self.action_space.distance(a, b)
-        return continuous_action_distance(a, b)
 

@@ -14,7 +14,7 @@ import pytest
 
 import fuzzoracle
 from fuzzoracle import GridSpec, IntendedPolicy
-from fuzzoracle.spaces import DiscreteSpace, GridSpace
+from fuzzoracle.spaces import DiscreteSpace, GridSpace, continuous_action_distance
 
 
 def pytest_report_header(config):
@@ -50,6 +50,11 @@ def brute_force_series(policy, log, theta_step, filter_mode="state"):
             if delta is None or d < delta:
                 delta = d
 
+    if isinstance(policy.action_space, DiscreteSpace):
+        action_metric = policy.action_space.distance
+    else:
+        action_metric = continuous_action_distance
+
     out = []
     for epoch in log.epochs:
         contributions = []
@@ -68,7 +73,7 @@ def brute_force_series(policy, log, theta_step, filter_mode="state"):
             else:
                 mu_state = policy.state_shape(best_d, width=delta / 2.0)
             ideal = policy.entries[best_i][1]
-            mu_action = policy.action_shape(policy.action_distance(step.action, ideal))
+            mu_action = policy.action_shape(action_metric(step.action, ideal))
             mu_step = mu_state * mu_action
             gate = mu_state if filter_mode == "state" else mu_step
             if gate >= theta_step:

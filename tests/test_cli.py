@@ -3,7 +3,6 @@ import json
 import os
 import re
 
-import numpy as np
 import pytest
 
 from fuzzoracle import TrendParams, cli, oracle
@@ -415,9 +414,8 @@ class TestTestCommand:
             oracle={"policies": 1, "epochs": 9, "master_seed": 36},
         )
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert main(["test", "--config", cfg, "--emit-traces",
-                         "--output", str(out)]) == 1
+        assert main(["test", "--config", cfg, "--emit-traces",
+                     "--output", str(out)]) == 1
         trace = out / "policy_001.trace.jsonl"
         header = json.loads(trace.read_text().splitlines()[0])
         assert header["aborted_epochs"] == [7, 8, 9]
@@ -586,6 +584,17 @@ class TestTestCommand:
         assert err.startswith("error: bad agent config: agent.bug") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_set_additive_reward_mode_exits_2(self, tmp_path, capsys):
+        # The compliance reward replaces the program's own; there is no
+        # additive mode.
+        cfg = write_config(tmp_path / "cfg.json")
+        code = main(["test", "--config", cfg, "--set", 'oracle.reward_mode="add"',
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad oracle config:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_int_too_long_for_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "long.json"
         path.write_text('{"oracle": {"policies": ' + "9" * 5000 + "}}")
@@ -715,9 +724,8 @@ class TestMeta:
     def test_env_steps_match_emitted_traces(self, tmp_path, overrides, workers):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert main(["test", "--config", cfg, "--emit-traces", "--workers", workers,
-                         "--output", str(out)]) in (0, 1)
+        assert main(["test", "--config", cfg, "--emit-traces", "--workers", workers,
+                     "--output", str(out)]) in (0, 1)
         meta = json.loads((out / "meta.json").read_text())
         traces = sorted(out.glob("*.trace.jsonl"))
         assert len(traces) == json.loads(open(cfg).read())["oracle"]["policies"]

@@ -15,13 +15,11 @@ from fuzzoracle import (
     IntendedPolicy,
     RunLog,
     TraceStep,
-    action_compliance,
     fuzzy_reward,
     generate_policies,
     make_reward_fn,
     policy_compliance_series,
     run_training_phase,
-    state_compliance,
     step_compliance,
     step_compliance_at,
 )
@@ -29,77 +27,74 @@ from fuzzoracle import compliance
 from fuzzoracle.errors import (
     ActionKindMismatchError,
     EmptyLogError,
-    InvalidDeltaError,
     InvalidMembershipError,
     InvalidStateError,
 )
 from fuzzoracle.membership import MembershipShape
-from fuzzoracle.spaces import DiscreteSpace, GridSpace, continuous_action_distance
+from fuzzoracle.spaces import BoxSpace, DiscreteSpace, GridSpace, continuous_action_distance
 
 from conftest import brute_force_series
 
-LINEAR = MembershipShape("linear")
-INDICATOR = MembershipShape("indicator")
-
 
 class TestStateCompliance:
-    def test_zero_distance_full_membership(self):
-        assert state_compliance(0.0, 2.0, LINEAR) == 1.0
+    """The state degree of :func:`step_compliance_at`, at a state's ideal
+    action. On ``two_ref_policy`` the references are 4 cells apart, so the
+    half-gap is 2."""
 
-    def test_beyond_half_delta_cutoff(self):
-        assert state_compliance(1.01, 2.0, LINEAR) == 0.0
+    def test_zero_distance_full_membership(self, two_ref_policy):
+        assert step_compliance_at(two_ref_policy, (0, 0), 2) == (1.0, 1.0, 1.0)
 
-    def test_linear_ramp_midpoint(self):
-        # delta 2 puts the shape scale at 1, so distance 0.5 scores 0.5.
-        assert state_compliance(0.5, 2.0, LINEAR) == 0.5
+    def test_beyond_half_gap_cutoff(self, two_ref_policy):
+        # (0, 3) is 3 cells from both references.
+        assert step_compliance_at(two_ref_policy, (0, 3), 2)[0] == 0.0
 
-    def test_invalid_delta(self):
-        with pytest.raises(InvalidDeltaError):
-            state_compliance(0.5, 0.0, LINEAR)
-        with pytest.raises(InvalidDeltaError):
-            state_compliance(0.5, -1.0, LINEAR)
+    def test_linear_ramp_over_the_half_gap(self, two_ref_policy):
+        # One cell from (0, 0) scores 1 - 1/2; (1, 1) is 2 cells from both
+        # references, at the half-gap itself, and takes the first.
+        assert step_compliance_at(two_ref_policy, (0, 1), 2) == (0.5, 1.0, 0.5)
+        assert step_compliance_at(two_ref_policy, (1, 1), 2) == (0.0, 1.0, 0.0)
 
-    def test_shape_width_is_honoured(self):
-        # delta 4, half-gap 2: the shape's own width 1 sets the ramp, and
-        # the hard zero still sits at the half-gap.
-        shape = MembershipShape("linear", width=1.0)
-        assert state_compliance(0.5, 4.0, shape) == 0.5
-        assert state_compliance(1.0, 4.0, shape) == 0.0
-        wide = MembershipShape("linear", width=8.0)
-        assert state_compliance(1.0, 4.0, wide) == 0.875
-        assert state_compliance(2.5, 4.0, wide) == 0.0
+    def test_shape_width_is_honoured(self, two_ref_policy):
+        # The shape's own width sets the ramp, and the hard zero still
+        # sits at the half-gap.
+        narrow = replace(two_ref_policy, state_shape=MembershipShape("linear", width=1.0))
+        assert step_compliance_at(narrow, (0, 1), 2)[0] == 0.0
+        wide = replace(two_ref_policy, state_shape=MembershipShape("linear", width=4.0))
+        assert step_compliance_at(wide, (0, 1), 2)[0] == 0.75
+        assert step_compliance_at(wide, (1, 1), 2)[0] == 0.5
+        assert step_compliance_at(wide, (0, 3), 2)[0] == 0.0
 
-    @given(
-        distance=st.floats(0.0, 100.0),
-        delta=st.floats(0.001, 100.0),
-        kind=st.sampled_from(["linear", "quadratic"]),
-    )
-    def test_in_unit_interval_and_cutoff(self, distance, delta, kind):
-        mu = state_compliance(distance, delta, MembershipShape(kind))
-        assert 0.0 <= mu <= 1.0
-        if distance > delta / 2.0:
-            assert mu == 0.0
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_in_unit_interval_and_cutoff(self, two_ref_policy, kind):
+        policy = replace(two_ref_policy, state_shape=MembershipShape(kind))
+        for cell in GridSpace(4, 4).all_cells():
+            mu = step_compliance_at(policy, cell, 2)[0]
+            distance = min(abs(cell[0] - r) + abs(cell[1] - c) for (r, c), _ in policy.entries)
+            assert 0.0 <= mu <= 1.0
+            assert (mu == 0.0) == (distance >= 2)
 
 
 class TestActionCompliance:
-    def test_discrete_equal(self):
-        metric = DiscreteSpace(4).distance
-        assert action_compliance(2, 2, metric, INDICATOR) == 1.0
+    """The action degree of :func:`step_compliance_at`, at a reference."""
 
-    def test_discrete_unequal(self):
-        metric = DiscreteSpace(4).distance
-        assert action_compliance(1, 3, metric, INDICATOR) == 0.0
+    def test_discrete_equal(self, two_ref_policy):
+        assert step_compliance_at(two_ref_policy, (2, 2), 1) == (1.0, 1.0, 1.0)
+
+    def test_discrete_unequal(self, two_ref_policy):
+        assert step_compliance_at(two_ref_policy, (2, 2), 3) == (1.0, 0.0, 0.0)
 
     def test_continuous_diameter_normalized(self):
-        # Scalar action range [-1, 1]: diameter 2, so 0.4 away scores 0.8.
-        shape = MembershipShape("linear", width=2.0)
-        mu = action_compliance((0.4,), (0.0,), continuous_action_distance, shape)
-        assert mu == pytest.approx(0.8)
+        # Scalar action range [-1, 1]: diameter 2, so 0.5 away scores 0.75.
+        policy = IntendedPolicy(
+            [((0.0,), (0.0,)), ((1.0,), (0.5,))],
+            BoxSpace((0.0,), (1.0,)), BoxSpace((-1.0,), (1.0,)),
+        )
+        assert step_compliance_at(policy, (0.0,), (0.5,)) == (1.0, 0.75, 0.75)
+        assert step_compliance_at(policy, (1.0,), (-0.5,)) == (1.0, 0.5, 0.5)
 
-    def test_kind_mismatch(self):
-        metric = DiscreteSpace(4).distance
+    def test_kind_mismatch(self, two_ref_policy):
         with pytest.raises(ActionKindMismatchError):
-            action_compliance((0.4,), 2, metric, INDICATOR)
+            step_compliance_at(two_ref_policy, (0, 0), (0.4,))
 
 
 Force = namedtuple("Force", "force")
@@ -205,7 +200,7 @@ class TestActionKindChecks:
         policy = generate_policies(HillCarSpec(), 1, 3, 0)[0]
         state, ideal = policy.entries[0]
         shape = policy.action_shape
-        expected = outcome(action_compliance, action, ideal, continuous_action_distance, shape)
+        expected = outcome(lambda a: shape(continuous_action_distance(a, ideal)), action)
         assert outcome(make_reward_fn(policy), state, action) == expected
         assert outcome(fuzzy_reward, state, action, policy) == expected
 

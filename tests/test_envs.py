@@ -236,6 +236,23 @@ class TestHillCarStep:
         with pytest.raises(InvalidActionError):
             env_step(spec, (-0.5, 0.0), (math.nan,))
 
+    @pytest.mark.parametrize("force", [True, False, None, "a", [0.5], 1j],
+                             ids=["true", "false", "none", "str", "list", "complex"])
+    def test_tuple_element_is_checked_as_a_bare_action(self, force):
+        # (True,) must not step with a force of 1, nor (None,) raise a
+        # TypeError, which the training loop does not catch.
+        spec = HillCarSpec()
+        with pytest.raises(InvalidActionError):
+            env_step(spec, (-0.5, 0.0), force)
+        with pytest.raises(InvalidActionError, match=re.escape(repr((force,)))):
+            env_step(spec, (-0.5, 0.0), (force,))
+
+    @pytest.mark.parametrize("force", [1, 0.5, np.float64(0.5), -3],
+                             ids=["int", "float", "numpy_float", "clamped_int"])
+    def test_tuple_element_steps_as_the_bare_action(self, force):
+        spec = HillCarSpec()
+        assert env_step(spec, (-0.5, 0.0), (force,))[3:] == env_step(spec, (-0.5, 0.0), force)[3:]
+
     @pytest.mark.parametrize("state", [
         (-0.5,), (-0.5, 0.0, 0.0), -0.5, (5.0, 0.0), (-1.3, 0.0), (-0.5, 0.08),
         (math.nan, 0.0), (-0.5, math.nan), ("-0.5", 0.0),

@@ -8,8 +8,8 @@ scored by the brute-force scorer of ``conftest``, through the checked
 action metric. The program's run logs, rewards and compliance series must
 equal it bit for bit on every corpus variant. Its rewards must also equal
 :func:`fuzzy_reward`, and the series scorer's step degrees
-:func:`step_compliance_at`. Further cases pin the loop's additive native
-reward and its budget-truncated final step against the same reference.
+:func:`step_compliance_at`. Further cases pin the loop's budget-truncated
+final step against the same reference.
 """
 
 from __future__ import annotations
@@ -54,11 +54,8 @@ def brute_force_reward(policy, state, action) -> float:
     return brute_force_series(policy, log, 0.0)[0]
 
 
-def reference_run(
-    config, spec, policy, epochs, seed_path, policy_id, reward_mode="replace"
-) -> RunLog:
-    """Straight-line tabular Q-learning run with the oracle's seeding; in
-    ``reward_mode`` "add" the native goal reward is added to each reward."""
+def reference_run(config, spec, policy, epochs, seed_path, policy_id) -> RunLog:
+    """Straight-line tabular Q-learning run with the oracle's seeding."""
     rng = np.random.default_rng([*seed_path, 2, config.seed])
     env_rng = np.random.default_rng([*seed_path, 3])
     n_states = spec.rows * spec.cols
@@ -96,8 +93,6 @@ def reference_run(
             terminal = next_state == spec.goal or next_state in spec.holes
             done = terminal or t == spec.max_steps_per_epoch - 1
             reward = brute_force_reward(policy, state, action)
-            if reward_mode == "add":
-                reward = reward + (1.0 if terminal and next_state == spec.goal else 0.0)
             steps.append(TraceStep(state, action, reward))
 
             learn = config.bug != "UPDATE_SKIPPED"
@@ -150,39 +145,21 @@ def test_run_logs_rewards_and_series_match_reference(bug, slip):
             )
 
 
-LOOP_CASES = [
-    (bug, mode, budget)
-    for bug in (None, "REWARD_NEGATED")
-    for mode, budget in (("add", 200), ("replace", 5))
-]
-
-
-@pytest.mark.parametrize(
-    "bug, reward_mode, max_steps",
-    LOOP_CASES,
-    ids=[f"{bug or 'clean'}-{mode}-budget{budget}" for bug, mode, budget in LOOP_CASES],
-)
-def test_native_reward_and_step_budget_match_reference(bug, reward_mode, max_steps):
-    """The training loop's native-reward and budget-truncation branches, on
-    a grid small enough that the goal is reached in some epochs."""
+@pytest.mark.parametrize("bug", [None, "REWARD_NEGATED"], ids=["clean", "REWARD_NEGATED"])
+def test_step_budget_matches_reference(bug):
+    """The training loop's budget-truncated final step, on a grid where some
+    epochs end at the step budget."""
+    max_steps = 5
     spec = GridSpec(rows=3, cols=3, holes=((1, 1),), goal=(2, 2), max_steps_per_epoch=max_steps)
     # With an optimistic start every bootstrap is nonzero, so a truncated
     # step that is not marked done shows in the actions after it.
     config = AgentConfig(init_value=1.0)
     config = inject_bug(config, bug) if bug else config
-    full = reached_goal = 0
+    full = 0
     for pid, policy in enumerate(oracle_policies(spec, ORACLE), start=1):
         seed_path = (ORACLE.master_seed, pid)
-        log = run_training_phase(
-            config, spec, policy, EPOCHS, seed_path, reward_mode=reward_mode, policy_id=pid
-        )
-        assert log == reference_run(config, spec, policy, EPOCHS, seed_path, pid, reward_mode)
-        for epoch in log.epochs:
-            full += len(epoch.steps) == max_steps
-            last = epoch.steps[-1]
-            reached_goal += last.reward != fuzzy_reward(last.state, last.action, policy)
+        log = run_training_phase(config, spec, policy, EPOCHS, seed_path, policy_id=pid)
+        assert log == reference_run(config, spec, policy, EPOCHS, seed_path, pid)
+        full += sum(len(epoch.steps) == max_steps for epoch in log.epochs)
     # The branch under test ran.
-    if reward_mode == "add":
-        assert reached_goal > 0
-    else:
-        assert full > 0
+    assert full > 0

@@ -1,18 +1,23 @@
 import itertools
+import json
+import os
+import warnings
 
-import numpy as np
 import pytest
 
+import fuzzoracle
 from fuzzoracle import (
     AgentConfig,
     EpochTrace,
     HillCarSpec,
+    LinearActorCriticAgent,
     OracleConfig,
     RunLog,
     TraceStep,
     TrendParams,
     assemble_verdict,
     generate_policies,
+    inject_bug,
     judge_programs,
     oracle_main,
     policy_compliance_series,
@@ -21,6 +26,11 @@ from fuzzoracle import (
 from fuzzoracle import oracle
 from fuzzoracle.errors import PolicyTooLargeError, SamplingExhaustedError
 from fuzzoracle.oracle import default_policy_size, oracle_policies
+
+
+CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "hillcar_clean.json")
+with open(CONFIG, encoding="utf-8") as _fh:
+    HILLCAR_AGENT = AgentConfig(**json.load(_fh)["agent"])
 
 
 def small_config(**kw):
@@ -142,35 +152,50 @@ class TestRunTrainingPhase:
         assert all(len(e) >= 1 for e in log.epochs)
         assert max(log.aborted_epochs) <= 40
 
-    def test_additive_reward_mode_keeps_native_goal_bonus(self, grid_spec, two_ref_policy):
-        # Seed 15 reaches the goal inside epoch 1, so the additive mode
-        # pays the native bonus of 1.0 on the final step and nothing else
-        # differs up to that point.
-        replace_log = run_training_phase(
-            AgentConfig(), grid_spec, two_ref_policy, 2, 15
-        )
-        add_log = run_training_phase(
-            AgentConfig(), grid_spec, two_ref_policy, 2, 15, reward_mode="add"
-        )
-        rep = [s.reward for s in replace_log.epochs[0].steps]
-        add = [s.reward for s in add_log.epochs[0].steps]
-        assert add[:-1] == rep[:-1]
-        assert add[-1] == rep[-1] + 1.0
-
     def test_nan_action_aborts_epoch(self):
         # The smallest oracle run found whose learner diverges: its weights
         # go non-finite in epoch 7, after which every action is NaN.
         program = AgentConfig(algorithm="linear_actor_critic")
         config = OracleConfig(policies=1, epochs=9, master_seed=36)
-        with np.errstate(all="ignore"):
-            verdict = oracle_main(program, HillCarSpec(), config)
-            policy = oracle_policies(HillCarSpec(), config)[0]
-            log = run_training_phase(program, HillCarSpec(), policy, 9, (36, 1))
+        verdict = oracle_main(program, HillCarSpec(), config)
+        policy = oracle_policies(HillCarSpec(), config)[0]
+        log = run_training_phase(program, HillCarSpec(), policy, 9, (36, 1))
         outcome = verdict.per_policy[0]
         assert outcome.aborted_epochs == log.aborted_epochs == (7, 8, 9)
         assert [len(e) for e in log.epochs][-3:] == [32, 1, 0]
         assert outcome.series.values[-1] == 0.0
         assert verdict.label == "Buggy"
+
+    @pytest.mark.parametrize("bug, policy_id, epochs, aborted", [
+        # Policy 4 of seed 0 diverges in epoch 4; every epoch of a learner
+        # with huge initial weights aborts.
+        ("DISCOUNT_GT_ONE", 4, 6, (4, 5, 6)),
+        ("Q_INIT_HUGE", 1, 3, (1, 2, 3)),
+    ], ids=["DISCOUNT_GT_ONE", "Q_INIT_HUGE"])
+    def test_diverging_hillcar_learner_warns_nothing(self, bug, policy_id, epochs, aborted):
+        # The learner overflows before its epoch aborts, which the run log
+        # records; numpy must not also warn of it.
+        program = inject_bug(HILLCAR_AGENT, bug)
+        policy = oracle_policies(HillCarSpec(), OracleConfig(policies=4))[policy_id - 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log = run_training_phase(program, HillCarSpec(), policy, epochs, (0, policy_id))
+        assert log.aborted_epochs == aborted
+
+    def test_non_numeric_action_element_aborts_epoch(self, monkeypatch):
+        # An action tuple whose force is no number is refused like a bare
+        # one, so its epoch aborts and training moves on.
+        act = LinearActorCriticAgent.act
+
+        def act_none_in_epoch_2(agent, state, progress):
+            return (None,) if progress == 0.5 else act(agent, state, progress)
+
+        monkeypatch.setattr(LinearActorCriticAgent, "act", act_none_in_epoch_2)
+        spec = HillCarSpec(max_steps_per_epoch=20)
+        policy = generate_policies(spec, 1, 3, 0)[0]
+        log = run_training_phase(HILLCAR_AGENT, spec, policy, 3, 0)
+        assert log.aborted_epochs == (2,)
+        assert [len(e) for e in log.epochs] == [20, 0, 20]
 
     def test_hillcar_training_runs(self):
         spec = HillCarSpec(max_steps_per_epoch=40)
@@ -307,4 +332,11 @@ class TestOracleConfigValidation:
         with pytest.raises(ValueError):
             OracleConfig(reward_mode="multiply")
         with pytest.raises(ValueError):
+            OracleConfig(reward_mode="add")
+        with pytest.raises(ValueError):
             OracleConfig(epochs=5, trend=TrendParams(window=5))
+
+
+def test_every_public_name_resolves():
+    for name in fuzzoracle.__all__:
+        assert getattr(fuzzoracle, name) is not None, name
