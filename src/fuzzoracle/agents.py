@@ -188,6 +188,10 @@ _BLOCK = 256
 # Weights are finite while the actor-critic's running bound stays below this.
 _WEIGHT_LIMIT = 1e300
 
+# The ufuncs of a training step, bound once: ``np.add`` is a module lookup
+# at every call.
+_subtract, _multiply, _add, _divide, _exp = np.subtract, np.multiply, np.add, np.divide, np.exp
+
 
 def check_environment(algorithm: str, env_kind: str) -> None:
     """Raise :class:`AlgorithmEnvMismatchError` unless the learner named
@@ -334,8 +338,26 @@ class LinearActorCriticAgent:
     Every float operation of a training step, and its order, is that of the
     straight-line step, so a run is bit for bit the same. Dot products go
     through ``ndarray.dot``, which reaches the same BLAS ``ddot`` as ``@``
-    without the gufunc dispatch.
+    without the gufunc dispatch. The feature map and the update allocate no
+    array: they write into buffers made once, with positional ``out``
+    arguments, and their scalar operands are 0-d arrays, since numpy
+    converts a Python float operand at every call.
     """
+
+    # CPython 3.11 stops sharing an instance dict's keys with its class past
+    # 30 attributes, which slows every attribute load of a step; a slot
+    # loads as fast at any count. ``__dict__`` takes what a fault subclass
+    # or a caller adds.
+    __slots__ = (
+        "config", "spec", "n_features", "rng", "w_value", "w_mean",
+        "_center_x", "_center_y", "_neg_two_bandwidth_sq", "_pos", "_vel",
+        "_pos_span", "_vel_span", "_sq", "_dx", "_dy", "_buffers",
+        "_phi_state", "_phi", "_acted",
+        "_action_noise", "_noise_variance", "_discount", "_learning_rate",
+        "_critic_learning_rate", "_weights", "_c_value", "_c_mean", "_step",
+        "_step_value", "_step_mean", "_bound", "_normals", "_write_perm", "_permuted",
+        "__dict__", "__weakref__",
+    )
 
     def __init__(self, config: AgentConfig, env_spec, rng=None):
         check_environment("linear_actor_critic", env_spec.kind)
@@ -347,13 +369,22 @@ class LinearActorCriticAgent:
         self._center_y = np.tile(centers, k)
         bandwidth = 1.0 / max(k - 1, 1)
         # Dividing by the negated divisor is exactly negating the quotient.
-        # The scalar operands of the feature map are 0-d arrays: numpy
-        # converts a Python float operand at every call.
         self._neg_two_bandwidth_sq = np.array(-(2.0 * bandwidth**2))
         self._pos, self._vel = np.zeros(()), np.zeros(())
         self._pos_span = env_spec.max_position - env_spec.min_position
         self._vel_span = 2.0 * env_spec.max_speed
+        # Squared offsets from the centres, a row per coordinate. Views are
+        # bound once: taking a row builds a new array object at every call.
+        self._sq = np.empty((2, k * k))
+        self._dx, self._dy = self._sq
         self.n_features = k * k + 1
+        # Memo misses write their features into two buffers in turn, each
+        # with its bias preset, and hand out a read-only view of it.
+        buffers = np.ones((2, self.n_features))
+        views = tuple(buffers)
+        for view in views:
+            view.flags.writeable = False
+        self._buffers = itertools.cycle(tuple(zip(buffers[:, :-1], views)))
         # The config is frozen, so what every step reads of it is read once.
         self._action_noise = config.action_noise
         self._noise_variance = config.action_noise**2
@@ -371,35 +402,39 @@ class LinearActorCriticAgent:
         # so one finiteness check covers both.
         self._weights = np.full((2, self.n_features), init)
         self.w_value, self.w_mean = self._weights
-        self._coefs = np.empty((2, 1))
+        self._c_value, self._c_mean = np.zeros(()), np.zeros(())
         self._step = np.empty((2, self.n_features))
+        self._step_value, self._step_mean = self._step
         self._bound = abs(init)
         self.rng = np.random.default_rng(config.seed if rng is None else rng)
         self._normals = _draws(self.rng.standard_normal)
         self._write_perm = _write_permutation(config, self.n_features)
+        self._permuted = np.empty(self.n_features)
 
     def features(self, state) -> np.ndarray:
         """Radial basis features of ``state`` plus a constant bias.
 
         The features of the last state asked for are kept, so each state of
-        a trajectory is mapped once; the returned array is read-only.
+        a trajectory is mapped once. The returned array is a read-only view
+        of one of two buffers that the misses fill in turn: it keeps its
+        values through the next miss, which is what ``update`` needs while
+        it maps the successor, and holds the features of a later state
+        after the miss after that.
         """
         if state == self._phi_state:
             return self._phi
         spec = self.spec
         self._pos[()] = (state[0] - spec.min_position) / self._pos_span
         self._vel[()] = (state[1] + spec.max_speed) / self._vel_span
-        # ``x *= x`` is ``np.square(x)``, without a second array.
-        sq = self._center_x - self._pos
-        sq *= sq
-        dy = self._center_y - self._vel
-        dy *= dy
-        sq += dy
-        sq /= self._neg_two_bandwidth_sq
-        phi = np.empty(self.n_features)
-        np.exp(sq, out=phi[:-1])
-        phi[-1] = 1.0
-        phi.flags.writeable = False
+        sq, dx, dy = self._sq, self._dx, self._dy
+        # Two 1-D subtracts beat one (2, 1)-broadcast subtract per call.
+        _subtract(self._center_x, self._pos, dx)
+        _subtract(self._center_y, self._vel, dy)
+        _multiply(sq, sq, sq)
+        head, phi = next(self._buffers)
+        _add(dx, dy, head)
+        _divide(head, self._neg_two_bandwidth_sq, head)
+        _exp(head, head)
         self._phi_state, self._phi = state, phi
         return phi
 
@@ -443,9 +478,14 @@ class LinearActorCriticAgent:
         mean = acted[1] if acted is not None and acted[0] is state else float(self.w_mean.dot(phi))
         c_value = self._critic_learning_rate * td_error
         c_mean = self._learning_rate * td_error * (action[0] - mean) / self._noise_variance
-        self._coefs[0, 0], self._coefs[1, 0] = c_value, c_mean
-        write_phi = phi[self._write_perm] if self._write_perm is not None else phi
-        np.multiply(self._coefs, write_phi, out=self._step)
+        self._c_value[()] = c_value
+        self._c_mean[()] = c_mean
+        if self._write_perm is not None:
+            # Every index is in range, so ``clip`` takes what ``raise`` would,
+            # without the copy ``raise`` makes of an ``out`` array.
+            phi = np.take(phi, self._write_perm, out=self._permuted, mode="clip")
+        _multiply(phi, self._c_value, self._step_value)
+        _multiply(phi, self._c_mean, self._step_mean)
         self._weights += self._step
         self._bound += abs(c_value) + abs(c_mean)
         if not self._bound < _WEIGHT_LIMIT and not np.isfinite(self._weights).all():

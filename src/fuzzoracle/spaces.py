@@ -137,15 +137,36 @@ class BoxSpace:
         Per dimension in order, ``(x - y) / span`` is squared and added to a
         total that starts at 0.0, whose ``sqrt`` is the distance. Each
         reference is bound once as its ``(dimension, coordinate, span)``
-        terms. A state whose length is not :attr:`dim` raises
+        terms. In two dimensions the loop is unrolled, each reference bound
+        as ``(index, y0, span0, y1, span1)``: ``sqrt(d0 * d0 + d1 * d1)`` is
+        the loop's ``(0.0 + d0 * d0) + d1 * d1``, since a square is never
+        -0.0. A state whose length is not :attr:`dim` raises
         :class:`InvalidStateError`.
         """
         dim = self.dim
-        terms = tuple(
-            (i, tuple(zip(range(dim), ref, self._spans)))
-            for i, ref in enumerate(_refs(refs, dim))
-        )
+        refs = _refs(refs, dim)
         sqrt = math.sqrt
+        if dim == 2:
+            span0, span1 = self._spans
+            pairs = tuple((i, y0, span0, y1, span1) for i, (y0, y1) in enumerate(refs))
+
+            def search2(state):
+                if len(state) != 2:
+                    raise wrong_length(state, 2)
+                x0, x1 = state[0], state[1]
+                best_index, best = 0, None
+                for i, y0, s0, y1, s1 in pairs:
+                    d0 = (x0 - y0) / s0
+                    d1 = (x1 - y1) / s1
+                    d = sqrt(d0 * d0 + d1 * d1)
+                    if best is None or d < best:
+                        best_index, best = i, d
+                return best_index, best
+
+            return search2
+        terms = tuple(
+            (i, tuple(zip(range(dim), ref, self._spans))) for i, ref in enumerate(refs)
+        )
 
         def search(state):
             if len(state) != dim:

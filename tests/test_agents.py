@@ -548,3 +548,47 @@ class TestFeatureMemo:
         phi = agent.features((-0.5, 0.0))
         with pytest.raises(ValueError):
             phi[0] = 2.0
+
+    def test_both_buffers_are_read_only(self):
+        agent = make_agent(AgentConfig(algorithm="linear_actor_critic"), self.spec)
+        first = agent.features((-0.5, 0.0))
+        second = agent.features((-0.3, 0.02))
+        assert not np.shares_memory(first, second)
+        for phi in (first, second, agent.features((-0.9, -0.01))):
+            assert not phi.flags.writeable
+            with pytest.raises(ValueError):
+                phi[-1] = 2.0
+
+    def test_features_keep_their_bytes_through_the_next_miss(self):
+        # update holds phi(s) while it maps s'; the miss after that reuses
+        # the buffer of phi(s).
+        agent = make_agent(AgentConfig(algorithm="linear_actor_critic"), self.spec)
+        a, b, c = (-0.5, 0.0), (-0.3, 0.02), (-0.9, -0.01)
+        phi_a = agent.features(a)
+        phi_b = agent.features(b)
+        assert phi_a.tobytes() == reference_features(self.spec, 5, a).tobytes()
+        assert agent.features(b) is phi_b
+        assert phi_a.tobytes() == reference_features(self.spec, 5, a).tobytes()
+        agent.features(c)
+        assert phi_a.tobytes() == reference_features(self.spec, 5, c).tobytes()
+        assert phi_b.tobytes() == reference_features(self.spec, 5, b).tobytes()
+        assert phi_a[-1] == phi_b[-1] == 1.0
+
+
+class TestWrongFeatureMap:
+    spec = HillCarSpec(max_steps_per_epoch=50)
+
+    def test_updates_write_the_permuted_features(self):
+        # Zero weights make the policy mean 0 and the TD error the reward,
+        # so each row moves by its coefficient times phi[perm], bit for bit.
+        config = inject_bug(AgentConfig(algorithm="linear_actor_critic", seed=2), "WRONG_FEATURE_MAP")
+        perm = np.random.default_rng([config.seed, 97]).permutation(26)
+        for state in ((-0.5, 0.0), (-0.3, 0.02)):
+            agent = make_agent(config, self.spec)
+            agent.update(Transition(state, (0.4,), 1.5, (-0.49, 0.001), True))
+            phi = reference_features(self.spec, 5, state)
+            c_value = config.critic_learning_rate * 1.5
+            c_mean = config.learning_rate * 1.5 * (0.4 - 0.0) / config.action_noise**2
+            assert agent.w_value.tobytes() == (0.0 + c_value * phi[perm]).tobytes()
+            assert agent.w_mean.tobytes() == (0.0 + c_mean * phi[perm]).tobytes()
+            assert agent.w_value.tobytes() != (c_value * phi).tobytes()

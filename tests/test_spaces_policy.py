@@ -357,6 +357,57 @@ class TestNearest:
             assert search(state)[0] == 1
 
 
+    # The two-dimension search, unrolled, against the per-dimension scan.
+    PLANE = BoxSpace((-1.2, -0.07), (0.6, 0.07))
+    PLANE_REFS = [(-0.5, 0.0), (0.25, -0.03), (-1.0, 0.05)]
+
+    @pytest.mark.parametrize("state", [
+        (math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan),
+        (math.inf, 0.0), (-math.inf, 0.0), (0.0, math.inf), (0.0, -math.inf),
+        (math.inf, math.inf), (math.inf, -math.inf), (math.inf, math.nan),
+        (-0.0, -0.0), (1e308, -1e308),
+    ])
+    def test_plane_non_finite_coordinates(self, state):
+        search = self.PLANE.nearest(self.PLANE_REFS)
+        assert bits(search(state)) == bits(straight_scan(self.PLANE, self.PLANE_REFS, state))
+
+    @pytest.mark.parametrize("refs", [
+        [(math.inf, 0.0), (0.0, 0.0)], [(0.0, -math.inf), (math.nan, 0.0)], [(math.nan, math.nan)],
+    ])
+    def test_plane_non_finite_references(self, refs):
+        search = self.PLANE.nearest(refs)
+        for state in [(0.0, 0.0), (math.inf, 0.0), (math.nan, 0.0)] + self.PLANE_REFS:
+            assert bits(search(state)) == bits(straight_scan(self.PLANE, refs, state))
+
+    @pytest.mark.parametrize("state", [
+        (0, 0), (-1, 0), [0.25, -0.03], [0, 0.01], np.array([-0.5, 0.0]),
+        np.array([0.1, -0.02], dtype=np.float32), np.array([0, 1]), (np.float64(-0.2), 0.04),
+    ], ids=["ints", "negative_int", "list", "list_int", "ndarray", "float32", "int_ndarray", "scalar"])
+    def test_plane_state_types(self, state):
+        for space, refs in ((self.PLANE, self.PLANE_REFS), (BoxSpace((0, 0), (3, 2)), [(1, 1), (2, 0)])):
+            search = space.nearest(refs)
+            assert bits(search(state)) == bits(straight_scan(space, refs, state))
+
+    @pytest.mark.parametrize("state", [
+        (None, 0.0), (0.0, None), ("a", 0.0), (0.0, "b"), (None, "b"), ("ab", 0.0),
+    ])
+    def test_plane_bad_coordinates_raise_as_the_scan_does(self, state):
+        with pytest.raises(TypeError) as scan:
+            straight_scan(self.PLANE, self.PLANE_REFS, state)
+        with pytest.raises(TypeError) as search:
+            self.PLANE.nearest(self.PLANE_REFS)(state)
+        assert type(search.value) is type(scan.value)
+        assert str(search.value) == str(scan.value)
+
+    @pytest.mark.parametrize("state", [
+        (), (0.0,), (0.0, 0.0, 0.0), [0.0], np.zeros(3), "abc",
+    ], ids=["empty", "one", "three", "list", "ndarray", "string"])
+    def test_plane_wrong_length(self, state):
+        with pytest.raises(InvalidStateError) as raised:
+            self.PLANE.nearest(self.PLANE_REFS)(state)
+        assert str(raised.value) == f"state {state!r} has length {len(state)}, not 2"
+
+
 def hill_policy():
     return generate_policies(HillCarSpec(), 1, 3, 0)[0]
 
