@@ -176,6 +176,10 @@ def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
     Continuous states practically never recur, so a memo would only grow by
     one entry per step; they are scored afresh. Either way the policy's
     nearest-reference search is built once, here.
+
+    The reward depends on ``(state, action)`` alone, so a training run may
+    step through :func:`~fuzzoracle.envs.env_stepper`, which on a grid
+    without slip calls it once per (cell, action).
     """
     if not reward_scale > 0:
         raise ValueError("reward_scale must be positive")
@@ -208,10 +212,9 @@ def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
 class _RewardRows(dict):
     """cell -> ``[scored(cell, a) for a in range(n)]``, filled on first use.
 
-    A row read returns the same float object at every call. Keep it so:
-    :func:`~fuzzoracle.envs.env_step` returns a grid move's last transition
-    again only when the reward is that very object, so a float computed
-    afresh at each call would keep every byte but lose the reuse.
+    A training run reads a row only while its stepper builds that cell's
+    transitions (:func:`~fuzzoracle.envs.env_stepper`); slip grids and
+    direct :func:`~fuzzoracle.envs.env_step` callers read it at every step.
     """
 
     def __init__(self, scored, n: int):

@@ -12,6 +12,7 @@ oracle runs. Without one, the native reward (:func:`native_reward`) applies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -76,9 +77,8 @@ class GridSpec:
 
 
 class _GridMoves(dict):
-    """cell -> one ``[next_cell, done, last]`` slot per action id, filled on
-    first visit. ``last`` is the last transition :func:`env_step` built that
-    moved to that slot, or None.
+    """cell -> one ``(next_cell, done)`` slot per action id, filled on first
+    visit.
 
     It keeps the grid's space and terminal cells, not the spec, so a large
     grid costs only the cells stepped from, and it pickles empty. A key that
@@ -100,7 +100,7 @@ class _GridMoves(dict):
             dr, dc = GRID_MOVES[action]
             nr = min(max(cell[0] + dr, 0), space.rows - 1)
             nc = min(max(cell[1] + dc, 0), space.cols - 1)
-            moves.append([(nr, nc), (nr, nc) in self._terminal, None])
+            moves.append(((nr, nc), (nr, nc) in self._terminal))
         hit = self[cell] = tuple(moves)
         return hit
 
@@ -186,14 +186,12 @@ def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transiti
     hill-car forces are clamped and flagged on the transition rather than
     rejected, so misbehaving learners stay runnable.
 
-    The grid step runs inline, without a call of its own. A grid step whose
-    state, action and reward are the very objects of the last transition
-    to the same move returns that transition again, since building one is
-    the costliest part of a step; grid states and rewards recur as the same
-    objects in training.
+    The grid step runs inline, without a call of its own. A caller that
+    steps many times with one reward, such as a training run, steps through
+    :func:`env_stepper` instead.
     """
     if spec.kind != "grid":
-        return _hillcar_step(spec, state, action, reward_fn)
+        return _hillcar_step(spec, reward_fn, state, action)
     # A plain int action id skips the isinstance checks and GRID_MOVES;
     # int subclasses other than bool are accepted as before.
     if not (type(action) is int and 0 <= action <= 3) and (
@@ -211,20 +209,55 @@ def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transiti
             # Slip to one of the two perpendicular directions.
             sideways = (action + 1, action + 3)
             effective = int(sideways[gen.integers(0, 2)]) % 4
-    slot = moves[effective]
-    next_state, done, last = slot
+    next_state, done = moves[effective]
     reward = (
         reward_fn(state, action)
         if reward_fn is not None
         else native_reward(spec, state, action, next_state, done)
     )
-    if last is not None and last[2] is reward and last[0] is state and last[1] is action:
-        return last
-    last = slot[2] = _new(Transition, (state, action, reward, next_state, done, False))
-    return last
+    return _new(Transition, (state, action, reward, next_state, done, False))
 
 
-def _hillcar_step(spec: HillCarSpec, state, action, reward_fn) -> Transition:
+def env_stepper(spec: EnvSpec, reward_fn=None, rng=None):
+    """A callable ``(state, action) -> Transition`` equal to
+    ``env_step(spec, state, action, reward_fn, rng)``, on condition that
+    ``reward_fn`` depends on ``(state, action)`` alone, as the reward of
+    :func:`~fuzzoracle.compliance.make_reward_fn` does.
+
+    On a grid without slip a transition depends only on the cell and the
+    action, so the stepper keeps a memo from each cell to its 4
+    transitions, built by :func:`env_step` on the cell's first visit; every
+    state check and error is then ``env_step``'s own. A plain int action
+    id reads the memo, which finds a cell by equality, as ``env_step``
+    does. Any other action, and a state that cannot be hashed, goes to
+    ``env_step``. A memo transition's ``state`` equals the given state but
+    may be another tuple object. A slip grid steps through ``env_step``,
+    drawing from ``rng``. The hill-car stepper is the step itself, with no
+    call of its own and no memo: the given state is the transition's state.
+    """
+    if spec.kind != "grid":
+        return functools.partial(_hillcar_step, spec, reward_fn)
+    if spec.slip_prob > 0.0:
+        return lambda state, action: env_step(spec, state, action, reward_fn, rng)
+    table = {}
+    actions = range(len(GRID_MOVES))
+
+    def step(state, action) -> Transition:
+        if type(action) is int and 0 <= action <= 3:
+            try:
+                return table[state][action]
+            except KeyError:
+                pass
+            except TypeError:
+                return env_step(spec, state, action, reward_fn)
+            row = table[state] = tuple([env_step(spec, state, a, reward_fn) for a in actions])
+            return row[action]
+        return env_step(spec, state, action, reward_fn)
+
+    return step
+
+
+def _hillcar_step(spec: HillCarSpec, reward_fn, state, action) -> Transition:
     if isinstance(action, tuple):
         if len(action) != 1:
             raise InvalidActionError(f"hill-car action must be scalar, got {action!r}")

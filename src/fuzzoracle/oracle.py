@@ -29,7 +29,8 @@ from .compliance import (
     make_reward_fn,
     policy_compliance_series,
 )
-from .envs import EnvSpec, env_reset, env_step
+# env_step is not called here; bench/layers.py patches it by this name.
+from .envs import EnvSpec, env_reset, env_step, env_stepper
 from .errors import (
     InvalidActionError,
     NumericalDivergenceError,
@@ -216,16 +217,18 @@ def run_training_phase(
     and invalid-value warnings, which such a learner sets off, are silenced.
 
     The agent's ``act`` and ``update``, and each epoch's ``append``, are
-    looked up once, not once per step. Each step is recorded as a plain
-    ``(state, action, reward)`` tuple, and an epoch's tuples become
-    :class:`TraceStep` records in one pass at its end.
+    looked up once, not once per step. Every step goes through one
+    :func:`~fuzzoracle.envs.env_stepper` per run, which on a grid without
+    slip builds each (cell, action) transition and reward once. Each step
+    is recorded as a plain ``(state, action, reward)`` tuple, and an
+    epoch's tuples become :class:`TraceStep` records in one pass at its end.
     """
     seed_path = seed if isinstance(seed, (list, tuple)) else (seed,)
     agent = make_agent(
         agent_config, env_spec, child_rng(*seed_path, _NS_AGENT, agent_config.seed)
     )
     env_rng = child_rng(*seed_path, _NS_ENV)
-    reward_fn = make_reward_fn(policy, reward_scale)
+    step = env_stepper(env_spec, make_reward_fn(policy, reward_scale), env_rng)
     max_steps = env_spec.max_steps_per_epoch
     last = max_steps - 1
     progress_span = max(epochs - 1, 1)
@@ -245,7 +248,7 @@ def run_training_phase(
             for t in range(max_steps):
                 try:
                     action = act(state, progress)
-                    tr = env_step(env_spec, state, action, reward_fn, env_rng)
+                    tr = step(state, action)
                     _, _, reward, next_state, done, was_clamped = tr
                     if was_clamped:
                         clamped += 1

@@ -2,6 +2,7 @@ import enum
 import math
 import pickle
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fuzzoracle import (
     native_reward,
     oracle_policies,
 )
+from fuzzoracle.envs import env_stepper
 from fuzzoracle.errors import InvalidActionError, InvalidEnvSpecError, InvalidStateError
 
 
@@ -178,19 +180,152 @@ class TestMoveTable:
             tr = env_step(spec, state, action, lambda s, a: reward, rng)
             assert tr.state is state and tr.action == action and tr.reward is reward
 
+
+def outcome(step, *args):
+    """What ``step(*args)`` returns, or the type and message it raises."""
+    try:
+        return step(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestStepper:
+    """env_stepper against env_step, which it must equal step for step."""
+
+    spec = TestMoveTable.spec
+
+    def policy_reward(self, spec):
+        policy = oracle_policies(spec, OracleConfig(policies=1, master_seed=5))[0]
+        return make_reward_fn(policy)
+
+    @pytest.mark.parametrize("rewarded", [False, True], ids=["native", "policy"])
+    def test_every_cell_and_action_equals_env_step(self, rewarded):
+        reward_fn = self.policy_reward(self.spec) if rewarded else None
+        step = env_stepper(self.spec, reward_fn)
+        rewards = set()
+        for _ in range(2):
+            for state in self.spec.state_space().all_cells():
+                for action in (LEFT, DOWN, RIGHT, UP):
+                    tr = step(state, action)
+                    assert tr == env_step(self.spec, state, action, reward_fn)
+                    assert type(tr.reward) is float and type(tr.action) is int
+                    rewards.add(tr.reward)
+        assert len(rewards) > 1
+
+    @pytest.mark.parametrize("action", [True, -1, 4, 1.0, None, np.int64(1), (1,)],
+                             ids=["true", "minus_one", "four", "float", "none",
+                                  "numpy_int", "tuple"])
+    def test_a_bad_action_raises_as_env_step_does(self, action):
+        step = env_stepper(self.spec)
+        step((0, 0), LEFT)
+        # A cell in the memo, one not yet visited, and two bad states: the
+        # action is checked first.
+        for state in ((0, 0), (1, 0), (9, 9), [0, 0]):
+            expected = outcome(env_step, self.spec, state, action)
+            assert expected[0] is InvalidActionError
+            assert outcome(step, state, action) == expected
+
+    def test_an_int_subclass_action_steps(self):
+        class Move(enum.IntEnum):
+            RIGHT = 2
+
+        step = env_stepper(self.spec)
+        step((0, 0), RIGHT)
+        tr = step((0, 0), Move.RIGHT)
+        assert tr == env_step(self.spec, (0, 0), Move.RIGHT) and tr.next_state == (0, 1)
+        assert tr.action is Move.RIGHT
+
+    @pytest.mark.parametrize("state", [(4, 0), [0, 0], (0,), None, (1.0, 0)],
+                             ids=["outside", "list", "short", "none", "float_coordinate"])
+    def test_a_bad_state_raises_as_env_step_does(self, state):
+        # A spec of its own, so no other test has stepped from (1, 0).
+        spec = GridSpec(rows=3, cols=5, holes=self.spec.holes, goal=self.spec.goal)
+        reward_fn = self.policy_reward(spec)
+        step = env_stepper(spec, reward_fn)
+        for action in (LEFT, UP, True):
+            expected = outcome(env_step, spec, state, action, reward_fn)
+            assert expected[0] in (InvalidStateError, InvalidActionError)
+            assert outcome(step, state, action) == expected
+
+    def test_a_float_cell_reads_the_cell_once_it_was_visited(self):
+        spec = GridSpec(rows=3, cols=5, holes=self.spec.holes, goal=self.spec.goal)
+        reward_fn = self.policy_reward(spec)
+        step = env_stepper(spec, reward_fn)
+        assert outcome(step, (1.0, 0), DOWN)[0] is InvalidStateError
+        step((1, 0), DOWN)
+        assert step((1.0, 0), DOWN) == env_step(spec, (1.0, 0), DOWN, reward_fn)
+
+    def test_a_slip_grid_takes_the_same_seeded_draws(self):
+        spec = GridSpec(rows=3, cols=5, holes=self.spec.holes, goal=(2, 4), slip_prob=0.4)
+        reward_fn = self.policy_reward(spec)
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        step = env_stepper(spec, reward_fn, rng)
+        cells = spec.state_space().all_cells()
+        for i in range(400):
+            state, action = cells[i % len(cells)], i % 4
+            assert step(state, action) == env_step(spec, state, action, reward_fn, reference)
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("rewarded", [False, True], ids=["native", "policy"])
+    def test_hillcar_transitions_are_equal_bit_for_bit(self, rewarded):
+        spec = HillCarSpec()
+        reward_fn = self.policy_reward(spec) if rewarded else None
+        step = env_stepper(spec, reward_fn)
+        rng = np.random.default_rng(7)
+        space = spec.state_space()
+
+        def bits(tr):
+            return (tr.state, tr.action, tr.reward.hex(),
+                    tuple(x.hex() for x in tr.next_state), tr.done, tr.clamped)
+
+        clamped = 0
+        for _ in range(300):
+            state = tuple(float(rng.uniform(lo, hi)) for lo, hi in zip(space.lows, space.highs))
+            action = (float(rng.uniform(-3.0, 3.0)),)
+            tr = step(state, action)
+            assert bits(tr) == bits(env_step(spec, state, action, reward_fn))
+            assert tr.state is state
+            clamped += tr.clamped
+        assert 0 < clamped < 300
+        for args in (((-0.5, 0.0), (math.nan,)), ((5.0, 0.0), (0.0,)), ((-0.5, 0.0), "left")):
+            expected = outcome(env_step, spec, *args)
+            assert expected[0] in (InvalidStateError, InvalidActionError)
+            assert outcome(step, *args) == expected
+
     def test_a_repeated_step_with_a_policy_reward_returns_the_same_transition(self):
-        # The reuse needs make_reward_fn to return the same float object for
-        # a repeated (cell, action), nonzero rewards included.
+        # A stepper builds each (cell, action) transition once, nonzero
+        # rewards included, and a repeated step returns it again.
         spec = GridSpec()
         policy = oracle_policies(spec, OracleConfig(policies=1, master_seed=3))[0]
-        reward_fn = make_reward_fn(policy)
+        step = env_stepper(spec, make_reward_fn(policy))
         rewards = []
         for cell in spec.non_terminal_cells():
             for action in (UP, RIGHT, DOWN, LEFT):
-                first = env_step(spec, cell, action, reward_fn)
-                assert env_step(spec, cell, action, reward_fn) is first
+                first = step(cell, action)
+                assert step(cell, action) is first
                 rewards.append(first.reward)
         assert any(r != 0.0 for r in rewards) and 0.0 in rewards
+
+    def test_a_pure_reward_is_called_once_per_cell_and_action(self):
+        spec = GridSpec(rows=3, cols=5, holes=self.spec.holes, goal=self.spec.goal)
+        reward = self.policy_reward(spec)
+        calls = Counter()
+
+        def counted(state, action):
+            calls[state, action] += 1
+            return reward(state, action)
+
+        step = env_stepper(spec, counted)
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            state = (0, 0)
+            for _ in range(40):
+                tr = step(state, int(rng.integers(0, 4)))
+                if tr.done:
+                    break
+                state = tr.next_state
+        assert calls and max(calls.values()) == 1
+        assert len(calls) == 4 * len({s for s, _ in calls})
 
 
 class TestHillCarStep:
