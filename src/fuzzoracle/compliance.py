@@ -179,7 +179,8 @@ def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
 
     The reward depends on ``(state, action)`` alone, so a training run may
     step through :func:`~fuzzoracle.envs.env_stepper`, which on a grid
-    without slip calls it once per (cell, action).
+    without slip calls it once per (cell, action) and keeps the reward in
+    that pair's transition and trace record.
     """
     if not reward_scale > 0:
         raise ValueError("reward_scale must be positive")
@@ -213,8 +214,9 @@ class _RewardRows(dict):
     """cell -> ``[scored(cell, a) for a in range(n)]``, filled on first use.
 
     A training run reads a row only while its stepper builds that cell's
-    transitions (:func:`~fuzzoracle.envs.env_stepper`); slip grids and
-    direct :func:`~fuzzoracle.envs.env_step` callers read it at every step.
+    transitions and records (:func:`~fuzzoracle.envs.env_stepper`); slip
+    grids and direct :func:`~fuzzoracle.envs.env_step` callers read it at
+    every step.
     """
 
     def __init__(self, scored, n: int):

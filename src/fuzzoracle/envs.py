@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .compliance import TraceStep
 from .errors import InvalidActionError, InvalidEnvSpecError, InvalidStateError
 from .spaces import BoxSpace, DiscreteSpace, GridSpace
 
@@ -153,7 +154,7 @@ class Transition(NamedTuple):
 
 
 # _new(Transition, fields) skips the argument handling of Transition(...),
-# which every step would pay.
+# which every step would pay; likewise for TraceStep.
 _new = tuple.__new__
 
 
@@ -191,7 +192,7 @@ def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transiti
     :func:`env_stepper` instead.
     """
     if spec.kind != "grid":
-        return _hillcar_step(spec, reward_fn, state, action)
+        return _hillcar_step(spec, reward_fn, state, action)[0]
     # A plain int action id skips the isinstance checks and GRID_MOVES;
     # int subclasses other than bool are accepted as before.
     if not (type(action) is int and 0 <= action <= 3) and (
@@ -219,45 +220,58 @@ def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transiti
 
 
 def env_stepper(spec: EnvSpec, reward_fn=None, rng=None):
-    """A callable ``(state, action) -> Transition`` equal to
-    ``env_step(spec, state, action, reward_fn, rng)``, on condition that
-    ``reward_fn`` depends on ``(state, action)`` alone, as the reward of
-    :func:`~fuzzoracle.compliance.make_reward_fn` does.
+    """A callable ``(state, action) -> (Transition, TraceStep)``. The
+    transition equals ``env_step(spec, state, action, reward_fn, rng)``, on
+    condition that ``reward_fn`` depends on ``(state, action)`` alone, as
+    the reward of :func:`~fuzzoracle.compliance.make_reward_fn` does. The
+    record is the step's log entry, ``TraceStep(tr.state, action,
+    tr.reward)``.
 
-    On a grid without slip a transition depends only on the cell and the
-    action, so the stepper keeps a memo from each cell to its 4
-    transitions, built by :func:`env_step` on the cell's first visit; every
-    state check and error is then ``env_step``'s own. A plain int action
-    id reads the memo, which finds a cell by equality, as ``env_step``
-    does. Any other action, and a state that cannot be hashed, goes to
-    ``env_step``. A memo transition's ``state`` equals the given state but
+    On a grid without slip a step depends only on the cell and the action,
+    so the stepper keeps a memo from each cell to its 4 ``(transition,
+    record)`` pairs, built by :func:`env_step` on the cell's first visit;
+    every state check and error is then ``env_step``'s own. A plain int
+    action id reads the memo, which finds a cell by equality, as
+    ``env_step`` does, and returns the same two objects at every visit. Any
+    other action, and a state that cannot be hashed, goes to ``env_step``.
+    A memo pair's state is the memo's cell: it equals the given state but
     may be another tuple object. A slip grid steps through ``env_step``,
-    drawing from ``rng``. The hill-car stepper is the step itself, with no
-    call of its own and no memo: the given state is the transition's state.
+    drawing from one generator made from ``rng`` once, here. The hill-car
+    stepper is the step itself, with no call of its own and no memo: the
+    given state is the transition's state.
     """
     if spec.kind != "grid":
         return functools.partial(_hillcar_step, spec, reward_fn)
     if spec.slip_prob > 0.0:
-        return lambda state, action: env_step(spec, state, action, reward_fn, rng)
+        gen = np.random.default_rng(rng)
+        return lambda state, action: _logged(env_step(spec, state, action, reward_fn, gen))
     table = {}
     actions = range(len(GRID_MOVES))
 
-    def step(state, action) -> Transition:
+    def step(state, action) -> tuple:
         if type(action) is int and 0 <= action <= 3:
             try:
                 return table[state][action]
             except KeyError:
                 pass
             except TypeError:
-                return env_step(spec, state, action, reward_fn)
-            row = table[state] = tuple([env_step(spec, state, a, reward_fn) for a in actions])
+                return _logged(env_step(spec, state, action, reward_fn))
+            row = table[state] = tuple(
+                [_logged(env_step(spec, state, a, reward_fn)) for a in actions]
+            )
             return row[action]
-        return env_step(spec, state, action, reward_fn)
+        return _logged(env_step(spec, state, action, reward_fn))
 
     return step
 
 
-def _hillcar_step(spec: HillCarSpec, reward_fn, state, action) -> Transition:
+def _logged(tr: Transition) -> tuple:
+    """``(tr, its log record)``."""
+    return tr, _new(TraceStep, (tr.state, tr.action, tr.reward))
+
+
+def _hillcar_step(spec: HillCarSpec, reward_fn, state, action) -> tuple:
+    """``(transition, log record)`` of one hill-car step."""
     if isinstance(action, tuple):
         if len(action) != 1:
             raise InvalidActionError(f"hill-car action must be scalar, got {action!r}")
@@ -301,4 +315,7 @@ def _hillcar_step(spec: HillCarSpec, reward_fn, state, action) -> Transition:
         if reward_fn is not None
         else native_reward(spec, state, action, next_state, done)
     )
-    return _new(Transition, (state, action, reward, next_state, done, clamped))
+    return (
+        _new(Transition, (state, action, reward, next_state, done, clamped)),
+        _new(TraceStep, (state, action, reward)),
+    )

@@ -16,7 +16,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .compliance import (
     ComplianceSeries,
     EpochTrace,
     RunLog,
-    TraceStep,
     make_reward_fn,
     policy_compliance_series,
 )
@@ -218,10 +216,10 @@ def run_training_phase(
 
     The agent's ``act`` and ``update``, and each epoch's ``append``, are
     looked up once, not once per step. Every step goes through one
-    :func:`~fuzzoracle.envs.env_stepper` per run, which on a grid without
-    slip builds each (cell, action) transition and reward once. Each step
-    is recorded as a plain ``(state, action, reward)`` tuple, and an
-    epoch's tuples become :class:`TraceStep` records in one pass at its end.
+    :func:`~fuzzoracle.envs.env_stepper` per run, which returns the step's
+    transition with its :class:`~fuzzoracle.compliance.TraceStep` record;
+    on a grid without slip it builds the pair once per (cell, action), so
+    a step records a shared record and allocates none.
     """
     seed_path = seed if isinstance(seed, (list, tuple)) else (seed,)
     agent = make_agent(
@@ -233,8 +231,6 @@ def run_training_phase(
     last = max_steps - 1
     progress_span = max(epochs - 1, 1)
     act, update = agent.act, agent.update
-    trace_steps = repeat(TraceStep)
-    new = tuple.__new__
 
     epoch_traces = []
     aborted = []
@@ -244,18 +240,18 @@ def run_training_phase(
             progress = (e - 1) / progress_span
             state = env_reset(env_spec, env_rng)
             steps = []
-            record = steps.append
+            append = steps.append
             for t in range(max_steps):
                 try:
                     action = act(state, progress)
-                    tr = step(state, action)
-                    _, _, reward, next_state, done, was_clamped = tr
+                    tr, record = step(state, action)
+                    _, _, _, next_state, done, was_clamped = tr
                     if was_clamped:
                         clamped += 1
                     if not done and t == last:
                         tr = tr._replace(done=True)
                         done = True
-                    record((state, action, reward))
+                    append(record)
                     update(tr)
                 except (NumericalDivergenceError, InvalidActionError):
                     aborted.append(e)
@@ -263,7 +259,7 @@ def run_training_phase(
                 if done:
                     break
                 state = next_state
-            epoch_traces.append(EpochTrace(tuple(map(new, trace_steps, steps)), e))
+            epoch_traces.append(EpochTrace(tuple(steps), e))
     return RunLog(policy_id, tuple(epoch_traces), tuple(aborted), clamped)
 
 

@@ -15,6 +15,7 @@ from fuzzoracle import (
     GridSpec,
     HillCarSpec,
     OracleConfig,
+    TraceStep,
     env_reset,
     env_step,
     make_reward_fn,
@@ -189,8 +190,18 @@ def outcome(step, *args):
         return type(exc), str(exc)
 
 
+def stepped(step, state, action):
+    """The transition of ``step(state, action)``, once its record is checked
+    to be the step's :class:`TraceStep`."""
+    tr, record = step(state, action)
+    assert type(record) is TraceStep
+    assert record == TraceStep(state, action, tr.reward)
+    return tr
+
+
 class TestStepper:
-    """env_stepper against env_step, which it must equal step for step."""
+    """env_stepper against env_step, which its transitions must equal step
+    for step; each comes with the step's log record."""
 
     spec = TestMoveTable.spec
 
@@ -206,7 +217,7 @@ class TestStepper:
         for _ in range(2):
             for state in self.spec.state_space().all_cells():
                 for action in (LEFT, DOWN, RIGHT, UP):
-                    tr = step(state, action)
+                    tr = stepped(step, state, action)
                     assert tr == env_step(self.spec, state, action, reward_fn)
                     assert type(tr.reward) is float and type(tr.action) is int
                     rewards.add(tr.reward)
@@ -231,7 +242,7 @@ class TestStepper:
 
         step = env_stepper(self.spec)
         step((0, 0), RIGHT)
-        tr = step((0, 0), Move.RIGHT)
+        tr = stepped(step, (0, 0), Move.RIGHT)
         assert tr == env_step(self.spec, (0, 0), Move.RIGHT) and tr.next_state == (0, 1)
         assert tr.action is Move.RIGHT
 
@@ -253,7 +264,7 @@ class TestStepper:
         step = env_stepper(spec, reward_fn)
         assert outcome(step, (1.0, 0), DOWN)[0] is InvalidStateError
         step((1, 0), DOWN)
-        assert step((1.0, 0), DOWN) == env_step(spec, (1.0, 0), DOWN, reward_fn)
+        assert stepped(step, (1.0, 0), DOWN) == env_step(spec, (1.0, 0), DOWN, reward_fn)
 
     def test_a_slip_grid_takes_the_same_seeded_draws(self):
         spec = GridSpec(rows=3, cols=5, holes=self.spec.holes, goal=(2, 4), slip_prob=0.4)
@@ -263,8 +274,22 @@ class TestStepper:
         cells = spec.state_space().all_cells()
         for i in range(400):
             state, action = cells[i % len(cells)], i % 4
-            assert step(state, action) == env_step(spec, state, action, reward_fn, reference)
+            tr = stepped(step, state, action)
+            assert tr == env_step(spec, state, action, reward_fn, reference)
         assert rng.random() == reference.random()
+
+    def test_a_slip_stepper_given_a_seed_draws_from_one_generator(self):
+        # A seed makes one generator for the stepper's life, so its steps
+        # equal those of a stepper given that seed's generator, and slip.
+        spec = GridSpec(slip_prob=0.5)
+        seeded = env_stepper(spec, None, 7)
+        given = env_stepper(spec, None, np.random.default_rng(7))
+        moves = Counter()
+        for _ in range(40):
+            tr = stepped(seeded, (0, 0), RIGHT)
+            assert tr == stepped(given, (0, 0), RIGHT)
+            moves[tr.next_state] += 1
+        assert moves[(0, 1)] and len(moves) == 3
 
     @pytest.mark.parametrize("rewarded", [False, True], ids=["native", "policy"])
     def test_hillcar_transitions_are_equal_bit_for_bit(self, rewarded):
@@ -282,9 +307,11 @@ class TestStepper:
         for _ in range(300):
             state = tuple(float(rng.uniform(lo, hi)) for lo, hi in zip(space.lows, space.highs))
             action = (float(rng.uniform(-3.0, 3.0)),)
-            tr = step(state, action)
+            tr, record = step(state, action)
             assert bits(tr) == bits(env_step(spec, state, action, reward_fn))
             assert tr.state is state
+            assert type(record) is TraceStep and record.state is state
+            assert (record.state, record.action, record.reward.hex()) == bits(tr)[:3]
             clamped += tr.clamped
         assert 0 < clamped < 300
         for args in (((-0.5, 0.0), (math.nan,)), ((5.0, 0.0), (0.0,)), ((-0.5, 0.0), "left")):
@@ -292,9 +319,9 @@ class TestStepper:
             assert expected[0] in (InvalidStateError, InvalidActionError)
             assert outcome(step, *args) == expected
 
-    def test_a_repeated_step_with_a_policy_reward_returns_the_same_transition(self):
-        # A stepper builds each (cell, action) transition once, nonzero
-        # rewards included, and a repeated step returns it again.
+    def test_a_repeated_step_with_a_policy_reward_returns_the_same_pair(self):
+        # A stepper builds each (cell, action) transition and record once,
+        # nonzero rewards included, and a repeated step returns them again.
         spec = GridSpec()
         policy = oracle_policies(spec, OracleConfig(policies=1, master_seed=3))[0]
         step = env_stepper(spec, make_reward_fn(policy))
@@ -303,7 +330,7 @@ class TestStepper:
             for action in (UP, RIGHT, DOWN, LEFT):
                 first = step(cell, action)
                 assert step(cell, action) is first
-                rewards.append(first.reward)
+                rewards.append(stepped(step, cell, action).reward)
         assert any(r != 0.0 for r in rewards) and 0.0 in rewards
 
     def test_a_pure_reward_is_called_once_per_cell_and_action(self):
@@ -320,7 +347,7 @@ class TestStepper:
         for _ in range(50):
             state = (0, 0)
             for _ in range(40):
-                tr = step(state, int(rng.integers(0, 4)))
+                tr = stepped(step, state, int(rng.integers(0, 4)))
                 if tr.done:
                     break
                 state = tr.next_state

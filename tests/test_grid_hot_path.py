@@ -163,3 +163,23 @@ def test_step_budget_matches_reference(bug):
         full += sum(len(epoch.steps) == max_steps for epoch in log.epochs)
     # The branch under test ran.
     assert full > 0
+
+
+def test_slip_free_records_of_one_cell_and_action_are_one_object():
+    """Training on a grid without slip logs one shared record per (cell,
+    action), which the series scorer's dedup then matches by identity. The
+    log equals the reference; with slip, so does the case above."""
+    config = AgentConfig()
+    spec = GridSpec()
+    seed_path = (ORACLE.master_seed, 1)
+    policy = oracle_policies(spec, ORACLE)[0]
+    log = run_training_phase(config, spec, policy, EPOCHS, seed_path)
+    assert log == reference_run(config, spec, policy, EPOCHS, seed_path, 1)
+    shared = {}
+    for epoch in log.epochs:
+        for step in epoch.steps:
+            assert type(step) is TraceStep and type(step.action) is int
+            shared.setdefault((step.state, step.action), []).append(step)
+    assert max(map(len, shared.values())) > 1
+    for group in shared.values():
+        assert all(step is group[0] for step in group)
