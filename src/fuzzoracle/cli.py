@@ -63,9 +63,9 @@ def main(argv=None) -> int:
 
     The handler runs with the cyclic garbage collector paused, and the
     caller's setting comes back afterwards. A command allocates millions of
-    small acyclic records (hill-car and slip-grid transitions and trace
-    steps, parsed JSON objects; a grid without slip shares one transition
-    and trace step per cell and action), which the collector would keep
+    small acyclic records (hill-car transitions and trace steps, parsed
+    JSON objects; a grid shares one transition and trace step per cell,
+    action and action carried out), which the collector would keep
     scanning for almost no garbage; forked pool workers inherit the pause.
     """
     parser = build_parser()

@@ -13,8 +13,9 @@ The chain of degrees, every value in [0, 1]:
 
 :func:`step_compliance_at` and :func:`fuzzy_reward` are the scalar
 reference. Training scores one step at a time through
-:func:`make_reward_fn`, which keeps each grid cell's rewards, and a run log
-is scored in batches of whole epochs (:func:`policy_compliance_series`):
+:func:`make_reward_fn`, which keeps no memo (a grid run's stepper keeps
+each cell's rewards), and a run log is scored in batches of whole epochs
+(:func:`policy_compliance_series`):
 a box policy's in one array pass, any other through the scalar chain.
 Both reproduce the reference bit for bit; ``tests/test_grid_hot_path.py``
 tests the reward callable and the series against it.
@@ -32,12 +33,7 @@ import numpy as np
 
 from .errors import EmptyLogError, InvalidMembershipError
 from .policy import IntendedPolicy
-from .spaces import (
-    BoxSpace,
-    DiscreteSpace,
-    GridSpace,
-    continuous_action_distance,
-)
+from .spaces import BoxSpace, DiscreteSpace, continuous_action_distance
 
 
 class TraceStep(NamedTuple):
@@ -166,66 +162,28 @@ def fuzzy_reward(state, action, policy: IntendedPolicy, reward_scale: float = 1.
 
 def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
     """Reward callable (state, action) -> float, with the arithmetic of
-    :func:`fuzzy_reward`.
+    :func:`fuzzy_reward`; a state of degree 0 scores 0.0 before its action
+    is looked at.
 
-    Grid states recur. On a grid policy with a discrete action space, each
-    cell's rewards for every action id are computed once, on its first
-    visit, and a plain int action id reads them. Any other action, such as
-    a bool, a negative int or a float, is scored afresh once its state's
-    row is found, so a bad state raises first, as it would for any action.
-    Continuous states practically never recur, so a memo would only grow by
-    one entry per step; they are scored afresh. Either way the policy's
-    nearest-reference search is built once, here.
-
-    The reward depends on ``(state, action)`` alone, so a training run may
-    step through :func:`~fuzzoracle.envs.env_stepper`, which on a grid
-    without slip calls it once per (cell, action) and keeps the reward in
-    that pair's transition and trace record.
+    The policy's nearest-reference search is built once, here, and every
+    call scores its step afresh. The reward depends on ``(state, action)``
+    alone, so a training run steps through
+    :func:`~fuzzoracle.envs.env_stepper`, which on a grid calls it only
+    while it builds a cell's memo pairs and keeps each reward in that
+    pair's transition and trace record.
     """
     if not reward_scale > 0:
         raise ValueError("reward_scale must be positive")
     state_degree = _state_degree(policy)
     action_degree = _action_degree(policy)
 
-    def scored(state, action) -> float:
+    def reward(state, action) -> float:
         mu_state, ideal = state_degree(state)
         if mu_state == 0.0:
             return 0.0
         return reward_scale * mu_state * action_degree(action, ideal)
 
-    if not (
-        isinstance(policy.state_space, GridSpace)
-        and isinstance(policy.action_space, DiscreteSpace)
-    ):
-        return scored
-    n = policy.action_space.n
-    rows = _RewardRows(scored, n)
-
-    def reward(state, action) -> float:
-        row = rows[state]
-        if type(action) is int and 0 <= action < n:
-            return row[action]
-        return scored(state, action)
-
     return reward
-
-
-class _RewardRows(dict):
-    """cell -> ``[scored(cell, a) for a in range(n)]``, filled on first use.
-
-    A training run reads a row only while its stepper builds that cell's
-    transitions and records (:func:`~fuzzoracle.envs.env_stepper`); slip
-    grids and direct :func:`~fuzzoracle.envs.env_step` callers read it at
-    every step.
-    """
-
-    def __init__(self, scored, n: int):
-        super().__init__()
-        self._scored, self._n = scored, n
-
-    def __missing__(self, cell):
-        row = self[cell] = [self._scored(cell, a) for a in range(self._n)]
-        return row
 
 
 def policy_compliance_series(

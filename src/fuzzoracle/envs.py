@@ -60,12 +60,11 @@ class GridSpec:
             raise InvalidEnvSpecError("goal cell cannot also be a hole")
         if (0, 0) in self.holes or (0, 0) == self.goal:
             raise InvalidEnvSpecError("start cell (0, 0) must be non-terminal")
-        terminal = frozenset(self.holes) | {self.goal}
-        object.__setattr__(self, "_terminal", terminal)
-        object.__setattr__(self, "_moves", _GridMoves(space, terminal))
+        object.__setattr__(self, "_space", space)
+        object.__setattr__(self, "_terminal", frozenset(self.holes) | {self.goal})
 
     def state_space(self) -> GridSpace:
-        return GridSpace(self.rows, self.cols)
+        return self._space
 
     def action_space(self) -> DiscreteSpace:
         return DiscreteSpace(4)
@@ -75,38 +74,6 @@ class GridSpec:
 
     def non_terminal_cells(self) -> list:
         return [c for c in self.state_space().all_cells() if not self.is_terminal(c)]
-
-
-class _GridMoves(dict):
-    """cell -> one ``(next_cell, done)`` slot per action id, filled on first
-    visit.
-
-    It keeps the grid's space and terminal cells, not the spec, so a large
-    grid costs only the cells stepped from, and it pickles empty. A key that
-    is not a cell of the grid raises :class:`InvalidStateError` here; one
-    equal to a cell already in the table, such as ``(1.0, 0)`` once
-    ``(1, 0)`` was stepped from, reads that cell's moves.
-    """
-
-    def __init__(self, space: GridSpace, terminal: frozenset):
-        super().__init__()
-        self._space, self._terminal = space, terminal
-
-    def __missing__(self, cell):
-        space = self._space
-        if not space.contains(cell):
-            raise InvalidStateError(f"grid state must be a cell of the grid, got {cell!r}")
-        moves = []
-        for action in range(len(GRID_MOVES)):
-            dr, dc = GRID_MOVES[action]
-            nr = min(max(cell[0] + dr, 0), space.rows - 1)
-            nc = min(max(cell[1] + dc, 0), space.cols - 1)
-            moves.append(((nr, nc), (nr, nc) in self._terminal))
-        hit = self[cell] = tuple(moves)
-        return hit
-
-    def __reduce__(self):
-        return type(self), (self._space, self._terminal)
 
 
 @dataclass(frozen=True)
@@ -187,8 +154,11 @@ def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transiti
     hill-car forces are clamped and flagged on the transition rather than
     rejected, so misbehaving learners stay runnable.
 
-    The grid step runs inline, without a call of its own. A caller that
-    steps many times with one reward, such as a training run, steps through
+    A grid step checks the action, then the state, which must be a cell of
+    the grid (:meth:`~fuzzoracle.spaces.GridSpace.contains`) at every call;
+    on a slip grid it then draws the slip from
+    ``np.random.default_rng(rng)``. It keeps no memo. A caller that steps
+    many times with one reward, such as a training run, steps through
     :func:`env_stepper` instead.
     """
     if spec.kind != "grid":
@@ -199,70 +169,114 @@ def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transiti
         not isinstance(action, int) or isinstance(action, bool) or action not in GRID_MOVES
     ):
         raise InvalidActionError(f"grid action must be an int in 0..3, got {action!r}")
-    try:
-        moves = spec._moves[state]
-    except TypeError:
-        raise InvalidStateError(f"grid state must be a cell of the grid, got {state!r}") from None
+    _check_cell(spec, state)
     effective = action
     if spec.slip_prob > 0.0:
-        gen = np.random.default_rng(rng)
-        if gen.random() < spec.slip_prob:
-            # Slip to one of the two perpendicular directions.
-            sideways = (action + 1, action + 3)
-            effective = int(sideways[gen.integers(0, 2)]) % 4
-    next_state, done = moves[effective]
+        effective = _slipped(spec, action, np.random.default_rng(rng))
+    return _grid_step(spec, reward_fn, state, action, effective)
+
+
+def env_stepper(spec: EnvSpec, reward_fn=None, rng=None):
+    """A callable ``(state, action) -> (Transition, TraceStep)``. The
+    transition equals ``env_step(spec, state, action, reward_fn, gen)``,
+    where ``gen`` is one generator made from ``rng`` once, here, on
+    condition that ``reward_fn`` depends on ``(state, action)`` alone, as
+    the reward of :func:`~fuzzoracle.compliance.make_reward_fn` does. The
+    record is the step's log entry, ``TraceStep(tr.state, action,
+    tr.reward)``.
+
+    A grid step depends only on the cell, the action and the action carried
+    out, so the stepper keeps a memo from each cell to the ``(transition,
+    record)`` pair of every action, and on a slip grid of every action and
+    action carried out. A cell's pairs are built on its first visit, once
+    the cell is checked as :func:`env_step` checks it. A plain int action id
+    reads the memo and returns the same two objects at every visit; a slip
+    step first draws the action carried out, as ``env_step`` does. Any
+    other action, and a state that cannot be hashed, goes to ``env_step``.
+
+    The memo finds a cell by equality and checks a state only on a miss:
+    once ``(1, 0)`` was visited, ``(1.0, 0)`` reads the pair of ``(1, 0)``,
+    where ``env_step`` raises. Training passes only the cells the
+    environment returns, so no run meets such a state. A memo pair's state
+    is the memo's cell: it equals the given state but may be another tuple
+    object. The hill-car stepper is the step itself, with no call of its
+    own and no memo: the given state is the transition's state.
+    """
+    if spec.kind != "grid":
+        return functools.partial(_hillcar_step, spec, reward_fn)
+    table = {}
+    actions = range(len(GRID_MOVES))
+
+    if spec.slip_prob == 0.0:
+
+        def step(state, action) -> tuple:
+            if type(action) is int and 0 <= action <= 3:
+                try:
+                    return table[state][action]
+                except KeyError:
+                    pass
+                except TypeError:
+                    return _logged(env_step(spec, state, action, reward_fn))
+                _check_cell(spec, state)
+                row = table[state] = tuple(
+                    [_logged(_grid_step(spec, reward_fn, state, a, a)) for a in actions]
+                )
+                return row[action]
+            return _logged(env_step(spec, state, action, reward_fn))
+
+        return step
+
+    gen = np.random.default_rng(rng)
+
+    def slip_step(state, action) -> tuple:
+        if type(action) is int and 0 <= action <= 3:
+            try:
+                row = table[state]
+            except KeyError:
+                _check_cell(spec, state)
+                row = table[state] = tuple([
+                    tuple([_logged(_grid_step(spec, reward_fn, state, a, e)) for e in actions])
+                    for a in actions
+                ])
+            except TypeError:
+                return _logged(env_step(spec, state, action, reward_fn, gen))
+            return row[action][_slipped(spec, action, gen)]
+        return _logged(env_step(spec, state, action, reward_fn, gen))
+
+    return slip_step
+
+
+def _check_cell(spec: GridSpec, state) -> None:
+    """Raise :class:`InvalidStateError` unless ``state`` is a cell of the grid."""
+    if not spec._space.contains(state):
+        raise InvalidStateError(f"grid state must be a cell of the grid, got {state!r}")
+
+
+def _slipped(spec: GridSpec, action, gen) -> int:
+    """The action carried out: with probability ``slip_prob`` one of the two
+    directions perpendicular to ``action``, else ``action``. It draws
+    ``gen.random()``, then ``gen.integers(0, 2)`` only on a slip."""
+    if gen.random() < spec.slip_prob:
+        sideways = (action + 1, action + 3)
+        return int(sideways[gen.integers(0, 2)]) % 4
+    return action
+
+
+def _grid_step(spec: GridSpec, reward_fn, state, action, effective) -> Transition:
+    """The transition of ``action`` from the cell ``state``, carried out as
+    ``effective``, with the move clamped to the grid."""
+    dr, dc = GRID_MOVES[effective]
+    next_state = (
+        min(max(state[0] + dr, 0), spec.rows - 1),
+        min(max(state[1] + dc, 0), spec.cols - 1),
+    )
+    done = next_state in spec._terminal
     reward = (
         reward_fn(state, action)
         if reward_fn is not None
         else native_reward(spec, state, action, next_state, done)
     )
     return _new(Transition, (state, action, reward, next_state, done, False))
-
-
-def env_stepper(spec: EnvSpec, reward_fn=None, rng=None):
-    """A callable ``(state, action) -> (Transition, TraceStep)``. The
-    transition equals ``env_step(spec, state, action, reward_fn, rng)``, on
-    condition that ``reward_fn`` depends on ``(state, action)`` alone, as
-    the reward of :func:`~fuzzoracle.compliance.make_reward_fn` does. The
-    record is the step's log entry, ``TraceStep(tr.state, action,
-    tr.reward)``.
-
-    On a grid without slip a step depends only on the cell and the action,
-    so the stepper keeps a memo from each cell to its 4 ``(transition,
-    record)`` pairs, built by :func:`env_step` on the cell's first visit;
-    every state check and error is then ``env_step``'s own. A plain int
-    action id reads the memo, which finds a cell by equality, as
-    ``env_step`` does, and returns the same two objects at every visit. Any
-    other action, and a state that cannot be hashed, goes to ``env_step``.
-    A memo pair's state is the memo's cell: it equals the given state but
-    may be another tuple object. A slip grid steps through ``env_step``,
-    drawing from one generator made from ``rng`` once, here. The hill-car
-    stepper is the step itself, with no call of its own and no memo: the
-    given state is the transition's state.
-    """
-    if spec.kind != "grid":
-        return functools.partial(_hillcar_step, spec, reward_fn)
-    if spec.slip_prob > 0.0:
-        gen = np.random.default_rng(rng)
-        return lambda state, action: _logged(env_step(spec, state, action, reward_fn, gen))
-    table = {}
-    actions = range(len(GRID_MOVES))
-
-    def step(state, action) -> tuple:
-        if type(action) is int and 0 <= action <= 3:
-            try:
-                return table[state][action]
-            except KeyError:
-                pass
-            except TypeError:
-                return _logged(env_step(spec, state, action, reward_fn))
-            row = table[state] = tuple(
-                [_logged(env_step(spec, state, a, reward_fn)) for a in actions]
-            )
-            return row[action]
-        return _logged(env_step(spec, state, action, reward_fn))
-
-    return step
 
 
 def _logged(tr: Transition) -> tuple:

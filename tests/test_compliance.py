@@ -109,8 +109,8 @@ def outcome(fn, *args):
 
 
 class TestActionKindChecks:
-    """Plain int grid actions are scored without the metric's checks; every
-    other action still goes through them."""
+    """Every action is checked by the action metric, except by the reward at
+    a state of degree 0, which scores 0.0 first."""
 
     @pytest.mark.parametrize("action", [True, 1.0, "1"])
     def test_grid_policy_rejects_non_int_actions(self, two_ref_policy, action):
@@ -169,7 +169,7 @@ class TestActionKindChecks:
         assert reward((0, 3), action) == 0.0
 
     @pytest.mark.parametrize(
-        "state, error", [([0, 0], TypeError), (None, TypeError), ((0,), InvalidStateError)]
+        "state, error", [([0, 0], None), (None, TypeError), ((0,), InvalidStateError)]
     )
     @pytest.mark.parametrize("action", [1, True, -1])
     def test_non_cell_state_raises_before_the_action_is_checked(
@@ -177,6 +177,12 @@ class TestActionKindChecks:
     ):
         reward = make_reward_fn(two_ref_policy)
         reward((0, 0), 1)
+        if error is None:
+            # A list of a cell's coordinates is measured as that cell, by the
+            # reward as by fuzzy_reward: a value, or the action's error.
+            expected = outcome(fuzzy_reward, state, action, two_ref_policy)
+            assert outcome(reward, state, action) == expected
+            return
         with pytest.raises(error):
             reward(state, action)
 

@@ -119,6 +119,12 @@ class TestGridStep:
         with pytest.raises(InvalidStateError, match=re.escape(repr(state))):
             env_step(grid_spec, state, action)
 
+    def test_a_float_coordinate_raises_after_its_cell_was_stepped_from(self, grid_spec):
+        env_step(grid_spec, (1, 0), DOWN)
+        for _ in range(2):
+            with pytest.raises(InvalidStateError, match=re.escape(repr((1.0, 0)))):
+                env_step(grid_spec, (1.0, 0), DOWN)
+
 
 def clamped_move(spec, state, action):
     """The successor and terminal flag by the clamp formula."""
@@ -154,20 +160,16 @@ class TestMoveTable:
             assert (tr.next_state, tr.done) == clamped_move(spec, state, effective)
         assert rng.random() == reference.random()
 
-    def test_large_grid_holds_only_the_cells_stepped_from(self):
+    def test_a_large_grid_spec_keeps_nothing_of_its_steps(self):
         spec = GridSpec(rows=10_000, cols=10_000, holes=(), goal=(9_999, 9_999))
-        assert len(spec._moves) == 0
         state = (0, 0)
         for action in (RIGHT, DOWN, DOWN, LEFT, RIGHT):
             state = env_step(spec, state, action).next_state
         assert state == (2, 1)
-        assert sorted(spec._moves) == [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1)]
-        # A pickled spec carries no table.
-        copy = pickle.loads(pickle.dumps(spec))
-        assert copy == spec and len(copy._moves) == 0
-        assert len(pickle.dumps(spec)) == len(pickle.dumps(GridSpec(
-            rows=10_000, cols=10_000, holes=(), goal=(9_999, 9_999)
-        )))
+        # A stepped spec pickles to the bytes of a fresh equal one.
+        fresh = GridSpec(rows=10_000, cols=10_000, holes=(), goal=(9_999, 9_999))
+        assert pickle.dumps(spec) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_a_reused_transition_holds_the_given_fields(self):
         # A repeated step may return the transition built before; a step
@@ -175,8 +177,9 @@ class TestMoveTable:
         spec = GridSpec(slip_prob=0.5)
         half = float("0.5")
         rng = np.random.default_rng(3)
-        steps = [((1, 0), RIGHT, half), ((1, 0), RIGHT, half), ((1, 0), RIGHT, 0.25),
-                 ((1.0, 0), RIGHT, half)] + [((1, 0), a, half) for a in (0, 1, 2, 3) * 20]
+        steps = [((1, 0), RIGHT, half), ((1, 0), RIGHT, half), ((1, 0), RIGHT, 0.25)] + [
+            ((1, 0), a, half) for a in (0, 1, 2, 3) * 20
+        ]
         for state, action, reward in steps:
             tr = env_step(spec, state, action, lambda s, a: reward, rng)
             assert tr.state is state and tr.action == action and tr.reward is reward
@@ -259,12 +262,17 @@ class TestStepper:
             assert outcome(step, state, action) == expected
 
     def test_a_float_cell_reads_the_cell_once_it_was_visited(self):
+        # The memo finds a cell by equality and checks a state only on a
+        # miss; env_step checks it at every call.
         spec = GridSpec(rows=3, cols=5, holes=self.spec.holes, goal=self.spec.goal)
         reward_fn = self.policy_reward(spec)
         step = env_stepper(spec, reward_fn)
-        assert outcome(step, (1.0, 0), DOWN)[0] is InvalidStateError
-        step((1, 0), DOWN)
-        assert stepped(step, (1.0, 0), DOWN) == env_step(spec, (1.0, 0), DOWN, reward_fn)
+        expected = outcome(env_step, spec, (1.0, 0), DOWN, reward_fn)
+        assert expected[0] is InvalidStateError
+        assert outcome(step, (1.0, 0), DOWN) == expected
+        visited = step((1, 0), DOWN)
+        assert step((1.0, 0), DOWN) is visited
+        assert outcome(env_step, spec, (1.0, 0), DOWN, reward_fn) == expected
 
     def test_a_slip_grid_takes_the_same_seeded_draws(self):
         spec = GridSpec(rows=3, cols=5, holes=self.spec.holes, goal=(2, 4), slip_prob=0.4)
@@ -290,6 +298,32 @@ class TestStepper:
             assert tr == stepped(given, (0, 0), RIGHT)
             moves[tr.next_state] += 1
         assert moves[(0, 1)] and len(moves) == 3
+
+    def test_a_slip_stepper_returns_one_pair_per_move_carried_out(self):
+        # UP from (3, 2) goes to (2, 2), or slips onto (3, 1) or the goal.
+        spec = GridSpec(slip_prob=0.5)
+        step = env_stepper(spec, self.policy_reward(spec), 4)
+        pairs = {}
+        for _ in range(60):
+            pair = step((3, 2), UP)
+            assert pairs.setdefault(pair[0].next_state, pair) is pair
+            stepped(step, (3, 2), UP)
+        assert sorted(pairs) == [(2, 2), (3, 1), (3, 3)]
+
+    def test_a_slip_stepper_with_the_native_reward_equals_env_step(self):
+        # From (3, 2) neither UP nor DOWN reaches the goal, but a slip to the
+        # right does, so the native reward depends on the move carried out.
+        spec = GridSpec(slip_prob=0.5)
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        step = env_stepper(spec, None, rng)
+        rewards = Counter()
+        for i in range(200):
+            action = (UP, DOWN)[i % 2]
+            tr = stepped(step, (3, 2), action)
+            assert tr == env_step(spec, (3, 2), action, None, reference)
+            rewards[tr.reward] += 1
+        assert rewards[1.0] and rewards[0.0]
+        assert rng.random() == reference.random()
 
     @pytest.mark.parametrize("rewarded", [False, True], ids=["native", "policy"])
     def test_hillcar_transitions_are_equal_bit_for_bit(self, rewarded):
