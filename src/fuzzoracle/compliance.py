@@ -15,17 +15,17 @@ The chain of degrees, every value in [0, 1]:
 reference. Training scores one step at a time through
 :func:`make_reward_fn`, which keeps no memo (a grid run's stepper keeps
 each cell's rewards), and a run log is scored in batches of whole epochs
-(:func:`policy_compliance_series`):
-a box policy's in one array pass, any other through the scalar chain.
-Both reproduce the reference bit for bit; ``tests/test_grid_hot_path.py``
-tests the reward callable and the series against it.
+(:func:`policy_compliance_series`): a box policy's in one array pass, any
+other through the scalar chain. Both reproduce the reference bit for bit;
+``tests/test_grid_hot_path.py`` tests the reward callable and the series
+against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -58,7 +58,9 @@ class EpochTrace:
 
 @dataclass(frozen=True)
 class RunLog:
-    """All epoch traces of one training run against one intended policy."""
+    """All epoch traces of one training run against one intended policy;
+    ``clamped_actions`` counts its clamped hill-car forces, which a trace
+    file does not hold (a log read back from one has 0)."""
 
     policy_id: int
     epochs: tuple
@@ -202,11 +204,10 @@ def policy_compliance_series(
     step: ``"state"`` gates on state compliance (the default), ``"step"``
     gates on the product instead.
 
-    Steps are scored in batches of whole epochs (see :func:`_step_degrees`),
-    a well-formed box log's in one array pass that matches the scalar chain
-    of :func:`step_compliance_at` bit for bit, any other through that chain.
-    Epoch sums use exactly rounded summation so the result is independent
-    of step order within an epoch.
+    Steps are scored in batches of whole epochs by :func:`_epoch_values`,
+    bit for bit as :func:`step_compliance_at` scores them. Epoch sums use
+    exactly rounded summation so the result is independent of step order
+    within an epoch.
     """
     if not 0.0 <= theta_step <= 1.0:
         raise InvalidMembershipError(f"theta_step {theta_step} outside [0, 1]")
@@ -240,54 +241,54 @@ _BATCH = 4096
 
 
 def _epoch_values(policy: IntendedPolicy, steps: list, offsets: list, theta_step, filter_mode) -> list:
-    """Compliance of each epoch ``steps[offsets[i]:offsets[i + 1]]``."""
-    if not steps:
-        return [0.0] * (len(offsets) - 1)
-    mu_state, mu_step = _step_degrees(policy, steps)
-    gate = (mu_state if filter_mode == "state" else mu_step) >= theta_step
-    qualifying = mu_step[gate].tolist()
-    ends = np.concatenate(([0], np.cumsum(gate)))[offsets].tolist()
-    return [
-        math.fsum(qualifying[lo:hi]) / (hi - lo) if hi > lo else 0.0
-        for lo, hi in zip(ends, ends[1:])
-    ]
+    """Compliance of each epoch ``steps[offsets[i]:offsets[i + 1]]``.
 
-
-def _step_degrees(policy: IntendedPolicy, steps: list) -> tuple:
-    """(state compliance, step compliance) arrays of ``steps``.
-
-    A box policy's batch whose states and actions are tuples of their
-    spaces' lengths, every coordinate a float or an int that is no bool,
-    goes to the array pass; any other goes through the scalar chain, so a
-    bad step raises what :func:`step_compliance_at` raises. Steps that
-    compare equal score equally once every action is a plain int (an
-    action ``True`` or ``1.0`` equals ``1`` but is rejected), so then each
-    distinct step is scored once and its degrees are spread back;
-    otherwise every step is scored in order.
+    A box policy's batch of plain points (tuples of their spaces' lengths,
+    every coordinate a float or an int that is no bool) is scored in one
+    array pass and gated in numpy. Any other goes through the scalar chain
+    in step order, so a bad step raises at its first occurrence what
+    :func:`step_compliance_at` raises, and a step maps to its step
+    compliance if it qualifies, else to None. When every action is a plain
+    int, equal steps score equally (``True`` or ``1.0`` equals ``1`` but is
+    rejected), so each distinct one is scored once, through :class:`_Scores`.
     """
-    if isinstance(policy.state_space, BoxSpace) and isinstance(policy.action_space, BoxSpace):
+    box = isinstance(policy.state_space, BoxSpace) and isinstance(policy.action_space, BoxSpace)
+    if steps and box:
         states, actions, _ = zip(*steps)
         visited = _coordinates(states, policy.state_space)
-        if visited is not None:
-            taken = _coordinates(actions, policy.action_space)
-            if taken is not None:
-                return _array_degrees(policy, visited, taken)
+        taken = None if visited is None else _coordinates(actions, policy.action_space)
+        if taken is not None:
+            mu_state, mu_step = _array_degrees(policy, visited, taken)
+            gate = (mu_state if filter_mode == "state" else mu_step) >= theta_step
+            qualifying = mu_step[gate].tolist()
+            ends = np.concatenate(([0], np.cumsum(gate)))[offsets].tolist()
+            return [
+                math.fsum(qualifying[lo:hi]) / (hi - lo) if hi > lo else 0.0
+                for lo, hi in zip(ends, ends[1:])
+            ]
     state_degree, action_degree = _state_degree(policy), _action_degree(policy)
 
-    def degrees(step) -> tuple:
+    def score(step):
         mu_state, ideal = state_degree(step[0])
-        return mu_state, mu_state * action_degree(step[1], ideal)
+        mu_step = mu_state * action_degree(step[1], ideal)
+        return mu_step if (mu_state if filter_mode == "state" else mu_step) >= theta_step else None
 
     if set(map(type, map(_action, steps))) <= {int}:
-        first = {}  # distinct step -> index of its first occurrence
-        firsts = np.fromiter(map(first.setdefault, steps, count()), np.intp, len(steps))
-        mu_state, mu_step = np.array(list(map(degrees, first))).T
-        row = np.empty(len(steps), np.intp)  # first occurrence -> row of its degrees
-        row[list(first.values())] = np.arange(len(first))
-        rows = row[firsts]
-        return mu_state[rows], mu_step[rows]
-    mu_state, mu_step = np.array(list(map(degrees, steps))).T
-    return mu_state, mu_step
+        score = _Scores(score).__getitem__
+    kept = list(map(score, steps))
+    epochs = ([v for v in kept[lo:hi] if v is not None] for lo, hi in zip(offsets, offsets[1:]))
+    return [math.fsum(epoch) / len(epoch) if epoch else 0.0 for epoch in epochs]
+
+
+class _Scores(dict):
+    """Memo from each distinct step to ``score(step)``, made on first lookup."""
+
+    def __init__(self, score):
+        self.score = score
+
+    def __missing__(self, step):
+        value = self[step] = self.score(step)
+        return value
 
 
 def _coordinates(points, space: BoxSpace):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .compliance import TraceStep
 from .errors import InvalidActionError, InvalidEnvSpecError, InvalidStateError
-from .spaces import BoxSpace, DiscreteSpace, GridSpace
+from .spaces import BoxSpace, DiscreteSpace, GridSpace, is_int
 
 # Grid action ids follow the classic frozen-lake order.
 LEFT, DOWN, RIGHT, UP = 0, 1, 2, 3
@@ -163,11 +163,7 @@ def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transiti
     """
     if spec.kind != "grid":
         return _hillcar_step(spec, reward_fn, state, action)[0]
-    # A plain int action id skips the isinstance checks and GRID_MOVES;
-    # int subclasses other than bool are accepted as before.
-    if not (type(action) is int and 0 <= action <= 3) and (
-        not isinstance(action, int) or isinstance(action, bool) or action not in GRID_MOVES
-    ):
+    if not is_int(action) or action not in GRID_MOVES:
         raise InvalidActionError(f"grid action must be an int in 0..3, got {action!r}")
     _check_cell(spec, state)
     effective = action

@@ -310,7 +310,9 @@ def write_trace(path, log: RunLog, env_spec) -> None:
 
     An epoch that aborted on its first action has no steps and so no
     records; the header lists the aborted epochs (only when there are any)
-    so the reader can tell such an epoch from a missing one.
+    so the reader can tell such an epoch from a missing one. The log's
+    ``clamped_actions`` is not written: the file reads back as
+    ``replace(log, clamped_actions=0)``.
 
     Records are the bytes :func:`canonical_json` writes. One ``%`` record
     template per trace, built from the two spaces (:func:`_plain_point`)

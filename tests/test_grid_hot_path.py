@@ -7,9 +7,9 @@ terminal cells are looked up in the spec's fields, and every reward is
 scored by the brute-force scorer of ``conftest``, through the checked
 action metric. The program's run logs, rewards and compliance series must
 equal it bit for bit on every corpus variant. Its rewards must also equal
-:func:`fuzzy_reward`, and the series scorer's step degrees
-:func:`step_compliance_at`. Further cases pin the loop's budget-truncated
-final step against the same reference.
+:func:`fuzzy_reward`. Further cases pin the loop's budget-truncated
+final step against the same reference, and the series scorer's one state
+search per distinct step.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,9 +34,9 @@ from fuzzoracle import (
     oracle_policies,
     policy_compliance_series,
     run_training_phase,
-    step_compliance_at,
 )
-from fuzzoracle.compliance import _step_degrees
+from fuzzoracle import compliance
+from fuzzoracle.spaces import GridSpace
 
 from conftest import brute_force_series
 
@@ -134,10 +135,6 @@ def test_run_logs_rewards_and_series_match_reference(bug, slip):
         steps = [step for epoch in log.epochs for step in epoch.steps]
         for step in steps:
             assert step.reward == fuzzy_reward(step.state, step.action, policy)
-        scalar = [step_compliance_at(policy, s.state, s.action) for s in steps]
-        mu_state, mu_step = _step_degrees(policy, steps)
-        assert mu_state.tolist() == [mu[0] for mu in scalar]
-        assert mu_step.tolist() == [mu[2] for mu in scalar]
         for mode in ("state", "step"):
             series = policy_compliance_series(policy, log, ORACLE.theta_step, mode)
             assert list(series.values) == brute_force_series(
@@ -183,3 +180,37 @@ def test_slip_free_records_of_one_cell_and_action_are_one_object():
     assert max(map(len, shared.values())) > 1
     for group in shared.values():
         assert all(step is group[0] for step in group)
+
+
+def test_scoring_searches_each_distinct_step_once_per_batch():
+    """A 300-epoch grid log is scored with one state search per distinct
+    step of each batch of whole epochs, and its series equals the
+    straight-line one."""
+    spec = GridSpec()
+    policy = oracle_policies(spec, ORACLE)[0]
+    log = run_training_phase(AgentConfig(), spec, policy, 300, (ORACLE.master_seed, 1))
+    batches, batch = [], []
+    for epoch in log.epochs:
+        batch.extend(epoch.steps)
+        if len(batch) >= compliance._BATCH:
+            batches.append(batch)
+            batch = []
+    batches.append(batch)
+    searched = []
+    nearest = GridSpace.nearest
+
+    def counted(space, refs):
+        search = nearest(space, refs)
+
+        def wrapped(state):
+            searched.append(state)
+            return search(state)
+
+        return wrapped
+
+    with mock.patch.object(GridSpace, "nearest", counted):
+        series = policy_compliance_series(policy, log, ORACLE.theta_step)
+    assert len(batches) > 1
+    assert len(searched) == sum(len(set(batch)) for batch in batches)
+    assert len(searched) < sum(map(len, batches))
+    assert list(series.values) == brute_force_series(policy, log, ORACLE.theta_step)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,6 +108,18 @@ class TestTraceRoundTrip:
         parsed, _ = read_trace(path)
         assert parsed.epochs[0].steps[0].state == state
         assert parsed.epochs[0].steps[0].action == (0.777,)
+
+    def test_clamped_actions_are_not_written(self, tmp_path):
+        steps = (
+            TraceStep((-0.5, 0.0), (1.0,), 0.0),
+            TraceStep((-0.4985, 0.0015), (-1.0,), 0.25),
+        )
+        original = RunLog(1, (EpochTrace(steps, 1),), clamped_actions=3)
+        path = tmp_path / "hc.trace.jsonl"
+        write_trace(path, original, HillCarSpec())
+        log, _ = read_trace(path)
+        assert log == replace(original, clamped_actions=0)
+        assert log != original
 
 
 class TestTraceValidation:
