@@ -3,7 +3,7 @@
 Two deterministic testbeds with pluggable reward functions:
 
 * a frozen-lake style grid world (discrete states and actions), and
-* a hill-car control problem (continuous states, scalar force action).
+* a hill-car control problem (continuous states, a force action ``(force,)``).
 
 The reward passed to the learner is whatever callable the caller injects,
 which is how intended-policy rewards replace the native goal reward during
@@ -142,7 +142,7 @@ def native_reward(spec: EnvSpec, state, action, next_state, done) -> float:
     """The environment's own goal-seeking reward."""
     if spec.kind == "grid":
         return 1.0 if done and next_state == spec.goal else 0.0
-    a = action[0] if isinstance(action, tuple) else action
+    a = action[0]
     bonus = 100.0 if done and next_state[0] >= spec.goal_position else 0.0
     return bonus - 0.1 * a * a
 
@@ -155,112 +155,25 @@ def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transiti
     rejected, so misbehaving learners stay runnable.
 
     A grid step checks the action, then the state, which must be a cell of
-    the grid (:meth:`~fuzzoracle.spaces.GridSpace.contains`) at every call;
-    on a slip grid it then draws the slip from
-    ``np.random.default_rng(rng)``. It keeps no memo. A caller that steps
-    many times with one reward, such as a training run, steps through
-    :func:`env_stepper` instead.
+    the grid (:meth:`~fuzzoracle.spaces.GridSpace.contains`) at every call.
+    On a slip grid it then draws from ``np.random.default_rng(rng)``: with
+    probability ``slip_prob`` (``random()``) the move carried out is one of
+    the two perpendicular to ``action`` (``integers(0, 2)``, drawn only on
+    a slip). The move is clamped to the grid. This is the grid's only step;
+    a caller that steps many times with one reward, such as a training
+    run, steps through :func:`env_stepper`, which memoizes it.
     """
     if spec.kind != "grid":
         return _hillcar_step(spec, reward_fn, state, action)[0]
     if not is_int(action) or action not in GRID_MOVES:
         raise InvalidActionError(f"grid action must be an int in 0..3, got {action!r}")
-    _check_cell(spec, state)
-    effective = action
-    if spec.slip_prob > 0.0:
-        effective = _slipped(spec, action, np.random.default_rng(rng))
-    return _grid_step(spec, reward_fn, state, action, effective)
-
-
-def env_stepper(spec: EnvSpec, reward_fn=None, rng=None):
-    """A callable ``(state, action) -> (Transition, TraceStep)``. The
-    transition equals ``env_step(spec, state, action, reward_fn, gen)``,
-    where ``gen`` is one generator made from ``rng`` once, here, on
-    condition that ``reward_fn`` depends on ``(state, action)`` alone, as
-    the reward of :func:`~fuzzoracle.compliance.make_reward_fn` does. The
-    record is the step's log entry, ``TraceStep(tr.state, action,
-    tr.reward)``.
-
-    A grid step depends only on the cell, the action and the action carried
-    out, so the stepper keeps a memo from each cell to the ``(transition,
-    record)`` pair of every action, and on a slip grid of every action and
-    action carried out. A cell's pairs are built on its first visit, once
-    the cell is checked as :func:`env_step` checks it. A plain int action id
-    reads the memo and returns the same two objects at every visit; a slip
-    step first draws the action carried out, as ``env_step`` does. Any
-    other action, and a state that cannot be hashed, goes to ``env_step``.
-
-    The memo finds a cell by equality and checks a state only on a miss:
-    once ``(1, 0)`` was visited, ``(1.0, 0)`` reads the pair of ``(1, 0)``,
-    where ``env_step`` raises. Training passes only the cells the
-    environment returns, so no run meets such a state. A memo pair's state
-    is the memo's cell: it equals the given state but may be another tuple
-    object. The hill-car stepper is the step itself, with no call of its
-    own and no memo: the given state is the transition's state.
-    """
-    if spec.kind != "grid":
-        return functools.partial(_hillcar_step, spec, reward_fn)
-    table = {}
-    actions = range(len(GRID_MOVES))
-
-    if spec.slip_prob == 0.0:
-
-        def step(state, action) -> tuple:
-            if type(action) is int and 0 <= action <= 3:
-                try:
-                    return table[state][action]
-                except KeyError:
-                    pass
-                except TypeError:
-                    return _logged(env_step(spec, state, action, reward_fn))
-                _check_cell(spec, state)
-                row = table[state] = tuple(
-                    [_logged(_grid_step(spec, reward_fn, state, a, a)) for a in actions]
-                )
-                return row[action]
-            return _logged(env_step(spec, state, action, reward_fn))
-
-        return step
-
-    gen = np.random.default_rng(rng)
-
-    def slip_step(state, action) -> tuple:
-        if type(action) is int and 0 <= action <= 3:
-            try:
-                row = table[state]
-            except KeyError:
-                _check_cell(spec, state)
-                row = table[state] = tuple([
-                    tuple([_logged(_grid_step(spec, reward_fn, state, a, e)) for e in actions])
-                    for a in actions
-                ])
-            except TypeError:
-                return _logged(env_step(spec, state, action, reward_fn, gen))
-            return row[action][_slipped(spec, action, gen)]
-        return _logged(env_step(spec, state, action, reward_fn, gen))
-
-    return slip_step
-
-
-def _check_cell(spec: GridSpec, state) -> None:
-    """Raise :class:`InvalidStateError` unless ``state`` is a cell of the grid."""
     if not spec._space.contains(state):
         raise InvalidStateError(f"grid state must be a cell of the grid, got {state!r}")
-
-
-def _slipped(spec: GridSpec, action, gen) -> int:
-    """The action carried out: with probability ``slip_prob`` one of the two
-    directions perpendicular to ``action``, else ``action``. It draws
-    ``gen.random()``, then ``gen.integers(0, 2)`` only on a slip."""
-    if gen.random() < spec.slip_prob:
-        sideways = (action + 1, action + 3)
-        return int(sideways[gen.integers(0, 2)]) % 4
-    return action
-
-
-def _grid_step(spec: GridSpec, reward_fn, state, action, effective) -> Transition:
-    """The transition of ``action`` from the cell ``state``, carried out as
-    ``effective``, with the move clamped to the grid."""
+    effective = action
+    if spec.slip_prob > 0.0:
+        gen = np.random.default_rng(rng)
+        if gen.random() < spec.slip_prob:
+            effective = (action + (1, 3)[gen.integers(0, 2)]) % 4
     dr, dc = GRID_MOVES[effective]
     next_state = (
         min(max(state[0] + dr, 0), spec.rows - 1),
@@ -275,6 +188,51 @@ def _grid_step(spec: GridSpec, reward_fn, state, action, effective) -> Transitio
     return _new(Transition, (state, action, reward, next_state, done, False))
 
 
+def env_stepper(spec: EnvSpec, reward_fn=None, rng=None):
+    """A callable ``(state, action) -> (Transition, TraceStep)``: the
+    transition ``env_step(spec, state, action, reward_fn, gen)``, where
+    ``gen`` is one generator made from ``rng`` once, here, and the step's
+    log record ``TraceStep(tr.state, action, tr.reward)``.
+
+    On a slip-free grid, a step depends only on the cell and the action, so
+    on condition that ``reward_fn`` depends on ``(state, action)`` alone, as
+    the reward of :func:`~fuzzoracle.compliance.make_reward_fn` does, the
+    stepper keeps a memo from each cell to the pairs of its four actions,
+    built by ``env_step`` on the cell's first visit. A plain int action id
+    reads the memo and returns the same two objects at every visit. Any
+    other action, a state that cannot be hashed, and every step of a slip
+    grid or the hill car go to the step itself.
+
+    The memo finds a cell by equality: once ``(1, 0)`` was visited,
+    ``(1.0, 0)`` reads the pair of ``(1, 0)``, whose state is ``(1, 0)``,
+    where ``env_step`` raises. Training passes only the cells the
+    environment returns, so no run meets such a state.
+    """
+    if spec.kind != "grid":
+        return functools.partial(_hillcar_step, spec, reward_fn)
+    if spec.slip_prob > 0.0:
+        gen = np.random.default_rng(rng)
+        return lambda state, action: _logged(env_step(spec, state, action, reward_fn, gen))
+    table = {}
+    actions = range(len(GRID_MOVES))
+
+    def step(state, action) -> tuple:
+        if type(action) is int and 0 <= action <= 3:
+            try:
+                return table[state][action]
+            except KeyError:
+                pass
+            except TypeError:
+                return _logged(env_step(spec, state, action, reward_fn))
+            row = table[state] = tuple(
+                [_logged(env_step(spec, state, a, reward_fn)) for a in actions]
+            )
+            return row[action]
+        return _logged(env_step(spec, state, action, reward_fn))
+
+    return step
+
+
 def _logged(tr: Transition) -> tuple:
     """``(tr, its log record)``."""
     return tr, _new(TraceStep, (tr.state, tr.action, tr.reward))
@@ -282,17 +240,12 @@ def _logged(tr: Transition) -> tuple:
 
 def _hillcar_step(spec: HillCarSpec, reward_fn, state, action) -> tuple:
     """``(transition, log record)`` of one hill-car step."""
-    if isinstance(action, tuple):
-        if len(action) != 1:
-            raise InvalidActionError(f"hill-car action must be scalar, got {action!r}")
-        force = action[0]
-        if type(force) is not float and (
-            not isinstance(force, (int, float)) or isinstance(force, bool)
-        ):
-            raise InvalidActionError(f"hill-car action must be numeric, got {action!r}")
-    elif isinstance(action, (int, float)) and not isinstance(action, bool):
-        force = float(action)
-    else:
+    if not isinstance(action, tuple) or len(action) != 1:
+        raise InvalidActionError(f"hill-car action must be a one-element tuple, got {action!r}")
+    force = action[0]
+    if type(force) is not float and (
+        not isinstance(force, (int, float)) or isinstance(force, bool)
+    ):
         raise InvalidActionError(f"hill-car action must be numeric, got {action!r}")
     if not math.isfinite(force):
         raise InvalidActionError(f"hill-car action must be finite, got {force}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import fields, is_dataclass
 from itertools import chain
 
@@ -403,7 +404,8 @@ def read_trace(path):
     Epochs must be contiguous from 1 and steps contiguous from 1 within
     each epoch; violations report the offending record index. An epoch
     without records is accepted only when the header lists it among the
-    aborted epochs; it is read back as an epoch with no steps.
+    aborted epochs; it is read back as an epoch with no steps. A hill-car
+    force may be any finite number (:func:`_trace_actions`).
 
     The header is parsed by :func:`_parse_record`; one loop,
     :func:`_read_records`, then parses and checks the records one line at
@@ -438,7 +440,8 @@ def read_trace(path):
         aborted = _aborted_epochs(header)
 
         epochs = _read_records(
-            fh, env_spec.state_space(), env_spec.action_space(), frozenset(aborted)
+            fh, env_spec.state_space(), _trace_actions(env_spec.action_space()),
+            frozenset(aborted),
         )
 
     if not epochs:
@@ -454,6 +457,17 @@ def read_trace(path):
             record_index=1,
         )
     return RunLog(header.get("policy_id", 1), tuple(epochs), aborted), env_spec
+
+
+def _trace_actions(space):
+    """The actions a trace may hold: those of ``space`` when it is
+    discrete, else every finite point of its length. The environment clamps
+    a force outside the box, and training scores the force as the learner
+    emitted it, so its trace keeps that force for ``analyze`` to score."""
+    if isinstance(space, DiscreteSpace):
+        return space
+    top = sys.float_info.max
+    return BoxSpace(lows=(-top,) * space.dim, highs=(top,) * space.dim)
 
 
 _FIELDS = ("epoch", "step", "state", "action", "reward")

@@ -218,8 +218,8 @@ def run_training_phase(
     looked up once, not once per step. Every step goes through one
     :func:`~fuzzoracle.envs.env_stepper` per run, which returns the step's
     transition with its :class:`~fuzzoracle.compliance.TraceStep` record;
-    on a grid it builds the pair once per (cell, action, action carried
-    out), so a step records a shared record and allocates none.
+    on a slip-free grid it builds the pair once per (cell, action), so a
+    step records a shared record and allocates none.
     """
     seed_path = seed if isinstance(seed, (list, tuple)) else (seed,)
     agent = make_agent(

@@ -22,6 +22,7 @@ from fuzzoracle import (
     native_reward,
     oracle_policies,
 )
+from fuzzoracle import envs
 from fuzzoracle.envs import env_stepper
 from fuzzoracle.errors import InvalidActionError, InvalidEnvSpecError, InvalidStateError
 
@@ -299,17 +300,6 @@ class TestStepper:
             moves[tr.next_state] += 1
         assert moves[(0, 1)] and len(moves) == 3
 
-    def test_a_slip_stepper_returns_one_pair_per_move_carried_out(self):
-        # UP from (3, 2) goes to (2, 2), or slips onto (3, 1) or the goal.
-        spec = GridSpec(slip_prob=0.5)
-        step = env_stepper(spec, self.policy_reward(spec), 4)
-        pairs = {}
-        for _ in range(60):
-            pair = step((3, 2), UP)
-            assert pairs.setdefault(pair[0].next_state, pair) is pair
-            stepped(step, (3, 2), UP)
-        assert sorted(pairs) == [(2, 2), (3, 1), (3, 3)]
-
     def test_a_slip_stepper_with_the_native_reward_equals_env_step(self):
         # From (3, 2) neither UP nor DOWN reaches the goal, but a slip to the
         # right does, so the native reward depends on the move carried out.
@@ -366,6 +356,27 @@ class TestStepper:
                 assert step(cell, action) is first
                 rewards.append(stepped(step, cell, action).reward)
         assert any(r != 0.0 for r in rewards) and 0.0 in rewards
+
+    def test_a_slip_free_stepper_steps_each_visited_cell_four_times(self, monkeypatch):
+        # A cell's first visit builds its row through env_step, one call per
+        # action; every later step of a plain action id reads the memo.
+        calls = Counter()
+
+        def counted(spec, state, action, *args):
+            calls[state] += 1
+            return env_step(spec, state, action, *args)
+
+        monkeypatch.setattr(envs, "env_step", counted)
+        step = env_stepper(self.spec, self.policy_reward(self.spec))
+        cells = self.spec.non_terminal_cells()
+        for cell in cells:
+            for action in (UP, RIGHT, UP, DOWN, LEFT):
+                step(cell, action)
+                assert calls[cell] == 4
+        assert sum(calls.values()) == 4 * len(cells)
+        for cell in cells:
+            step(cell, RIGHT)
+        assert sum(calls.values()) == 4 * len(cells)
 
     def test_a_pure_reward_is_called_once_per_cell_and_action(self):
         spec = GridSpec(rows=3, cols=5, holes=self.spec.holes, goal=self.spec.goal)
@@ -445,9 +456,16 @@ class TestHillCarStep:
 
     @pytest.mark.parametrize("force", [1, 0.5, np.float64(0.5), -3],
                              ids=["int", "float", "numpy_float", "clamped_int"])
-    def test_tuple_element_steps_as_the_bare_action(self, force):
+    def test_a_tuple_steps_and_its_bare_element_is_refused(self, force):
+        # An action is a point of the one-coordinate action space, as every
+        # built-in learner emits it; a bare number would log an action the
+        # scorer and the trace writer refuse.
         spec = HillCarSpec()
-        assert env_step(spec, (-0.5, 0.0), (force,))[3:] == env_step(spec, (-0.5, 0.0), force)[3:]
+        tr = env_step(spec, (-0.5, 0.0), (force,))
+        assert tr[3:] == env_step(spec, (-0.5, 0.0), (float(force),))[3:]
+        refusal = "one-element tuple, got " + re.escape(repr(force))
+        with pytest.raises(InvalidActionError, match=refusal):
+            env_step(spec, (-0.5, 0.0), force)
 
     @pytest.mark.parametrize("state", [
         (-0.5,), (-0.5, 0.0, 0.0), -0.5, (5.0, 0.0), (-1.3, 0.0), (-0.5, 0.08),

@@ -20,6 +20,8 @@ from fuzzoracle import (
     TraceStep,
     TrendParams,
     inject_bug,
+    oracle_policies,
+    policy_compliance_series,
 )
 from fuzzoracle import logfiles
 from fuzzoracle.errors import InvalidWindowError, TraceFormatError
@@ -108,6 +110,27 @@ class TestTraceRoundTrip:
         parsed, _ = read_trace(path)
         assert parsed.epochs[0].steps[0].state == state
         assert parsed.epochs[0].steps[0].action == (0.777,)
+
+    def test_forces_outside_the_action_space_read_back_as_written(self, tmp_path):
+        # Training scores the force the learner emitted, not the clamped
+        # one, so analyze of the trace must score the same series.
+        spec = HillCarSpec()
+        policy = oracle_policies(spec, OracleConfig(policies=1, master_seed=4))[0]
+        states = [state for state, _ in policy.entries]
+        forces = [(1.5,), (-3.0,), (0.25,), (1.0,)]
+        epochs = []
+        for e in range(len(forces)):
+            turned = forces[e:] + forces[:e]
+            steps = tuple(TraceStep(s, f, 0.0) for s, f in zip(states, turned))
+            epochs.append(EpochTrace(steps, e + 1))
+        log = RunLog(1, tuple(epochs))
+        path = tmp_path / "hc.trace.jsonl"
+        write_trace(path, log, spec)
+        parsed, _ = read_trace(path)
+        assert parsed == log
+        expected = policy_compliance_series(policy, log, 0.3)
+        assert policy_compliance_series(policy, parsed, 0.3) == expected
+        assert any(expected.values)
 
     def test_clamped_actions_are_not_written(self, tmp_path):
         steps = (
@@ -701,7 +724,8 @@ class TestBoxRecords:
 
 class TestActionRecords:
     """Actions read from a trace: a grid move is an int in 0..3, a hill-car
-    force a list of one number (not a bool) inside [-1, 1]."""
+    force a list of one finite number (not a bool), which the environment
+    clamps to [-1, 1] but the trace keeps as the learner emitted it."""
 
     CASES = [
         (GridSpec(), 3, 3),
@@ -709,8 +733,10 @@ class TestActionRecords:
         (GridSpec(), -1, "outside the action space"),
         (HillCarSpec(), [1], (1.0,)),
         (HillCarSpec(), [-1.0], (-1.0,)),
-        (HillCarSpec(), [1.5], "outside the action space"),
+        (HillCarSpec(), [1.5], (1.5,)),
+        (HillCarSpec(), [-3], (-3.0,)),
         (HillCarSpec(), [float("nan")], "outside the action space"),
+        (HillCarSpec(), [float("inf")], "outside the action space"),
         (HillCarSpec(), [0.5, 0.5], "outside the action space"),
         (HillCarSpec(), [], "outside the action space"),
         (HillCarSpec(), [True], "box coordinates must be numbers"),
