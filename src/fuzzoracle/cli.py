@@ -200,10 +200,11 @@ def _resolve_workers(args) -> int | None:
 
 def _prologue(args) -> tuple:
     """The run config with every override, checked for a learner that runs
-    on its environment, with the output directory and the worker count.
-    Nothing is written yet."""
+    on its environment and for policies that fit it, with the output
+    directory and the worker count. Nothing is written yet."""
     config = load_run_config(args.config, _overrides(args))
     check_environment(config["agent"].algorithm, config["env"].kind)
+    oracle_policies(config["env"], config["oracle"])
     out_dir = args.output or config["output_dir"] or "fuzzoracle-out"
     return config, out_dir, _resolve_workers(args)
 

@@ -170,9 +170,10 @@ def make_reward_fn(policy: IntendedPolicy, reward_scale: float = 1.0):
     The policy's nearest-reference search is built once, here, and every
     call scores its step afresh. The reward depends on ``(state, action)``
     alone, so a training run steps through
-    :func:`~fuzzoracle.envs.env_stepper`, which on a slip-free grid calls
-    it only while it builds a cell's memo pairs and keeps each reward in
-    that pair's transition and trace record.
+    :func:`~fuzzoracle.envs.env_stepper`, which calls it once per step,
+    except on a slip-free grid: there it calls it only while it builds a
+    cell's memo pairs, and keeps each reward in that pair's transition and
+    trace record.
     """
     if not reward_scale > 0:
         raise ValueError("reward_scale must be positive")

@@ -12,7 +12,6 @@ oracle runs. Without one, the native reward (:func:`native_reward`) applies.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -150,135 +149,122 @@ def native_reward(spec: EnvSpec, state, action, next_state, done) -> float:
 def env_step(spec: EnvSpec, state, action, reward_fn=None, rng=None) -> Transition:
     """Advance one step; the reward is ``reward_fn(state, action)``.
 
-    With ``reward_fn`` None the native reward applies. Out-of-range
-    hill-car forces are clamped and flagged on the transition rather than
-    rejected, so misbehaving learners stay runnable.
+    With ``reward_fn`` None the native reward applies. This is each
+    environment's only step; a caller that steps many times with one
+    reward, such as a training run, steps through :func:`env_stepper`.
 
     A grid step checks the action, then the state, which must be a cell of
     the grid (:meth:`~fuzzoracle.spaces.GridSpace.contains`) at every call.
     On a slip grid it then draws from ``np.random.default_rng(rng)``: with
     probability ``slip_prob`` (``random()``) the move carried out is one of
     the two perpendicular to ``action`` (``integers(0, 2)``, drawn only on
-    a slip). The move is clamped to the grid. This is the grid's only step;
-    a caller that steps many times with one reward, such as a training
-    run, steps through :func:`env_stepper`, which memoizes it.
+    a slip). The move is clamped to the grid.
+
+    A hill-car step checks the action, a one-element tuple of a finite
+    number, then the state, a ``(position, velocity)`` pair of the state
+    space, and draws nothing. A force outside [-1, 1] is clamped and
+    flagged on the transition rather than rejected, so misbehaving learners
+    stay runnable; velocity and position are clamped to the track.
     """
-    if spec.kind != "grid":
-        return _hillcar_step(spec, reward_fn, state, action)[0]
-    if not is_int(action) or action not in GRID_MOVES:
-        raise InvalidActionError(f"grid action must be an int in 0..3, got {action!r}")
-    if not spec._space.contains(state):
-        raise InvalidStateError(f"grid state must be a cell of the grid, got {state!r}")
-    effective = action
-    if spec.slip_prob > 0.0:
-        gen = np.random.default_rng(rng)
-        if gen.random() < spec.slip_prob:
-            effective = (action + (1, 3)[gen.integers(0, 2)]) % 4
-    dr, dc = GRID_MOVES[effective]
-    next_state = (
-        min(max(state[0] + dr, 0), spec.rows - 1),
-        min(max(state[1] + dc, 0), spec.cols - 1),
-    )
-    done = next_state in spec._terminal
+    clamped = False
+    if spec.kind == "grid":
+        if not is_int(action) or action not in GRID_MOVES:
+            raise InvalidActionError(f"grid action must be an int in 0..3, got {action!r}")
+        if not spec._space.contains(state):
+            raise InvalidStateError(f"grid state must be a cell of the grid, got {state!r}")
+        effective = action
+        if spec.slip_prob > 0.0:
+            gen = np.random.default_rng(rng)
+            if gen.random() < spec.slip_prob:
+                effective = (action + (1, 3)[gen.integers(0, 2)]) % 4
+        dr, dc = GRID_MOVES[effective]
+        next_state = (
+            min(max(state[0] + dr, 0), spec.rows - 1),
+            min(max(state[1] + dc, 0), spec.cols - 1),
+        )
+        done = next_state in spec._terminal
+    else:
+        if not isinstance(action, tuple) or len(action) != 1:
+            raise InvalidActionError(f"hill-car action must be a one-element tuple, got {action!r}")
+        force = action[0]
+        if type(force) is not float and (
+            not isinstance(force, (int, float)) or isinstance(force, bool)
+        ):
+            raise InvalidActionError(f"hill-car action must be numeric, got {action!r}")
+        if not math.isfinite(force):
+            raise InvalidActionError(f"hill-car action must be finite, got {force}")
+        if force < -1.0:
+            force, clamped = -1.0, True
+        elif force > 1.0:
+            force, clamped = 1.0, True
+
+        top, low, high = spec.max_speed, spec.min_position, spec.max_position
+        try:
+            position, velocity = state
+            inside = low <= position <= high and -top <= velocity <= top
+        except (TypeError, ValueError):
+            inside = False
+        if not inside:
+            raise InvalidStateError(
+                "hill-car state must be a (position, velocity) pair in the state space, "
+                f"got {state!r}"
+            )
+        velocity = velocity + force * spec.force - spec.gravity * math.cos(3.0 * position)
+        # Clamp to the track; comparisons are several times cheaper than min/max.
+        velocity = -top if velocity < -top else top if velocity > top else velocity
+        position += velocity
+        position = low if position < low else high if position > high else position
+        next_state = (position, velocity)
+        done = position >= spec.goal_position
     reward = (
         reward_fn(state, action)
         if reward_fn is not None
         else native_reward(spec, state, action, next_state, done)
     )
-    return _new(Transition, (state, action, reward, next_state, done, False))
+    return _new(Transition, (state, action, reward, next_state, done, clamped))
 
 
 def env_stepper(spec: EnvSpec, reward_fn=None, rng=None):
     """A callable ``(state, action) -> (Transition, TraceStep)``: the
-    transition ``env_step(spec, state, action, reward_fn, gen)``, where
+    transition ``tr = env_step(spec, state, action, reward_fn, gen)``, where
     ``gen`` is one generator made from ``rng`` once, here, and the step's
-    log record ``TraceStep(tr.state, action, tr.reward)``.
+    log record ``TraceStep(state, action, tr.reward)``. One closure pairs
+    the two; the hill car and slip grids step through it at every call.
 
     On a slip-free grid, a step depends only on the cell and the action, so
     on condition that ``reward_fn`` depends on ``(state, action)`` alone, as
     the reward of :func:`~fuzzoracle.compliance.make_reward_fn` does, the
     stepper keeps a memo from each cell to the pairs of its four actions,
-    built by ``env_step`` on the cell's first visit. A plain int action id
-    reads the memo and returns the same two objects at every visit. Any
-    other action, a state that cannot be hashed, and every step of a slip
-    grid or the hill car go to the step itself.
+    built through that closure on the cell's first visit. A plain int
+    action id reads the memo and returns the same two objects at every
+    visit. Any other action, and a state that cannot be hashed, go to the
+    closure.
 
     The memo finds a cell by equality: once ``(1, 0)`` was visited,
     ``(1.0, 0)`` reads the pair of ``(1, 0)``, whose state is ``(1, 0)``,
     where ``env_step`` raises. Training passes only the cells the
     environment returns, so no run meets such a state.
     """
-    if spec.kind != "grid":
-        return functools.partial(_hillcar_step, spec, reward_fn)
-    if spec.slip_prob > 0.0:
-        gen = np.random.default_rng(rng)
-        return lambda state, action: _logged(env_step(spec, state, action, reward_fn, gen))
-    table = {}
-    actions = range(len(GRID_MOVES))
+    gen = np.random.default_rng(rng)
 
     def step(state, action) -> tuple:
+        tr = env_step(spec, state, action, reward_fn, gen)
+        return tr, _new(TraceStep, (state, action, tr[2]))
+
+    if spec.kind != "grid" or spec.slip_prob > 0.0:
+        return step
+    table = {}
+
+    def memo_step(state, action) -> tuple:
         if type(action) is int and 0 <= action <= 3:
             try:
                 return table[state][action]
             except KeyError:
                 pass
             except TypeError:
-                return _logged(env_step(spec, state, action, reward_fn))
-            row = table[state] = tuple(
-                [_logged(env_step(spec, state, a, reward_fn)) for a in actions]
-            )
+                return step(state, action)
+            row = table[state] = tuple([step(state, a) for a in range(4)])
             return row[action]
-        return _logged(env_step(spec, state, action, reward_fn))
+        return step(state, action)
 
-    return step
-
-
-def _logged(tr: Transition) -> tuple:
-    """``(tr, its log record)``."""
-    return tr, _new(TraceStep, (tr.state, tr.action, tr.reward))
-
-
-def _hillcar_step(spec: HillCarSpec, reward_fn, state, action) -> tuple:
-    """``(transition, log record)`` of one hill-car step."""
-    if not isinstance(action, tuple) or len(action) != 1:
-        raise InvalidActionError(f"hill-car action must be a one-element tuple, got {action!r}")
-    force = action[0]
-    if type(force) is not float and (
-        not isinstance(force, (int, float)) or isinstance(force, bool)
-    ):
-        raise InvalidActionError(f"hill-car action must be numeric, got {action!r}")
-    if not math.isfinite(force):
-        raise InvalidActionError(f"hill-car action must be finite, got {force}")
-
-    clamped = False
-    if force < -1.0:
-        force, clamped = -1.0, True
-    elif force > 1.0:
-        force, clamped = 1.0, True
-
-    top, low, high = spec.max_speed, spec.min_position, spec.max_position
-    try:
-        position, velocity = state
-        inside = low <= position <= high and -top <= velocity <= top
-    except (TypeError, ValueError):
-        inside = False
-    if not inside:
-        raise InvalidStateError(
-            f"hill-car state must be a (position, velocity) pair in the state space, got {state!r}"
-        )
-    velocity = velocity + force * spec.force - spec.gravity * math.cos(3.0 * position)
-    # Clamp to the track; comparisons are several times cheaper than min/max.
-    velocity = -top if velocity < -top else top if velocity > top else velocity
-    position += velocity
-    position = low if position < low else high if position > high else position
-    next_state = (position, velocity)
-    done = position >= spec.goal_position
-    reward = (
-        reward_fn(state, action)
-        if reward_fn is not None
-        else native_reward(spec, state, action, next_state, done)
-    )
-    return (
-        _new(Transition, (state, action, reward, next_state, done, clamped)),
-        _new(TraceStep, (state, action, reward)),
-    )
+    return memo_step

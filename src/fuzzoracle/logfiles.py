@@ -645,11 +645,11 @@ def load_run_config(path, overrides=()) -> dict:
     Returns a dict with keys env, agent, oracle, output_dir, variants: the
     agent carries the top-level ``bug``, and each variant is a ``(name,
     buggy, agent)`` whose agent carries the variant's bug instead, so a
-    config with ``variants`` names no top-level bug. Each
-    ``(section, field, value)`` in ``overrides`` is set on the file's env,
-    agent or oracle section, or with section None on its top level, before
-    it is parsed, so a file value it replaces is never checked. JSON syntax
-    errors surface with their line number.
+    config with ``variants`` names no top-level bug. No two variants share
+    a name. Each ``(section, field, value)`` in ``overrides`` is set on the
+    file's env, agent or oracle section, or with section None on its top
+    level, before it is parsed, so a file value it replaces is never
+    checked. JSON syntax errors surface with their line number.
     """
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -674,13 +674,18 @@ def load_run_config(path, overrides=()) -> dict:
            bug)
     env = env_spec_from_dict(data["env"])
     agent = agent_config_from_dict(data["agent"])
-    return {
+    config = {
         "env": env,
         "agent": inject_bug(agent, bug),
         "oracle": config_from_dict(OracleConfig, data["oracle"], "oracle"),
         "output_dir": output_dir,
         "variants": [_variant(v, agent) for v in variants],
     }
+    names = set()
+    for name, _, _ in config["variants"]:
+        _check(name not in names, "run", "variant names must be distinct", name)
+        names.add(name)
+    return config
 
 
 def _variant(data, agent: AgentConfig) -> tuple:

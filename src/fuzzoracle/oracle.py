@@ -216,10 +216,11 @@ def run_training_phase(
 
     The agent's ``act`` and ``update``, and each epoch's ``append``, are
     looked up once, not once per step. Every step goes through one
-    :func:`~fuzzoracle.envs.env_stepper` per run, which returns the step's
-    transition with its :class:`~fuzzoracle.compliance.TraceStep` record;
-    on a slip-free grid it builds the pair once per (cell, action), so a
-    step records a shared record and allocates none.
+    :func:`~fuzzoracle.envs.env_stepper` per run, one closure that pairs
+    the transition of :func:`~fuzzoracle.envs.env_step` with its
+    :class:`~fuzzoracle.compliance.TraceStep` record; on a slip-free grid
+    its memo builds the pair once per (cell, action), so a step records a
+    shared record and allocates none.
     """
     seed_path = seed if isinstance(seed, (list, tuple)) else (seed,)
     agent = make_agent(

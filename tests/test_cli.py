@@ -541,6 +541,41 @@ class TestTestCommand:
         assert err == "error: tabular_q needs a discrete grid environment, got 'hillcar'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, sections, message", [
+        ("test", {"oracle": {"policy_size": 20}},
+         "policy_size 20 exceeds the 11 non-terminal cells"),
+        ("evaluate", {"oracle": {"policy_size": 12}},
+         "policy_size 12 exceeds the 11 non-terminal cells"),
+        ("test", {"env": {"kind": "hillcar"}, "agent": {"algorithm": "linear_actor_critic"},
+                  "oracle": {"policy_size": 500}},
+         "could not place 500 reference states after 10000 attempts"),
+    ], ids=["test_grid", "evaluate_grid", "test_hillcar"])
+    def test_a_policy_size_the_environment_cannot_hold_writes_nothing(
+        self, tmp_path, capsys, command, sections, message
+    ):
+        cfg = write_config(
+            tmp_path / "cfg.json", **sections,
+            variants=[{"name": "clean", "bug": None, "buggy": False}],
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["test", "evaluate"])
+    def test_a_repeated_variant_name_writes_nothing(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "cfg.json", variants=[
+            {"name": "a", "bug": None, "buggy": False},
+            {"name": "b", "bug": "LR_ZERO", "buggy": True},
+            {"name": "a", "bug": "LR_ZERO", "buggy": True},
+        ])
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: bad run config: variant names must be distinct, got 'a'\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["test", "evaluate"])
     @pytest.mark.parametrize("fields, message", [
         ({"variants": [{"name": "clean", "bug": None, "buggy": "false"}]},

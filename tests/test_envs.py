@@ -343,6 +343,32 @@ class TestStepper:
             assert expected[0] in (InvalidStateError, InvalidActionError)
             assert outcome(step, *args) == expected
 
+    @pytest.mark.parametrize("rewarded", [False, True], ids=["native", "policy"])
+    def test_a_hill_car_step_builds_its_transition_and_a_stepper_adds_its_record(
+        self, monkeypatch, rewarded
+    ):
+        # env_step builds no record it would drop; the stepper builds the
+        # record from the state and action it was given.
+        built = []
+
+        def counted(cls, fields):
+            built.append(cls)
+            return tuple.__new__(cls, fields)
+
+        monkeypatch.setattr(envs, "_new", counted)
+        spec = HillCarSpec()
+        reward_fn = self.policy_reward(spec) if rewarded else None
+        step = env_stepper(spec, reward_fn)
+        for state, action in (((-0.5, 0.0), (0.25,)), ((0.2, -0.01), (-3.0,))):
+            env_step(spec, state, action, reward_fn)
+            assert built == [envs.Transition]
+            built.clear()
+            tr, record = step(state, action)
+            assert built == [envs.Transition, TraceStep]
+            assert record.state is state and record.action is action
+            assert record.reward == tr.reward
+            built.clear()
+
     def test_a_repeated_step_with_a_policy_reward_returns_the_same_pair(self):
         # A stepper builds each (cell, action) transition and record once,
         # nonzero rewards included, and a repeated step returns them again.
