@@ -120,29 +120,15 @@ def _state_degree(policy: IntendedPolicy):
 
 def _action_degree(policy: IntendedPolicy):
     """Callable ``(action, ideal action) -> action compliance`` under
-    ``policy``, with the action shape bound at its width once.
-
-    A box policy measures a plain tuple action of the ideal's length
-    inline, with the arithmetic of
-    :func:`~fuzzoracle.spaces.continuous_action_distance`; any other action
-    goes through that function, so it raises what the function raises.
+    ``policy``: the action shape, bound at its width once, of the action
+    space's one metric. That metric is the discrete space's ``distance``,
+    or else :func:`~fuzzoracle.spaces.continuous_action_distance`, so a bad
+    action raises what the metric raises.
     """
     ramp = policy.action_shape.at()
-    if isinstance(policy.action_space, DiscreteSpace):
-        metric = policy.action_space.distance
-        return lambda action, ideal: ramp(metric(action, ideal))
-    sqrt = math.sqrt
-
-    def degree(action, ideal) -> float:
-        if type(action) is tuple and len(action) == len(ideal):
-            total = 0.0
-            for x, y in zip(action, ideal):
-                d = x - y
-                total += d * d
-            return ramp(sqrt(total))
-        return ramp(continuous_action_distance(action, ideal))
-
-    return degree
+    space = policy.action_space
+    metric = space.distance if isinstance(space, DiscreteSpace) else continuous_action_distance
+    return lambda action, ideal: ramp(metric(action, ideal))
 
 
 def step_compliance_at(policy: IntendedPolicy, state, action) -> tuple[float, float, float]:

@@ -189,27 +189,23 @@ def _point_to_json(point, space):
 
 def _point_reader(space):
     """Callable ``(value, index=None)`` giving the point of ``space`` that
-    ``value`` holds, and whether ``space`` contains it. The point is an int
-    in a discrete space, two ints on a grid, a tuple of floats in a box.
-    Bools are not numbers here, and a float is never truncated to a grid
-    coordinate; anything else raises :class:`TraceFormatError` at record
-    ``index``."""
+    ``value`` holds, and whether ``space`` contains it, as ``space.contains``
+    tells. The point is an int in a discrete space, two ints on a grid, a
+    tuple of floats in a box. Bools are not numbers here, and a float is
+    never truncated to a grid coordinate; anything else raises
+    :class:`TraceFormatError` at record ``index``."""
     if isinstance(space, DiscreteSpace):
-        n = space.n
-
         def point(value, index=None):
             if is_int(value):
-                return value, 0 <= value < n
+                return value, space.contains(value)
             raise _bad_point("discrete action must be an int", value, index)
     elif isinstance(space, GridSpace):
-        rows, cols = space.rows, space.cols
-
         def point(value, index=None):
             if not isinstance(value, (list, tuple)):
                 raise _bad_point("point must be a list", value, index)
             if len(value) == 2 and is_int(value[0]) and is_int(value[1]):
-                r, c = value
-                return (r, c), 0 <= r < rows and 0 <= c < cols
+                p = tuple(value)
+                return p, space.contains(p)
             raise _bad_point("grid coordinates must be two ints", value, index)
     else:
         def point(value, index=None):

@@ -12,10 +12,12 @@ metric used by the fuzzy compliance machinery:
 * continuous actions use raw Euclidean distance, paired downstream with a
   membership shape scaled by the space diameter.
 
-A state space's ``distance`` is its metric, and ``nearest`` builds a
-policy's nearest-reference search with the same float operations. Both
-refuse a point of the wrong length with :class:`InvalidStateError`:
-``distance(a, b)`` checks ``b`` as a reference, then ``a`` as a state.
+Each metric is written once. A state space's metric lives in its
+``nearest``, which builds a policy's nearest-reference search, and its
+``distance(a, b)`` is that search with ``b`` as the one reference, so it
+checks ``b`` as a reference, then ``a`` as a state, and refuses a point of
+the wrong length with :class:`InvalidStateError`. An action is measured by
+:meth:`DiscreteSpace.distance` or :func:`continuous_action_distance`.
 :class:`BoxSpace` alone adds an array form (``distances``), for the array
 pass over box run logs.
 """
@@ -69,10 +71,8 @@ class GridSpace:
         return is_int(r) and is_int(c) and 0 <= r < self.rows and 0 <= c < self.cols
 
     def distance(self, a: GridCell, b: GridCell) -> float:
-        """Manhattan distance, summed in integers and then made a float, as
-        in :meth:`nearest`."""
-        _refs((b, a), 2)
-        return float(abs(a[0] - b[0]) + abs(a[1] - b[1]))
+        """The distance of :meth:`nearest` with ``b`` the one reference."""
+        return self.nearest((b,))(a)[1]
 
     def nearest(self, refs):
         """Callable ``state -> (index, distance)`` of the first of ``refs``
@@ -131,19 +131,13 @@ class BoxSpace:
         )
 
     def distance(self, a: Coords, b: Coords) -> float:
-        """Euclidean distance after scaling each dimension to [0, 1]: per
-        dimension in order, ``(x - y) / span`` is squared and added to a
-        total that starts at 0.0, whose ``sqrt`` is the distance."""
-        _refs((b, a), self.dim)
-        total = 0.0
-        for x, y, span in zip(a, b, self._spans):
-            d = (x - y) / span
-            total += d * d
-        return math.sqrt(total)
+        """The distance of :meth:`nearest` with ``b`` the one reference."""
+        return self.nearest((b,))(a)[1]
 
     def nearest(self, refs):
         """Callable ``state -> (index, distance)`` of the first of ``refs``
-        nearest to ``state`` under :meth:`distance`.
+        nearest to ``state``: the Euclidean distance after scaling each
+        dimension to [0, 1].
 
         Per dimension in order, ``(x - y) / span`` is squared and added to a
         total that starts at 0.0, whose ``sqrt`` is the distance. Each

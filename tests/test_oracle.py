@@ -197,6 +197,36 @@ class TestRunTrainingPhase:
         assert log.aborted_epochs == (2,)
         assert [len(e) for e in log.epochs] == [20, 0, 20]
 
+    def test_out_of_range_forces_are_counted_and_flagged(self, monkeypatch):
+        # Forces outside [-1, 1] are clamped by the environment: the run log
+        # counts them, each record keeps the force the learner emitted, and
+        # only their transitions reach update flagged as clamped.
+        forces = [(1.5,), (-2.0,), (0.5,), (-1.0,), (1,), (-1.25,)]
+        out_of_range = {(1.5,), (-2.0,), (-1.25,)}
+
+        class FixedForces:
+            def __init__(self):
+                self.emitted = itertools.cycle(forces)
+                self.updates = []
+
+            def act(self, state, progress):
+                return next(self.emitted)
+
+            def update(self, transition):
+                self.updates.append(transition)
+
+        agent = FixedForces()
+        monkeypatch.setattr(oracle, "make_agent", lambda config, spec, rng: agent)
+        spec = HillCarSpec(max_steps_per_epoch=6)
+        policy = generate_policies(spec, 1, 3, 0)[0]
+        log = run_training_phase(HILLCAR_AGENT, spec, policy, 2, 0)
+        assert [len(e) for e in log.epochs] == [6, 6]
+        assert log.clamped_actions == 2 * len(out_of_range)
+        records = [s for e in log.epochs for s in e.steps]
+        assert [s.action for s in records] == forces * 2
+        assert [t.action for t in agent.updates] == forces * 2
+        assert [t.clamped for t in agent.updates] == [f in out_of_range for f in forces] * 2
+
     def test_hillcar_training_runs(self):
         spec = HillCarSpec(max_steps_per_epoch=40)
         policy = generate_policies(spec, 1, 3, 0)[0]

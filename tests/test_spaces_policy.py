@@ -282,6 +282,65 @@ def nearest_cases(draw, lattice=False):
     return space, refs, states
 
 
+def formula_distance(space, a, b) -> float:
+    """The metric as ``docs/formats.md`` gives it under "Scoring metrics",
+    written out for a grid cell and for a 2-D and a 3-D box point."""
+    if isinstance(space, GridSpace):
+        return float(abs(a[0] - b[0]) + abs(a[1] - b[1]))
+    d0 = (a[0] - b[0]) / (space.highs[0] - space.lows[0])
+    d1 = (a[1] - b[1]) / (space.highs[1] - space.lows[1])
+    if space.dim == 2:
+        return math.sqrt((0.0 + d0 * d0) + d1 * d1)
+    d2 = (a[2] - b[2]) / (space.highs[2] - space.lows[2])
+    return math.sqrt(((0.0 + d0 * d0) + d1 * d1) + d2 * d2)
+
+
+@st.composite
+def distance_cases(draw):
+    """(space, a, b, a point of another length) on a grid or a 2-D or 3-D
+    box. Box points may lie outside the box."""
+    dim = draw(st.sampled_from([None, 2, 3]))
+    if dim is None:
+        space = GridSpace(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        point = st.tuples(st.integers(0, space.rows - 1), st.integers(0, space.cols - 1))
+        coordinate = st.integers(0, 9)
+        dim = 2
+    else:
+        lows = [draw(st.floats(-10, 10)) for _ in range(dim)]
+        spans = [draw(st.floats(0.01, 20)) for _ in range(dim)]
+        space = BoxSpace(tuple(lows), tuple(lo + w for lo, w in zip(lows, spans)))
+        coordinate = st.floats(-1e6, 1e6) | st.integers(-10, 10)
+        point = st.tuples(*(
+            st.floats(lo, hi) | coordinate for lo, hi in zip(space.lows, space.highs)
+        ))
+    length = draw(st.integers(0, 4).filter(lambda n: n != dim))
+    wrong = tuple(draw(st.lists(coordinate, min_size=length, max_size=length)))
+    return space, draw(point), draw(point), wrong
+
+
+class TestDistance:
+    """``space.distance`` pinned bit for bit to the documented formula."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=distance_cases())
+    def test_matches_the_formula_and_is_symmetric(self, case):
+        space, a, b, _ = case
+        assert space.distance(a, b).hex() == formula_distance(space, a, b).hex()
+        assert space.distance(a, b).hex() == space.distance(b, a).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=distance_cases(), a_wrong=st.booleans())
+    def test_a_wrong_length_reference_is_named_first(self, case, a_wrong):
+        space, a, _, wrong = case
+        if a_wrong:
+            a = a + a
+        dim = 2 if isinstance(space, GridSpace) else space.dim
+        message = f"state {wrong!r} has length {len(wrong)}, not {dim}"
+        with pytest.raises(InvalidStateError) as raised:
+            space.distance(a, wrong)
+        assert str(raised.value) == message
+
+
 class TestNearest:
     """``space.nearest(refs)`` against a straight scan over the old
     per-dimension loops, bit for bit."""
