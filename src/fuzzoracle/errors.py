@@ -10,7 +10,8 @@ class FuzzOracleError(Exception):
 
 
 class PolicyTooSmallError(FuzzOracleError):
-    """An intended policy needs at least two reference states."""
+    """An intended policy needs at least two reference states, and a
+    nearest-reference search at least one."""
 
 
 class PolicyTooLargeError(FuzzOracleError):

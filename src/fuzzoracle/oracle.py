@@ -180,15 +180,19 @@ def generate_policies(
 
 
 def _sample_separated_points(space, count: int, rng) -> list:
+    """``count`` uniform points of the box ``space`` at least ``_MIN_NORMALIZED_GAP``
+    apart, each candidate measured by one search over the points accepted so far."""
     points: list = []
+    search = None
     for _ in range(_REJECTION_ATTEMPTS):
         candidate = tuple(
             float(rng.uniform(lo, hi)) for lo, hi in zip(space.lows, space.highs)
         )
-        if all(space.distance(candidate, p) >= _MIN_NORMALIZED_GAP for p in points):
+        if search is None or search(candidate)[1] >= _MIN_NORMALIZED_GAP:
             points.append(candidate)
             if len(points) == count:
                 return points
+            search = space.nearest(points)
     raise SamplingExhaustedError(
         f"could not place {count} reference states after "
         f"{_REJECTION_ATTEMPTS} attempts"

@@ -15,27 +15,26 @@ from .membership import MembershipShape
 from .spaces import BoxSpace, DiscreteSpace, GridSpace
 
 
-def min_reference_distance(ref_states, metric) -> float:
-    """Minimum pairwise distance among reference states.
+def min_reference_distance(ref_states, space) -> float:
+    """The smallest distance from each reference state to the states after
+    it, measured by one ``space.nearest`` search over those later states.
 
-    ``metric`` is any symmetric distance callable. Raises
-    PolicyTooSmallError for fewer than two states and
-    DuplicateReferenceStateError when two states coincide under the metric.
+    Raises PolicyTooSmallError for fewer than two states and
+    DuplicateReferenceStateError naming the first coinciding pair ``i < j``.
     """
     if len(ref_states) < 2:
         raise PolicyTooSmallError(
             f"need at least 2 reference states, got {len(ref_states)}"
         )
     best = None
-    for i in range(len(ref_states)):
-        for j in range(i + 1, len(ref_states)):
-            d = metric(ref_states[i], ref_states[j])
-            if d == 0:
-                raise DuplicateReferenceStateError(
-                    f"reference states {i} and {j} coincide"
-                )
-            if best is None or d < best:
-                best = d
+    for i in range(len(ref_states) - 1):
+        j, d = space.nearest(ref_states[i + 1:])(ref_states[i])
+        if d == 0:
+            raise DuplicateReferenceStateError(
+                f"reference states {i} and {i + 1 + j} coincide"
+            )
+        if best is None or d < best:
+            best = d
     return best
 
 
@@ -65,7 +64,7 @@ class IntendedPolicy:
                 raise ValueError(f"reference state {state!r} outside the state space")
             if not self.action_space.contains(action):
                 raise ValueError(f"ideal action {action!r} outside the action space")
-        delta = min_reference_distance([s for s, _ in entries], self.state_space.distance)
+        delta = min_reference_distance([s for s, _ in entries], self.state_space)
         discrete = isinstance(self.action_space, DiscreteSpace)
         shape = self.action_shape
         if shape is None:

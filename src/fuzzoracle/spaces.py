@@ -12,24 +12,24 @@ metric used by the fuzzy compliance machinery:
 * continuous actions use raw Euclidean distance, paired downstream with a
   membership shape scaled by the space diameter.
 
-Each metric is written once. A state space's metric lives in its
-``nearest``, which builds a policy's nearest-reference search, and its
-``distance(a, b)`` is that search with ``b`` as the one reference, so it
-checks ``b`` as a reference, then ``a`` as a state, and refuses a point of
-the wrong length with :class:`InvalidStateError`. An action is measured by
-:meth:`DiscreteSpace.distance` or :func:`continuous_action_distance`.
-:class:`BoxSpace` alone adds an array form (``distances``), for the array
-pass over box run logs.
+Each metric is written once. A state space measures states only through
+``nearest(refs)``, which builds one search over a fixed reference set. A
+caller that measures many states against the same references (a policy's
+scorer, its reference gap, the rejection sampler) keeps one search. An
+action is measured by :meth:`DiscreteSpace.distance` or
+:func:`continuous_action_distance`. :class:`BoxSpace` alone adds an array
+form (``distances``), for the array pass over box run logs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
-from .errors import ActionKindMismatchError, InvalidStateError
+from .errors import ActionKindMismatchError, InvalidStateError, PolicyTooSmallError
 
 GridCell = tuple[int, int]
 Coords = tuple[float, ...]
@@ -47,8 +47,10 @@ def wrong_length(state, dim: int) -> InvalidStateError:
 
 
 def _refs(refs, dim: int) -> tuple:
-    """``refs`` as a tuple, refused as states are if one has the wrong length."""
+    """``refs`` as a tuple, refused if empty or if one has the wrong length."""
     refs = tuple(refs)
+    if not refs:
+        raise PolicyTooSmallError("a nearest-reference search needs a reference state")
     for ref in refs:
         if len(ref) != dim:
             raise wrong_length(ref, dim)
@@ -70,15 +72,11 @@ class GridSpace:
         r, c = point
         return is_int(r) and is_int(c) and 0 <= r < self.rows and 0 <= c < self.cols
 
-    def distance(self, a: GridCell, b: GridCell) -> float:
-        """The distance of :meth:`nearest` with ``b`` the one reference."""
-        return self.nearest((b,))(a)[1]
-
     def nearest(self, refs):
         """Callable ``state -> (index, distance)`` of the first of ``refs``
         nearest to ``state``: the Manhattan distance, summed in integers and
         then made a float. A state that is not two coordinates long raises
-        :class:`InvalidStateError`."""
+        :class:`InvalidStateError`, and no ``refs`` :class:`PolicyTooSmallError`."""
         cells = tuple(enumerate(_refs(refs, 2)))
 
         def search(state):
@@ -130,10 +128,6 @@ class BoxSpace:
             for x, lo, hi in zip(point, self.lows, self.highs)
         )
 
-    def distance(self, a: Coords, b: Coords) -> float:
-        """The distance of :meth:`nearest` with ``b`` the one reference."""
-        return self.nearest((b,))(a)[1]
-
     def nearest(self, refs):
         """Callable ``state -> (index, distance)`` of the first of ``refs``
         nearest to ``state``: the Euclidean distance after scaling each
@@ -146,11 +140,10 @@ class BoxSpace:
         as ``(index, y0, span0, y1, span1)``: ``sqrt(d0 * d0 + d1 * d1)`` is
         the loop's ``(0.0 + d0 * d0) + d1 * d1``, since a square is never
         -0.0. A state whose length is not :attr:`dim` raises
-        :class:`InvalidStateError`.
+        :class:`InvalidStateError`, and no ``refs`` :class:`PolicyTooSmallError`.
         """
         dim = self.dim
         refs = _refs(refs, dim)
-        sqrt = math.sqrt
         if dim == 2:
             span0, span1 = self._spans
             pairs = tuple((i, y0, span0, y1, span1) for i, (y0, y1) in enumerate(refs))
@@ -190,9 +183,9 @@ class BoxSpace:
         return search
 
     def distances(self, points: np.ndarray, refs) -> np.ndarray:
-        """:meth:`distance` from every point (rows) to every reference
-        (columns), accumulated per dimension in the same order, so each
-        entry matches the scalar metric bit for bit. ``points`` is a float
+        """The distance of :meth:`nearest` from every point (rows) to every
+        reference (columns), accumulated per dimension in the same order, so
+        each entry matches the scalar metric bit for bit. ``points`` is a float
         array of one point of :attr:`dim` coordinates per row."""
         r = np.array(refs, dtype=float)
         total = 0.0
@@ -208,7 +201,7 @@ class BoxSpace:
         for lo, hi in zip(self.lows, self.highs):
             d = hi - lo
             total += d * d
-        return math.sqrt(total)
+        return sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -242,20 +235,21 @@ class DiscreteSpace:
 def continuous_action_distance(a, b) -> float:
     """Euclidean distance between continuous action vectors.
 
-    Raises ActionKindMismatchError when either operand is not a float
-    vector or the arities differ.
+    Raises ActionKindMismatchError when ``a``, then ``b``, is not a
+    non-empty tuple, or when the arities differ.
     """
-    for point in (a, b):
-        if not isinstance(point, tuple) or not point:
-            raise ActionKindMismatchError(
-                f"expected a continuous action tuple, got {type(point).__name__}"
-            )
+    if not isinstance(a, tuple) or not a:
+        raise _not_an_action_tuple(a)
+    if not isinstance(b, tuple) or not b:
+        raise _not_an_action_tuple(b)
     if len(a) != len(b):
-        raise ActionKindMismatchError(
-            f"action arity mismatch: {len(a)} vs {len(b)}"
-        )
+        raise ActionKindMismatchError(f"action arity mismatch: {len(a)} vs {len(b)}")
     total = 0.0
     for x, y in zip(a, b):
         d = x - y
         total += d * d
-    return math.sqrt(total)
+    return sqrt(total)
+
+
+def _not_an_action_tuple(point) -> ActionKindMismatchError:
+    return ActionKindMismatchError(f"expected a continuous action tuple, got {type(point).__name__}")

@@ -26,6 +26,7 @@ from fuzzoracle import (
 from fuzzoracle import oracle
 from fuzzoracle.errors import PolicyTooLargeError, SamplingExhaustedError
 from fuzzoracle.oracle import default_policy_size, oracle_policies
+from fuzzoracle.spaces import BoxSpace
 
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "hillcar_clean.json")
@@ -104,13 +105,47 @@ class TestGeneratePolicies:
         for policy in generate_policies(spec, 20, 3, 1):
             refs = [s for s, _ in policy.entries]
             for a, b in itertools.combinations(refs, 2):
-                assert space.distance(a, b) >= 0.1
+                assert space.nearest([b])(a)[1] >= 0.1
             for _, action in policy.entries:
                 assert -1.0 <= action[0] <= 1.0
 
     def test_rejection_sampling_exhausts(self):
         with pytest.raises(SamplingExhaustedError):
             generate_policies(HillCarSpec(), 1, 500, 0)
+
+    @pytest.mark.parametrize("space, count, seed, exhausts", [
+        (HillCarSpec().state_space(), 5, 3, False),
+        (HillCarSpec().state_space(), 40, 5, False),
+        (HillCarSpec().state_space(), 40, 6, False),
+        (BoxSpace((0.0, -1.0, 2.0), (1.0, 1.0, 5.0)), 20, 0, False),
+        # Points 0.1 apart fit at most 11 to a unit segment.
+        (BoxSpace((0.0,), (1.0,)), 12, 1, True),
+    ], ids=["hillcar5", "hillcar40", "hillcar40b", "box3", "exhausted"])
+    def test_sampling_matches_the_pairwise_check(self, space, count, seed, exhausts):
+        # A candidate is accepted when every accepted point is at least the
+        # gap away, each measured by its own one-reference search.
+        def sample(rng):
+            points = []
+            for _ in range(oracle._REJECTION_ATTEMPTS):
+                candidate = tuple(
+                    float(rng.uniform(lo, hi)) for lo, hi in zip(space.lows, space.highs)
+                )
+                if all(space.nearest((p,))(candidate)[1] >= oracle._MIN_NORMALIZED_GAP
+                       for p in points):
+                    points.append(candidate)
+                    if len(points) == count:
+                        return points
+            return "exhausted"
+
+        rng, expected_rng = oracle.child_rng(seed), oracle.child_rng(seed)
+        expected = sample(expected_rng)
+        try:
+            got = oracle._sample_separated_points(space, count, rng)
+        except SamplingExhaustedError:
+            got = "exhausted"
+        assert got == expected
+        assert (got == "exhausted") == exhausts
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
 
     def test_default_sizes(self, grid_spec):
         assert default_policy_size(grid_spec) == 4

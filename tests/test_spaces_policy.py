@@ -41,10 +41,6 @@ GRID = (GridSpace(4, 4), DiscreteSpace(4))
 HILL = (HillCarSpec().state_space(), HillCarSpec().action_space())
 
 
-def abs_metric(a, b):
-    return abs(a - b)
-
-
 class TestSpaces:
     def test_grid_contains(self):
         space = GridSpace(4, 4)
@@ -67,13 +63,13 @@ class TestSpaces:
 
     def test_manhattan(self):
         space = GridSpace(4, 4)
-        assert space.distance((0, 0), (2, 3)) == 5.0
+        assert space.nearest([(2, 3)])((0, 0)) == (0, 5.0)
 
     def test_box_normalized_distance(self):
         space = BoxSpace(lows=(0.0, 0.0), highs=(2.0, 20.0))
         # Each dimension spans exactly its range, so the normalized
         # displacement is (1, 1) and the distance sqrt(2).
-        assert space.distance((0.0, 0.0), (2.0, 20.0)) == pytest.approx(math.sqrt(2))
+        assert space.nearest([(2.0, 20.0)])((0.0, 0.0))[1] == pytest.approx(math.sqrt(2))
 
     def test_box_diameter(self):
         space = BoxSpace(lows=(-1.0,), highs=(1.0,))
@@ -90,35 +86,37 @@ class TestSpaces:
         with pytest.raises(ActionKindMismatchError):
             space.distance((0.5,), 1)
 
-    def test_continuous_action_distance_mismatch(self):
-        with pytest.raises(ActionKindMismatchError):
-            continuous_action_distance((0.5,), 1)
-        with pytest.raises(ActionKindMismatchError):
-            continuous_action_distance((0.5,), (0.5, 0.2))
+    @pytest.mark.parametrize("a, b, message", [
+        ((0.5,), 1, "expected a continuous action tuple, got int"),
+        ((0.5,), (0.5, 0.2), "action arity mismatch: 1 vs 2"),
+        # a is checked, then b, then the arity.
+        (1, "x", "expected a continuous action tuple, got int"),
+        ([0.5], (0.5,), "expected a continuous action tuple, got list"),
+        ((), 2, "expected a continuous action tuple, got tuple"),
+        ((0.5,), None, "expected a continuous action tuple, got NoneType"),
+        ((0.5,), (), "expected a continuous action tuple, got tuple"),
+        ((0.5, 0.2, 0.1), (0.5,), "action arity mismatch: 3 vs 1"),
+    ])
+    def test_continuous_action_distance_mismatch(self, a, b, message):
+        with pytest.raises(ActionKindMismatchError) as raised:
+            continuous_action_distance(a, b)
+        assert str(raised.value) == message
 
+    def test_continuous_action_distance_value(self):
+        a, b = (0.1, -0.7, 0.3), (-0.2, 0.25, 0.9)
+        total = 0.0
+        for x, y in zip(a, b):
+            total += (x - y) * (x - y)
+        assert continuous_action_distance(a, b).hex() == math.sqrt(total).hex()
+        assert continuous_action_distance((0.0, 3.0), (4.0, 0.0)) == 5.0
 
-class TestMinReferenceDistance:
-    def test_scalar_states(self):
-        assert min_reference_distance([0, 2, 5], abs_metric) == 2
-
-    def test_singleton_rejected(self):
-        with pytest.raises(PolicyTooSmallError):
-            min_reference_distance([0], abs_metric)
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(DuplicateReferenceStateError):
-            min_reference_distance([0, 3, 3], abs_metric)
-
-    def test_matches_exhaustive_pairwise_minimum(self):
-        rng = np.random.default_rng(7)
-        points = [tuple(map(float, rng.uniform(0, 1, 2))) for _ in range(8)]
-        space = BoxSpace(lows=(0.0, 0.0), highs=(1.0, 1.0))
-        got = min_reference_distance(points, space.distance)
-        expected = min(
-            space.distance(a, b) for a, b in itertools.combinations(points, 2)
-        )
-        assert got == expected
-        assert got > 0
+    @pytest.mark.parametrize("space", [
+        GridSpace(4, 4), BoxSpace((0.0, 0.0), (1.0, 1.0)), BoxSpace((0.0,) * 3, (1.0,) * 3),
+    ], ids=["grid", "box2", "box3"])
+    def test_an_empty_reference_set_is_refused(self, space):
+        for refs in ([], (), iter(())):
+            with pytest.raises(PolicyTooSmallError, match="needs a reference state"):
+                space.nearest(refs)
 
 
 class TestPolicyBuild:
@@ -282,6 +280,41 @@ def nearest_cases(draw, lattice=False):
     return space, refs, states
 
 
+@st.composite
+def reference_sets(draw):
+    """(space, reference states) on a grid or a 1-, 2- or 3-D box, with up
+    to three copies of earlier states put anywhere, so coinciding pairs may
+    cross, as in ``[A, B, B, A]``."""
+    if draw(st.booleans()):
+        space = GridSpace(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        point = st.tuples(st.integers(0, space.rows - 1), st.integers(0, space.cols - 1))
+    else:
+        space = draw(boxes())
+        point = box_lattice(space) | st.tuples(
+            *(st.floats(lo, hi) for lo, hi in zip(space.lows, space.highs))
+        )
+    refs = draw(st.lists(point, min_size=2, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        copy = refs[draw(st.integers(0, len(refs) - 1))]
+        refs.insert(draw(st.integers(0, len(refs))), copy)
+    return space, refs
+
+
+def pairwise_min_reference_distance(ref_states, space) -> tuple:
+    """The reference gap pair by pair, each pair ``i < j`` measured by a
+    search with state ``j`` as its one reference: ``("gap", minimum.hex())``,
+    or ``("duplicate", message)`` for the first coinciding pair."""
+    best = None
+    for i in range(len(ref_states)):
+        for j in range(i + 1, len(ref_states)):
+            d = space.nearest((ref_states[j],))(ref_states[i])[1]
+            if d == 0:
+                return "duplicate", f"reference states {i} and {j} coincide"
+            if best is None or d < best:
+                best = d
+    return "gap", best.hex()
+
+
 def formula_distance(space, a, b) -> float:
     """The metric as ``docs/formats.md`` gives it under "Scoring metrics",
     written out for a grid cell and for a 2-D and a 3-D box point."""
@@ -318,15 +351,56 @@ def distance_cases(draw):
     return space, draw(point), draw(point), wrong
 
 
+class TestMinReferenceDistance:
+    def test_cells_in_a_row(self):
+        assert min_reference_distance([(0, 0), (0, 2), (0, 5)], GridSpace(1, 6)) == 2.0
+
+    def test_singleton_rejected(self):
+        with pytest.raises(PolicyTooSmallError):
+            min_reference_distance([(0, 0)], GridSpace(4, 4))
+
+    def test_duplicates_rejected(self):
+        with pytest.raises(DuplicateReferenceStateError, match="states 1 and 2 coincide"):
+            min_reference_distance([(0, 0), (0, 3), (0, 3)], GridSpace(1, 4))
+
+    def test_a_crossing_duplicate_names_the_first_pair(self):
+        a, b = (0.25, 0.5), (0.75, 0.5)
+        with pytest.raises(DuplicateReferenceStateError, match="states 0 and 3 coincide"):
+            min_reference_distance([a, b, b, a], BoxSpace((0.0, 0.0), (1.0, 1.0)))
+
+    def test_matches_exhaustive_pairwise_minimum(self):
+        rng = np.random.default_rng(7)
+        points = [tuple(map(float, rng.uniform(0, 1, 2))) for _ in range(8)]
+        space = BoxSpace(lows=(0.0, 0.0), highs=(1.0, 1.0))
+        got = min_reference_distance(points, space)
+        expected = min(
+            straight_distance(space, a, b) for a, b in itertools.combinations(points, 2)
+        )
+        assert got == expected
+        assert got > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=reference_sets())
+    def test_matches_the_pairwise_loop(self, case):
+        space, refs = case
+        try:
+            got = ("gap", min_reference_distance(refs, space).hex())
+        except DuplicateReferenceStateError as raised:
+            got = ("duplicate", str(raised))
+        assert got == pairwise_min_reference_distance(refs, space)
+
+
 class TestDistance:
-    """``space.distance`` pinned bit for bit to the documented formula."""
+    """The distance of a one-reference ``space.nearest`` pinned bit for bit
+    to the documented formula."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=distance_cases())
     def test_matches_the_formula_and_is_symmetric(self, case):
         space, a, b, _ = case
-        assert space.distance(a, b).hex() == formula_distance(space, a, b).hex()
-        assert space.distance(a, b).hex() == space.distance(b, a).hex()
+        d = space.nearest([b])(a)
+        assert bits(d) == (0, formula_distance(space, a, b).hex())
+        assert bits(space.nearest([a])(b)) == bits(d)
 
     @settings(max_examples=200, deadline=None)
     @given(case=distance_cases(), a_wrong=st.booleans())
@@ -337,7 +411,7 @@ class TestDistance:
         dim = 2 if isinstance(space, GridSpace) else space.dim
         message = f"state {wrong!r} has length {len(wrong)}, not {dim}"
         with pytest.raises(InvalidStateError) as raised:
-            space.distance(a, wrong)
+            space.nearest([wrong])(a)
         assert str(raised.value) == message
 
 
@@ -374,7 +448,7 @@ class TestNearest:
     def test_distance_is_unchanged(self, case):
         space, refs, states = case
         for a, b in itertools.product(states[:6], refs):
-            assert space.distance(a, b).hex() == straight_distance(space, a, b).hex()
+            assert space.nearest([b])(a)[1].hex() == straight_distance(space, a, b).hex()
 
     def test_grid_tie_on_a_midpoint(self):
         # (2, 2) is 2 cells from (0, 2), (2, 0) and (4, 2).
@@ -408,11 +482,11 @@ class TestNearest:
         ties = [(0.0, v, -2.0 * v)[:dim] for v in (0.0, 0.125, -0.125, 0.25, -0.25)]
         states = ties + [tuple(map(float, row)) for row in rng.uniform(-1, 1, size=(200, dim)) / 2]
         for state in states:
-            distances = [space.distance(state, r) for r in refs]
+            distances = [straight_distance(space, state, r) for r in refs]
             best = min(distances)
             assert search(state) == (distances.index(best), best)
         for state in ties:
-            assert space.distance(state, refs[1]) == space.distance(state, refs[2])
+            assert straight_distance(space, state, refs[1]) == straight_distance(space, state, refs[2])
             assert search(state)[0] == 1
 
 
@@ -491,7 +565,7 @@ class TestWrongLengthStates:
         with pytest.raises(InvalidStateError):
             make_reward_fn(policy)(state, (0.0,))
         with pytest.raises(InvalidStateError):
-            policy.state_space.distance(state, policy.entries[0][0])
+            policy.state_space.nearest([policy.entries[0][0]])(state)
 
     @pytest.mark.parametrize("state", [(0, 0, 7), (0,)])
     def test_grid_state(self, state):
@@ -503,7 +577,7 @@ class TestWrongLengthStates:
         with pytest.raises(InvalidStateError):
             make_reward_fn(policy)(state, 1)
         with pytest.raises(InvalidStateError):
-            GridSpace(4, 4).distance((0, 0), state)
+            GridSpace(4, 4).nearest([(0, 0)])(state)
 
     @pytest.mark.parametrize("policy, good, bad, action", [
         (hill_policy(), (-0.5, 0.0), (-0.5,), (0.0,)),
