@@ -11,7 +11,6 @@ from fuzzoracle import (
     AgentConfig,
     GridSpec,
     OracleConfig,
-    TrendParams,
     inject_bug,
     oracle_main,
 )
@@ -21,7 +20,9 @@ config = OracleConfig(
     policies=6,
     epochs=150,
     theta_oracle=0.7,
-    trend=TrendParams(window=5, epsilon=0.02, delta=0.1),
+    window=5,
+    epsilon=0.02,
+    delta=0.1,
     master_seed=0,
 )
 

@@ -11,7 +11,6 @@ from fuzzoracle import (
     GridSpec,
     OracleConfig,
     ProgramRecord,
-    TrendParams,
     confusion_at,
     confusion_metrics,
     inject_bug,
@@ -32,7 +31,9 @@ config = OracleConfig(
     policies=8,
     epochs=200,
     theta_oracle=0.7,
-    trend=TrendParams(window=5, epsilon=0.02, delta=0.1),
+    window=5,
+    epsilon=0.02,
+    delta=0.1,
     master_seed=0,
 )
 

@@ -77,6 +77,8 @@ class AgentConfig:
                 raise ValueError("need epsilon_start >= epsilon_end >= 0")
             if self.algorithm == "linear_actor_critic" and not self.action_noise > 0:
                 raise ValueError("action_noise must be positive")
+            if self.algorithm == "linear_actor_critic" and not self.critic_learning_rate > 0:
+                raise ValueError("critic_learning_rate must be positive")
             return
         bug = BUG_REGISTRY.get(self.bug)
         if bug is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from itertools import chain
 
 from .agents import AgentConfig, inject_bug
@@ -58,17 +58,12 @@ def display(x: float | None) -> str | None:
 def config_to_dict(config) -> dict:
     """The fields of a config dataclass as JSON values.
 
-    A config with a ``kind`` (an env spec, a space) also gives it. Tuples
-    become lists, and the fields of a nested config (the oracle's trend
-    parameters) are flattened into this one's.
+    A config with a ``kind`` (an env spec, a space) also gives it, and
+    tuples become lists.
     """
     data = {"kind": config.kind} if hasattr(config, "kind") else {}
     for f in fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
-            data.update(config_to_dict(value))
-        else:
-            data[f.name] = _lists(value)
+        data[f.name] = _lists(getattr(config, f.name))
     return data
 
 
@@ -83,19 +78,17 @@ def config_from_dict(cls, data, where: str):
     finite in a float field (an int is kept, not converted), or a value the
     constructor rejects with a TypeError, ValueError or AttributeError,
     raises :class:`TraceFormatError` naming the ``where`` section; the
-    constructor's own library errors pass through unchanged.
+    constructor's own library errors pass through unchanged. The types are
+    checked in the order ``cls`` declares its fields, before the
+    constructor runs.
     """
-    nested = {
-        f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)
-    }
-    flat = [f for c in (cls, *nested.values()) for f in fields(c) if f.name not in nested]
-    allowed = [f.name for f in flat]
+    allowed = [f.name for f in fields(cls)]
     kind_field = "kind" in allowed
     if hasattr(cls, "kind"):
         allowed.append("kind")
     _take(_object(data, where), *allowed, where=where)
     values = {k: _tuples(v) for k, v in data.items() if k != "kind" or kind_field}
-    for f in flat:
+    for f in fields(cls):
         value = values.get(f.name)
         if f.type in ("int", "int | None") and f.name in values and not (
             is_int(value) or value is None and f.type == "int | None"
@@ -114,9 +107,6 @@ def config_from_dict(cls, data, where: str):
                     f"bad {where} config: {f.name} is too large for a float"
                 ) from None
     try:
-        for name, sub in nested.items():
-            own = [f.name for f in fields(sub) if f.name in values]
-            values[name] = sub(**{k: values.pop(k) for k in own})
         return cls(**values)
     except (TypeError, ValueError, AttributeError) as exc:
         raise TraceFormatError(f"bad {where} config: {exc}") from exc

@@ -58,12 +58,15 @@ def child_rng(*entropy) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Counts, thresholds, and seeds for one oracle run."""
+    """Counts, thresholds, and seeds for one oracle run.
+
+    ``trend`` is the :class:`TrendParams` of ``window``, ``epsilon`` and
+    ``delta``, whose own checks run before this config's.
+    """
 
     policies: int = 10
     epochs: int = 300
     theta_oracle: float = 0.7
-    trend: TrendParams = field(default_factory=TrendParams)
     theta_step: float = 0.3
     policy_size: int | None = None
     master_seed: int = 0
@@ -71,8 +74,12 @@ class OracleConfig:
     # The only mode; it stays a field because every report writes it.
     reward_mode: str = "replace"
     filter_mode: str = "state"
+    window: int = TrendParams.window
+    epsilon: float = TrendParams.epsilon
+    delta: float = TrendParams.delta
 
     def __post_init__(self):
+        object.__setattr__(self, "trend", TrendParams(self.window, self.epsilon, self.delta))
         if self.policies < 1:
             raise ValueError("need at least one intended policy")
         if self.epochs < 2:
@@ -91,7 +98,7 @@ class OracleConfig:
             raise ValueError("reward_mode must be 'replace'")
         if self.filter_mode not in ("state", "step"):
             raise ValueError("filter_mode must be 'state' or 'step'")
-        if not self.trend.window <= self.epochs - 1:
+        if not self.window <= self.epochs - 1:
             raise ValueError("trend window must be at most epochs - 1")
 
 
@@ -338,7 +345,8 @@ def judge_programs(
     A program is an :class:`AgentConfig` for the built-in learners, or a
     callable ``(env_spec, policy, epochs, seed) -> RunLog`` for programs
     that produce their traces elsewhere; the oracle sets each log's
-    ``policy_id``. Every (program, policy) run is independent, so all of
+    ``policy_id``. ``programs`` may be any iterable, and is read once.
+    Every (program, policy) run is independent, so all of
     them are one flat batch of tasks, in program-major order. With
     ``workers`` > 1 and more than one task, the whole batch trains on one
     process pool of at most one worker per task when every program is an
@@ -348,6 +356,7 @@ def judge_programs(
     ``on_log(program_index, policy_id, policy, log)``, when given, is called
     in the calling process with every run log, in task order.
     """
+    programs = list(programs)
     policies = oracle_policies(env_spec, config)
     n = len(policies)
     tasks = [

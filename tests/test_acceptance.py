@@ -48,7 +48,9 @@ def gate_oracle_config(seed):
         policies=10,
         epochs=300,
         theta_oracle=0.7,
-        trend=TrendParams(window=5, epsilon=0.02, delta=0.1),
+        window=5,
+        epsilon=0.02,
+        delta=0.1,
         theta_step=0.3,
         master_seed=seed,
     )

@@ -60,6 +60,18 @@ class TestInit:
         # The same values are allowed once a bug owns them.
         assert inject_bug(AgentConfig(), "LR_ZERO").learning_rate == 0.0
 
+    @pytest.mark.parametrize("rate", [0.0, -0.0, -3.0, float("nan")])
+    def test_clean_actor_critic_needs_a_positive_critic_learning_rate(self, rate):
+        with pytest.raises(ValueError, match="^critic_learning_rate must be positive$"):
+            AgentConfig(algorithm="linear_actor_critic", critic_learning_rate=rate)
+        # A config with a bug keeps any value, and tabular_q never reads it.
+        buggy = AgentConfig(
+            algorithm="linear_actor_critic", critic_learning_rate=rate,
+            bug="ACTION_CLAMP_WRONG",
+        )
+        assert buggy.critic_learning_rate is rate
+        assert AgentConfig(critic_learning_rate=rate).critic_learning_rate is rate
+
 
 class TestAct:
     def test_greedy_argmax(self, grid_spec):

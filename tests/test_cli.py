@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from fuzzoracle import TrendParams, cli, oracle
+from fuzzoracle import cli, oracle
 from fuzzoracle.errors import FuzzOracleError
 from fuzzoracle.logfiles import load_policy, read_trace
 from fuzzoracle.cli import main
@@ -172,7 +172,7 @@ class TestAnalyze:
         assert analysis["verdict"] == "Buggy"
         log, _ = read_trace(trace)
         policy = load_policy(HAND_POLICY)
-        config = oracle.OracleConfig(epochs=10, trend=TrendParams(window=2))
+        config = oracle.OracleConfig(epochs=10, window=2)
         assert oracle.analyze_log(policy, log, config).healthy is False
 
     def test_non_contiguous_trace_exits_2(self, tmp_path, capsys):
@@ -522,6 +522,20 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "NaN"])
+    def test_a_clean_critic_learning_rate_must_be_positive(self, tmp_path, capsys, value):
+        cfg = write_config(
+            tmp_path / "cfg.json", env={"kind": "hillcar"},
+            agent={"algorithm": "linear_actor_critic"},
+        )
+        out = tmp_path / "out"
+        code = main(["test", "--config", cfg, "--output", str(out),
+                     "--set", f"agent.critic_learning_rate={value}"])
+        assert code == 2
+        message = ("must be finite, got nan" if value == "NaN" else "must be positive")
+        assert capsys.readouterr().err == f"error: bad agent config: critic_learning_rate {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, kind, extra", [
         ("test", "hillcar", []),

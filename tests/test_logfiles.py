@@ -1013,10 +1013,27 @@ class TestConfigSerialization:
             agent_config_from_dict({"learning_rate": -1.0})
 
     def test_oracle_round_trip(self):
-        config = OracleConfig(
-            policies=4, epochs=50, trend=TrendParams(window=3, epsilon=0.01, delta=0.2)
-        )
+        config = OracleConfig(policies=4, epochs=50, window=3, epsilon=0.01, delta=0.2)
         assert config_from_dict(OracleConfig, config_to_dict(config), "oracle") == config
+
+    def test_oracle_faults_are_named_in_field_order(self):
+        # The trend rule's own checks run first, and the trend fields are
+        # type-checked after every other oracle field.
+        with pytest.raises(InvalidWindowError, match="^window must be >= 1, got 0$"):
+            config_from_dict(OracleConfig, {"policies": 0, "window": 0}, "oracle")
+        message = "bad oracle config: master_seed must be an int, got 2.5"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            config_from_dict(OracleConfig, {"window": 1.5, "master_seed": 2.5}, "oracle")
+        message = "bad oracle config: epsilon must be positive"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            config_from_dict(OracleConfig, {"epsilon": 0.0, "theta_step": 1.5}, "oracle")
+
+    def test_the_default_oracle_section_is_the_documented_one(self):
+        with open(os.path.join(DATA, "..", "..", "docs", "formats.md"), encoding="utf-8") as fh:
+            doc = fh.read()
+        example = doc.split("## Run config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        documented = json.loads(example)["oracle"]
+        assert config_to_dict(OracleConfig()) == documented
 
     def test_run_config_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,7 +1,9 @@
 import itertools
 import json
 import os
+import pickle
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -39,7 +41,9 @@ def small_config(**kw):
         policies=4,
         epochs=30,
         master_seed=3,
-        trend=TrendParams(window=5, epsilon=0.02, delta=0.1),
+        window=5,
+        epsilon=0.02,
+        delta=0.1,
     )
     defaults.update(kw)
     return OracleConfig(**defaults)
@@ -345,6 +349,26 @@ class TestOracleMain:
         policies = oracle_policies(grid_spec, config)
         assert seen == [(k, i + 1, p, i + 1) for k in range(3) for i, p in enumerate(policies)]
 
+    def test_judge_programs_reads_a_one_shot_iterable_once(self, grid_spec, monkeypatch):
+        # A generator is read once: its closures still run in this process,
+        # and its AgentConfigs still train on one pool.
+        config = small_config(policies=2, epochs=10)
+        closures = [split_trainer(1), split_trainer(2)]
+        agents = [AgentConfig(), inject_bug(AgentConfig(), "REWARD_NEGATED")]
+        expected = [judge_programs(p, grid_spec, config, workers=1) for p in (closures, agents)]
+        pools = []
+
+        class CountingPool(oracle.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
+        assert judge_programs(iter(closures), grid_spec, config, workers=2) == expected[0]
+        assert pools == []
+        assert judge_programs((a for a in agents), grid_spec, config, workers=2) == expected[1]
+        assert pools == [{"max_workers": 2}]
+
     def test_filter_mode_reaches_the_series(self, grid_spec):
         # Every epoch mixes on-reference ideal steps with near misses; the
         # verdict's series must match a direct recomputation under the
@@ -399,7 +423,16 @@ class TestOracleConfigValidation:
         with pytest.raises(ValueError):
             OracleConfig(reward_mode="add")
         with pytest.raises(ValueError):
-            OracleConfig(epochs=5, trend=TrendParams(window=5))
+            OracleConfig(epochs=5, window=5)
+
+    def test_trend_is_built_from_the_flat_fields(self):
+        config = OracleConfig(window=4, epsilon=0.05, delta=0.2)
+        assert config.trend == TrendParams(window=4, epsilon=0.05, delta=0.2)
+        assert OracleConfig().trend == TrendParams()
+        assert replace(config, window=3).trend == TrendParams(window=3, epsilon=0.05, delta=0.2)
+        assert replace(OracleConfig(), window=3).trend == TrendParams(window=3)
+        again = pickle.loads(pickle.dumps(config))
+        assert again == config and again.trend == config.trend
 
 
 def test_every_public_name_resolves():
